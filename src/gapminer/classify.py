@@ -12,7 +12,7 @@ import math
 import multiprocessing
 from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 from .concept_net import Pair, TemporalConceptNetwork, build_network, randomize_labels
 from .corpus import CorpusStore
 from .errors import MissingDependencyError
-from .topology import PersistenceDiagram, build_flag_filtration, compute_persistence, gap_edges
+from .topology import build_flag_filtration, compute_persistence, gap_edges
 from .util import derive_seed, write_csv
 
 logger = logging.getLogger(__name__)
@@ -63,17 +63,14 @@ class DisciplineTopology:
     discipline: str
     network: TemporalConceptNetwork
     gap_pairs: frozenset[Pair]
-    diagram: PersistenceDiagram | None = None
 
 
 def analyze_discipline(
-    store: CorpusStore, discipline: str, *, max_dim: int = 2, min_persistence: int = 1
+    store: CorpusStore, discipline: str, *, min_persistence: int = 1
 ) -> DisciplineTopology:
     network = build_network(store, discipline)
-    diagram = compute_persistence(build_flag_filtration(network, max_dim))
-    return DisciplineTopology(
-        discipline, network, frozenset(gap_edges(diagram, min_persistence)), diagram
-    )
+    diagram = compute_persistence(build_flag_filtration(network))
+    return DisciplineTopology(discipline, network, frozenset(gap_edges(diagram, min_persistence)))
 
 
 # Store handed to forked analysis workers; only valid under the fork start
@@ -81,25 +78,19 @@ def analyze_discipline(
 _FORK_STORE: CorpusStore | None = None
 
 
-def _analyze_forked(args: tuple[str, int, int]) -> DisciplineTopology:
-    discipline, max_dim, min_persistence = args
-    topo = analyze_discipline(
-        _FORK_STORE, discipline, max_dim=max_dim, min_persistence=min_persistence
-    )
-    return replace(topo, diagram=None)  # diagrams are heavy to pickle back
+def _analyze_forked(args: tuple[str, int]) -> DisciplineTopology:
+    discipline, min_persistence = args
+    return analyze_discipline(_FORK_STORE, discipline, min_persistence=min_persistence)
 
 
 def analyze_store(
     store: CorpusStore,
     *,
-    max_dim: int = 2,
     min_persistence: int = 1,
     threads: int = 1,
 ) -> dict[str, DisciplineTopology]:
     """Networks and gap pairs for every discipline in the store.
 
-    Diagram objects are dropped from the result (classification needs only
-    the gap pairs); use analyze_discipline for a single discipline's diagram.
     Disciplines are independent; with threads > 1 and a fork-capable platform
     they run in a process pool, collected in sorted order for determinism.
     """
@@ -115,20 +106,13 @@ def analyze_store(
         try:
             with ProcessPoolExecutor(max_workers=min(threads, len(disciplines))) as pool:
                 results = list(
-                    pool.map(
-                        _analyze_forked,
-                        [(d, max_dim, min_persistence) for d in disciplines],
-                    )
+                    pool.map(_analyze_forked, [(d, min_persistence) for d in disciplines])
                 )
         finally:
             _FORK_STORE = None
         return {t.discipline: t for t in sorted(results, key=lambda t: t.discipline)}
     return {
-        d: replace(
-            analyze_discipline(store, d, max_dim=max_dim, min_persistence=min_persistence),
-            diagram=None,
-        )
-        for d in disciplines
+        d: analyze_discipline(store, d, min_persistence=min_persistence) for d in disciplines
     }
 
 
@@ -216,7 +200,6 @@ def null_comparison(
     seed: int,
     replicates: int,
     *,
-    max_dim: int = 2,
     min_persistence: int = 1,
     groupings: Sequence[str] = GROUPINGS,
     threads: int = 1,
@@ -232,9 +215,7 @@ def null_comparison(
     acc: dict[tuple[str, str, Category], list[tuple[float, float]]] = defaultdict(list)
     for replicate in range(replicates):
         rand_store = randomize_labels(store, derive_seed(seed, "null", replicate))
-        topologies = analyze_store(
-            rand_store, max_dim=max_dim, min_persistence=min_persistence, threads=threads
-        )
+        topologies = analyze_store(rand_store, min_persistence=min_persistence, threads=threads)
         classifications = classify_all(rand_store, topologies)
         for grouping in groupings:
             for row in share_table(classifications, rand_store, grouping):

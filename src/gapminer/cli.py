@@ -39,7 +39,6 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser, with_stage: bool) -> No
     parser.add_argument("--corpus", type=Path, help="line-delimited corpus file")
     parser.add_argument("--out", type=Path, help="output directory")
     parser.add_argument("--seed", type=int, help="base random seed")
-    parser.add_argument("--max-dim", type=int, help="maximum simplex dimension")
     parser.add_argument("--min-persistence", type=int, help="minimum gap persistence in years")
     parser.add_argument("--null-replicates", type=int, help="label-randomization replicates")
     parser.add_argument("--n-rand", type=int, help="citation-switch replicates for novelty")
@@ -67,7 +66,6 @@ def _pipeline_config(args: argparse.Namespace, stage: str | None) -> PipelineCon
         "corpus_path": args.corpus,
         "output_dir": args.out,
         "seed": args.seed,
-        "max_dim": args.max_dim,
         "min_persistence": args.min_persistence,
         "null_replicates": args.null_replicates,
         "n_rand": args.n_rand,

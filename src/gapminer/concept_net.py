@@ -18,12 +18,14 @@ from pathlib import Path
 from typing import Iterable
 
 from .corpus import CorpusStore, PaperRecord
-from .errors import InfeasibleResamplingError, UnknownDisciplineError
+from .errors import DataError, InfeasibleResamplingError, UnknownDisciplineError
 from .util import derive_seed
 
 logger = logging.getLogger(__name__)
 
 Pair = tuple[str, str]
+
+NETWORK_HEADER = ("u", "v", "time", "introducers")
 
 
 @dataclass(frozen=True, slots=True)
@@ -132,7 +134,7 @@ def save_network(network: TemporalConceptNetwork, path: str | Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("u", "v", "time", "introducers"))
+        writer.writerow(NETWORK_HEADER)
         for pair in sorted(network.edges):
             birth = network.edges[pair]
             writer.writerow(
@@ -141,13 +143,22 @@ def save_network(network: TemporalConceptNetwork, path: str | Path) -> None:
 
 
 def load_network(path: str | Path, discipline: str) -> TemporalConceptNetwork:
+    """Read an edge dump; a malformed row raises DataError naming the file,
+    the line and the stage that writes the file."""
     raw: dict[Pair, tuple[int, frozenset[str]]] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        next(reader)  # header
+        if next(reader, None) != list(NETWORK_HEADER):
+            raise DataError(f"{path}: missing network header; rerun stage network")
         for row in reader:
-            u, v, time, introducers = row
-            raw[(u, v)] = (int(time), frozenset(introducers.split(";")))
+            try:
+                u, v, time, introducers = row
+                raw[(u, v)] = (int(time), frozenset(introducers.split(";")))
+            except ValueError as exc:
+                raise DataError(
+                    f"{path}, line {reader.line_num}: malformed network row {row!r} "
+                    f"({exc}); rerun stage network"
+                ) from exc
     return _finish_network(discipline, raw)
 
 

@@ -52,7 +52,6 @@ class PipelineConfig:
     output_dir: Path = Path("out")
     year_min: int = 1900
     year_max: int = 2020
-    max_dim: int = 2
     min_persistence: int = 1
     null_replicates: int = 10
     n_rand: int = 10
@@ -100,8 +99,6 @@ class PipelineConfig:
     def validate(self) -> None:
         if self.year_min > self.year_max:
             raise ConfigError("year_min must not exceed year_max")
-        if self.max_dim < 1:
-            raise ConfigError("max_dim must be at least 1")
         if self.min_persistence < 0:
             raise ConfigError("min_persistence must be non-negative")
         if self.null_replicates < 0:
@@ -130,12 +127,12 @@ def _slug(name: str) -> str:
 
 
 def _persist_discipline(
-    task: tuple[str, str, int]
+    task: tuple[str, str]
 ) -> tuple[str, list[DiagramRecord], int, int, int]:
     """Worker for the persist stage; module-level so process pools can use it."""
-    discipline, network_path, max_dim = task
+    discipline, network_path = task
     network = load_network(network_path, discipline)
-    filtration = build_flag_filtration(network, max_dim)
+    filtration = build_flag_filtration(network)
     diagram = compute_persistence(filtration)
     return (
         discipline,
@@ -146,6 +143,18 @@ def _persist_discipline(
     )
 
 
+def _read_manifest(path: Path) -> dict | None:
+    """The manifest, or None when it is truncated or garbled."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except ValueError:  # JSONDecodeError, UnicodeDecodeError
+        return None
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("stages"), dict):
+        return None
+    return manifest
+
+
 class Pipeline:
     def __init__(self, config: PipelineConfig):
         config.validate()
@@ -154,11 +163,16 @@ class Pipeline:
         self.out.mkdir(parents=True, exist_ok=True)
         self.manifest_path = self.out / "manifest.json"
         self._store_cache: tuple[str, object] | None = None
+        self.manifest = {"schema": 1, "stages": {}}
         if self.manifest_path.exists():
-            with open(self.manifest_path, "r", encoding="utf-8") as fh:
-                self.manifest = json.load(fh)
-        else:
-            self.manifest = {"schema": 1, "stages": {}}
+            manifest = _read_manifest(self.manifest_path)
+            if manifest is None:
+                logger.warning(
+                    "%s is unreadable; treating it as absent, every stage reruns",
+                    self.manifest_path,
+                )
+            else:
+                self.manifest = manifest
 
     # ---- artifact locations -------------------------------------------------
 
@@ -246,7 +260,7 @@ class Pipeline:
         if stage == "persist":
             files = self._network_files(stage)
             return {
-                "config": {"max_dim": cfg.max_dim},
+                "config": {},
                 "files": {self._rel(p): sha256_file(p) for p in files.values()},
             }
         if stage == "classify":
@@ -258,7 +272,6 @@ class Pipeline:
                     "min_persistence": cfg.min_persistence,
                     "null_replicates": cfg.null_replicates,
                     "seed": cfg.seed,
-                    "max_dim": cfg.max_dim,
                 },
                 "files": {self._rel(p): sha256_file(p) for p in paths},
             }
@@ -357,7 +370,7 @@ class Pipeline:
         files = self._network_files("persist")
         outputs = []
         index: dict[str, dict] = {}
-        tasks = [(d, str(p), cfg.max_dim) for d, p in sorted(files.items())]
+        tasks = [(d, str(p)) for d, p in sorted(files.items())]
         if cfg.threads > 1 and len(tasks) > 1:
             with ProcessPoolExecutor(max_workers=min(cfg.threads, len(tasks))) as pool:
                 results = list(pool.map(_persist_discipline, tasks))
@@ -406,7 +419,6 @@ class Pipeline:
                     store,
                     cfg.seed,
                     cfg.null_replicates,
-                    max_dim=cfg.max_dim,
                     min_persistence=cfg.min_persistence,
                     threads=cfg.threads,
                 )
@@ -473,7 +485,6 @@ class Pipeline:
             "config": {
                 "year_min": self.config.year_min,
                 "year_max": self.config.year_max,
-                "max_dim": self.config.max_dim,
                 "min_persistence": self.config.min_persistence,
                 "null_replicates": self.config.null_replicates,
                 "n_rand": self.config.n_rand,
@@ -579,13 +590,17 @@ def run(config: PipelineConfig) -> PipelineResult:
 
 
 def verify_manifest(output_dir: Path) -> bool:
-    """Check every digest recorded in the manifest against the files on disk."""
+    """Check every digest recorded in the manifest against the files on disk.
+
+    An unreadable manifest verifies nothing and returns False.
+    """
     manifest_path = Path(output_dir) / "manifest.json"
     if not manifest_path.exists():
         raise DataError(f"no manifest at {manifest_path}")
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    for stage, entry in manifest.get("stages", {}).items():
+    manifest = _read_manifest(manifest_path)
+    if manifest is None:
+        return False
+    for stage, entry in manifest["stages"].items():
         if entry.get("invalid"):
             return False
         for rel, digest in entry.get("outputs", {}).items():

@@ -1,28 +1,25 @@
-"""Flag-complex filtrations and persistent homology over Z2.
+"""Flag-complex filtrations and persistent homology over Z2 in dimensions 0 and 1.
 
-The production path pairs a union-find pass for dimension 0 with a sparse
-column reduction (processed high dimension first, with clearing) for the
-rest. betti_oracle is the deliberately naive cross-check: dense Gaussian
-elimination of the boundary operator, kept independent of the reduction.
+Gaps are dimension-1 classes, and H1 of a flag complex depends only on its
+2-skeleton, so the filtration stops at triangles. Union-find pairs
+dimension 0 and marks the edges that create cycles; one pass over the
+triangle columns finds the deaths of those cycles.
 """
 
 from __future__ import annotations
 
 import csv
-import logging
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Union
 
-import numpy as np
-
 from .concept_net import TemporalConceptNetwork
-from .errors import InternalError
-
-logger = logging.getLogger(__name__)
+from .errors import DataError, InternalError
 
 Pair = tuple[str, str]
+
+DIAGRAM_HEADER = ("dim", "birth_u", "birth_v", "birth_year", "death_year")
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,7 +43,6 @@ class FlagFiltration:
     """
 
     simplices: list[Simplex]
-    max_dim: int
     step_boundaries: dict[int, tuple[int, int]]
 
     def __len__(self) -> int:
@@ -57,32 +53,15 @@ class FlagFiltration:
 
     @classmethod
     def from_entries(
-        cls,
-        entries: Iterable[tuple[tuple[str, ...], int, object]],
-        max_dim: int,
-        *,
-        validate: bool = True,
+        cls, entries: Iterable[tuple[tuple[str, ...], int, object]]
     ) -> "FlagFiltration":
-        """Build from (vertices, value, tie-key) triples.
-
-        Validation checks face closure and vertex ordering; the flag-complex
-        builder skips it since its construction guarantees both.
-        """
+        """Build from (vertices, value, tie-key) triples; the caller
+        guarantees face closure and sorted vertex tuples."""
         ordered = sorted(entries, key=lambda e: (e[1], len(e[0]), e[2]))
         simplices = [
             Simplex(vertices, value, index)
             for index, (vertices, value, _) in enumerate(ordered)
         ]
-        if validate:
-            present: dict[tuple[str, ...], int] = {}
-            for s in simplices:
-                if len(set(s.vertices)) != len(s.vertices) or tuple(sorted(s.vertices)) != s.vertices:
-                    raise ValueError(f"vertices must be strictly sorted: {s.vertices}")
-                for face in facets(s.vertices):
-                    face_value = present.get(face)
-                    if face_value is None or face_value > s.filtration_value:
-                        raise ValueError(f"face {face} missing or later than {s.vertices}")
-                present[s.vertices] = s.filtration_value
         boundaries: dict[int, tuple[int, int]] = {}
         start = 0
         for i, s in enumerate(simplices):
@@ -91,97 +70,45 @@ class FlagFiltration:
                 start = i
         if simplices:
             boundaries[simplices[-1].filtration_value] = (start, len(simplices))
-        return cls(simplices, max_dim, boundaries)
-
-    @classmethod
-    def from_simplices(
-        cls, entries: Iterable[tuple[tuple[str, ...], int]], max_dim: int
-    ) -> "FlagFiltration":
-        """Test-friendly constructor; ties break on the vertex tuple."""
-        return cls.from_entries(((v, t, v) for v, t in entries), max_dim)
+        return cls(simplices, boundaries)
 
 
-def facets(vertices: tuple[str, ...]) -> list[tuple[str, ...]]:
-    """All faces of codimension one (the boundary over Z2)."""
-    if len(vertices) == 1:
-        return []
-    return [vertices[:i] + vertices[i + 1 :] for i in range(len(vertices))]
+def build_flag_filtration(network: TemporalConceptNetwork) -> FlagFiltration:
+    """Expand a temporal network into the 2-skeleton of its filtered flag complex.
 
-
-def boundary_chain(vertices: tuple[str, ...]) -> dict[tuple[str, ...], int]:
-    """Boundary of a simplex as a Z2 chain (face -> coefficient)."""
-    return {face: 1 for face in facets(vertices)}
-
-
-def apply_boundary(chain: dict[tuple[str, ...], int]) -> dict[tuple[str, ...], int]:
-    """Apply the boundary operator to a Z2 chain."""
-    out: dict[tuple[str, ...], int] = defaultdict(int)
-    for vertices, coeff in chain.items():
-        if coeff % 2 == 0:
-            continue
-        for face in facets(vertices):
-            out[face] += 1
-    return {face: c % 2 for face, c in out.items() if c % 2}
-
-
-def build_flag_filtration(
-    network: TemporalConceptNetwork, max_dim: int = 2
-) -> FlagFiltration:
-    """Expand a temporal network into its filtered flag complex.
-
-    Every clique of up to max_dim + 1 vertices becomes a simplex whose value
-    is the latest of its edges' birth years. Vertices enter with their first
-    edge; isolated concepts never appear. Edge ties within a year follow the
-    network's tie ranks; higher simplices order by their edges' ranks
-    (latest first).
+    Every vertex, edge and triangle becomes a simplex whose value is the
+    latest of its edges' birth years. Vertices enter with their first edge;
+    isolated concepts never appear. Edge ties within a year follow the
+    network's tie ranks; triangles order by their edges' ranks (latest first).
     """
-    if max_dim < 1:
-        raise ValueError("max_dim must be at least 1")
-    if not network.edges:
-        return FlagFiltration([], max_dim, {})
-    edge_time: dict[Pair, int] = {}
-    edge_rank: dict[Pair, int] = {}
+    edges = network.edges
     vertex_time: dict[str, int] = {}
     adjacency: dict[str, set[str]] = defaultdict(set)
-    for pair, birth in network.edges.items():
-        u, v = pair
-        edge_time[pair] = birth.time
-        edge_rank[pair] = birth.tie_rank
+    for (u, v), birth in edges.items():
         adjacency[u].add(v)
         adjacency[v].add(u)
-        for x in pair:
+        for x in (u, v):
             t = vertex_time.get(x)
             if t is None or birth.time < t:
                 vertex_time[x] = birth.time
 
-    entries: list[tuple[tuple[str, ...], int, object]] = []
-    for vertex, t in vertex_time.items():
-        entries.append(((vertex,), t, vertex))
-    for pair in network.edges:
-        entries.append((pair, edge_time[pair], edge_rank[pair]))
-
-    def expand(clique: tuple[str, ...], candidates: set[str], value: int, ranks: tuple[int, ...]) -> None:
-        for w in sorted(candidates):
-            new_ranks = ranks
-            new_value = value
-            for x in clique:
-                pair = (x, w) if x < w else (w, x)
-                new_ranks = new_ranks + (edge_rank[pair],)
-                t = edge_time[pair]
-                if t > new_value:
-                    new_value = t
-            bigger = clique + (w,)
-            entries.append(
-                (tuple(sorted(bigger)), new_value, tuple(sorted(new_ranks, reverse=True)))
-            )
-            if len(bigger) < max_dim + 1:
-                expand(bigger, {x for x in candidates if x > w and x in adjacency[w]}, new_value, new_ranks)
-
-    if max_dim >= 2:
-        for u, v in network.edges:
-            above = {w for w in adjacency[u] & adjacency[v] if w > v}
-            expand((u, v), above, edge_time[(u, v)], (edge_rank[(u, v)],))
-    return FlagFiltration.from_entries(entries, max_dim, validate=False)
+    entries: list[tuple[tuple[str, ...], int, object]] = [
+        ((vertex,), t, vertex) for vertex, t in vertex_time.items()
+    ]
+    for pair, birth in edges.items():
+        entries.append((pair, birth.time, birth.tie_rank))
+    for (u, v), uv in edges.items():
+        for w in adjacency[u] & adjacency[v]:
+            if w > v:
+                uw, vw = edges[(u, w)], edges[(v, w)]
+                entries.append(
+                    (
+                        (u, v, w),
+                        max(uv.time, uw.time, vw.time),
+                        tuple(sorted((uv.tie_rank, uw.tie_rank, vw.tie_rank), reverse=True)),
+                    )
+                )
+    return FlagFiltration.from_entries(entries)
 
 
 @dataclass(frozen=True, slots=True)
@@ -215,22 +142,6 @@ class DiagramRecord:
 class PersistenceDiagram:
     pairs: tuple[PersistencePair, ...]
     essentials: tuple[EssentialClass, ...]
-
-    def betti(self, dim: int, year: int) -> int:
-        """Number of dim-dimensional classes alive just after the given year."""
-        alive = sum(
-            1
-            for p in self.pairs
-            if p.dim == dim
-            and p.birth.filtration_value <= year
-            and p.death.filtration_value > year
-        )
-        alive += sum(
-            1
-            for e in self.essentials
-            if e.dim == dim and e.birth.filtration_value <= year
-        )
-        return alive
 
     def records(self) -> list[DiagramRecord]:
         out = [
@@ -282,120 +193,85 @@ class _BirthUnionFind:
         )
 
 
-def _xor_sorted(a: list[int], b: list[int]) -> list[int]:
-    """Symmetric difference of two ascending index lists."""
-    out: list[int] = []
-    i = j = 0
-    na, nb = len(a), len(b)
-    while i < na and j < nb:
-        x, y = a[i], b[j]
-        if x < y:
-            out.append(x)
-            i += 1
-        elif x > y:
-            out.append(y)
-            j += 1
-        else:
-            i += 1
-            j += 1
-    if i < na:
-        out.extend(a[i:])
-    if j < nb:
-        out.extend(b[j:])
-    return out
-
-
 def compute_persistence(filtration: FlagFiltration) -> PersistenceDiagram:
-    """Persistent homology of the filtration over Z2.
+    """Persistent homology of the 2-skeleton filtration over Z2, in
+    dimensions 0 and 1.
 
     Dimension 0 runs on union-find (edges that merge components are deaths),
-    which matches the standard column reduction outcome exactly. Higher
-    dimensions reduce sparse columns from the top dimension down; pivots of
-    the dimension-d pass clear the corresponding (d-1)-columns.
+    which matches the standard column reduction outcome exactly. The edges
+    that join already-connected vertices give birth to dimension-1 classes;
+    reducing the triangle columns in filtration order pairs them with the
+    triangles that kill them.
     """
     simplices = filtration.simplices
-    if not simplices:
-        return PersistenceDiagram((), ())
-    index_of = {s.vertices: s.order_index for s in simplices}
-    by_dim: dict[int, list[Simplex]] = defaultdict(list)
+    vertex_index: dict[str, int] = {}
+    edges: list[Simplex] = []
+    triangles: list[Simplex] = []
     for s in simplices:
-        by_dim[s.dim].append(s)
-    max_dim_present = max(by_dim)
+        if len(s.vertices) == 1:
+            vertex_index[s.vertices[0]] = s.order_index
+        elif len(s.vertices) == 2:
+            edges.append(s)
+        else:
+            triangles.append(s)
 
     pairs_idx: list[tuple[int, int]] = []
-    essentials_idx: list[int] = []
-
     uf = _BirthUnionFind()
-    for s in by_dim.get(0, ()):
-        uf.add(s.order_index)
+    for index in vertex_index.values():
+        uf.add(index)
     positive_edges: set[int] = set()
-    for edge in by_dim.get(1, ()):
+    for edge in edges:
         u, v = edge.vertices
-        root_u = uf.find(index_of[(u,)])
-        root_v = uf.find(index_of[(v,)])
+        root_u = uf.find(vertex_index[u])
+        root_v = uf.find(vertex_index[v])
         if root_u == root_v:
             positive_edges.add(edge.order_index)
         else:
             young = uf.merge(root_u, root_v)
             pairs_idx.append((young, edge.order_index))
-    essentials_idx.extend(uf.component_births())
+    essentials_idx = uf.component_births()
 
-    # Columns are bitmask integers over per-dimension local row indices; XOR
-    # and bit_length run at word speed, which is what makes 10^5-triangle
-    # disciplines tractable. Stored pivot columns are compressed (pivot rows
-    # below their own low eliminated), which shortens the chains that grind
-    # dependent columns down to zero.
-    cleared: set[int] = set()
-    for dim in range(max_dim_present, 1, -1):
-        rows = by_dim.get(dim - 1, [])
-        row_of = {s.vertices: i for i, s in enumerate(rows)}
-        pivot_col: dict[int, int] = {}
-        # Rank of this boundary cannot exceed the number of cycle-creating
-        # faces; once reached, every remaining column provably reduces to
-        # zero, so the grind is skipped. Known exactly for dim 2 from the
-        # union-find pass.
-        max_rank = len(positive_edges) if dim == 2 else None
-        saturated = False
-        for s in by_dim.get(dim, ()):
-            if s.order_index in cleared:
-                continue
-            if saturated:
-                essentials_idx.append(s.order_index)
-                continue
-            column = 0
-            for f in facets(s.vertices):
-                column |= 1 << row_of[f]
-            while column:
-                low = column.bit_length() - 1
-                other = pivot_col.get(low)
-                if other is None:
-                    break
-                column ^= other
-            if column:
-                low = column.bit_length() - 1
-                remainder = column ^ (1 << low)
-                while remainder:
-                    row = remainder.bit_length() - 1
-                    other = pivot_col.get(row)
-                    if other is None:
-                        remainder ^= 1 << row
-                    else:
-                        column ^= other
-                        remainder = column & ((1 << row) - 1)
-                pivot_col[low] = column
-                pairs_idx.append((rows[low].order_index, s.order_index))
-                if max_rank is not None and len(pivot_col) == max_rank:
-                    saturated = True
+    # Columns are bitmask integers over edge row indices; XOR and bit_length
+    # run at word speed, which is what makes 10^5-triangle disciplines
+    # tractable. Stored pivot columns are compressed (pivot rows below their
+    # own low eliminated), which shortens the chains that grind dependent
+    # columns down to zero. The boundary rank cannot exceed the number of
+    # cycle-creating edges; once reached, every remaining column provably
+    # reduces to zero, so the pass stops.
+    row_of = {s.vertices: i for i, s in enumerate(edges)}
+    pivot_col: dict[int, int] = {}
+    for s in triangles:
+        if len(pivot_col) == len(positive_edges):
+            break
+        u, v, w = s.vertices
+        column = (1 << row_of[(u, v)]) | (1 << row_of[(u, w)]) | (1 << row_of[(v, w)])
+        while column:
+            low = column.bit_length() - 1
+            other = pivot_col.get(low)
+            if other is None:
+                break
+            column ^= other
+        if not column:
+            continue
+        low = column.bit_length() - 1
+        remainder = column ^ (1 << low)
+        while remainder:
+            row = remainder.bit_length() - 1
+            other = pivot_col.get(row)
+            if other is None:
+                remainder ^= 1 << row
             else:
-                essentials_idx.append(s.order_index)
-        cleared = {rows[low].order_index for low in pivot_col}
+                column ^= other
+                remainder = column & ((1 << row) - 1)
+        pivot_col[low] = column
+        pairs_idx.append((edges[low].order_index, s.order_index))
 
-    paired_dim1 = {b for b, _ in pairs_idx if simplices[b].dim == 1}
+    paired_dim1 = {edges[low].order_index for low in pivot_col}
     if not paired_dim1 <= positive_edges:
         raise InternalError(
             "reduction paired a component-merging edge as a cycle birth"
         )
-    essentials_idx.extend(sorted(positive_edges - paired_dim1))
+    essentials_idx.extend(positive_edges - paired_dim1)
 
     pairs = tuple(
         PersistencePair(simplices[b], simplices[d], simplices[b].dim)
@@ -435,110 +311,45 @@ def gap_edges(
     return result
 
 
-def _gf2_rank(matrix: np.ndarray) -> int:
-    a = matrix.copy()
-    rows, cols = a.shape
-    rank = 0
-    for c in range(cols):
-        if rank == rows:
-            break
-        pivots = np.flatnonzero(a[rank:, c])
-        if pivots.size == 0:
-            continue
-        p = rank + int(pivots[0])
-        if p != rank:
-            a[[rank, p]] = a[[p, rank]]
-        hits = np.flatnonzero(a[:, c])
-        hits = hits[hits != rank]
-        if hits.size:
-            a[hits] ^= a[rank]
-        rank += 1
-    return rank
-
-
-def betti_oracle(
-    filtration: FlagFiltration, year: int, *, max_simplices: int = 2000
-) -> tuple[int, ...]:
-    """Betti numbers of the complex at the given year, by dense elimination.
-
-    Intentionally naive and independent of compute_persistence: builds the
-    full boundary matrices over Z2 and takes ranks, so
-    beta_k = nullity(boundary_k) - rank(boundary_{k+1}).
-    """
-    sub = [s for s in filtration.simplices if s.filtration_value <= year]
-    if len(sub) > max_simplices:
-        raise ValueError(
-            f"oracle limited to {max_simplices} simplices, got {len(sub)}"
-        )
-    by_dim: dict[int, list[tuple[str, ...]]] = defaultdict(list)
-    for s in sub:
-        by_dim[s.dim].append(s.vertices)
-    local_index: dict[int, dict[tuple[str, ...], int]] = {
-        d: {v: i for i, v in enumerate(vs)} for d, vs in by_dim.items()
-    }
-    ranks: dict[int, int] = {}
-    for d in range(1, filtration.max_dim + 1):
-        cols = by_dim.get(d, [])
-        rows = by_dim.get(d - 1, [])
-        if not cols or not rows:
-            ranks[d] = 0
-            continue
-        m = np.zeros((len(rows), len(cols)), dtype=np.uint8)
-        row_index = local_index[d - 1]
-        for j, vertices in enumerate(cols):
-            for face in facets(vertices):
-                m[row_index[face], j] = 1
-        ranks[d] = _gf2_rank(m)
-    betti = []
-    for k in range(filtration.max_dim + 1):
-        n_k = len(by_dim.get(k, []))
-        rank_k = ranks.get(k, 0)
-        rank_k1 = ranks.get(k + 1, 0)
-        betti.append(n_k - rank_k - rank_k1)
-    return tuple(betti)
-
-
 def save_diagram_records(records: Iterable[DiagramRecord], path: str | Path) -> None:
     """Dump features as: dim, birth_u, birth_v, birth_year, death_year|inf.
 
-    Dimension-0 births are vertices (birth_v empty); births above dimension 1
-    pack their remaining vertices into birth_v with '|'.
+    Dimension-0 births are vertices (birth_v empty); dimension-1 births are
+    edges.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("dim", "birth_u", "birth_v", "birth_year", "death_year"))
+        writer.writerow(DIAGRAM_HEADER)
         for rec in records:
             death = "inf" if rec.death_year is None else rec.death_year
-            writer.writerow(
-                (
-                    rec.dim,
-                    rec.birth_vertices[0],
-                    "|".join(rec.birth_vertices[1:]),
-                    rec.birth_year,
-                    death,
-                )
-            )
-
-
-def save_diagram(diagram: PersistenceDiagram, path: str | Path) -> None:
-    save_diagram_records(diagram.records(), path)
+            birth_u, birth_v = (*rec.birth_vertices, "")[:2]
+            writer.writerow((rec.dim, birth_u, birth_v, rec.birth_year, death))
 
 
 def load_diagram_records(path: str | Path) -> list[DiagramRecord]:
+    """Read a diagram dump; a malformed row raises DataError naming the file,
+    the line and the stage that writes the file."""
     records: list[DiagramRecord] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        next(reader)  # header
-        for dim, birth_u, birth_v, birth_year, death_year in reader:
-            vertices = (birth_u, *birth_v.split("|")) if birth_v else (birth_u,)
-            records.append(
-                DiagramRecord(
-                    int(dim),
-                    vertices,
-                    int(birth_year),
-                    None if death_year == "inf" else int(death_year),
+        if next(reader, None) != list(DIAGRAM_HEADER):
+            raise DataError(f"{path}: missing diagram header; rerun stage persist")
+        for row in reader:
+            try:
+                dim, birth_u, birth_v, birth_year, death_year = row
+                records.append(
+                    DiagramRecord(
+                        int(dim),
+                        (birth_u, birth_v) if birth_v else (birth_u,),
+                        int(birth_year),
+                        None if death_year == "inf" else int(death_year),
+                    )
                 )
-            )
+            except ValueError as exc:
+                raise DataError(
+                    f"{path}, line {reader.line_num}: malformed diagram row {row!r} "
+                    f"({exc}); rerun stage persist"
+                ) from exc
     return records

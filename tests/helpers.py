@@ -1,15 +1,21 @@
-"""Shared test fixtures: record builders, random temporal graphs, and an
-independent naive persistence reduction used to cross-check the engine."""
+"""Shared test fixtures: record builders, random temporal graphs, and the
+reference machinery the dimension-0/1 engine is checked against: a flag
+complex of any dimension, the naive full column reduction, and the dense
+Betti oracle."""
 
 from __future__ import annotations
 
 import json
 import random
+from collections import defaultdict
 from pathlib import Path
+from typing import Iterable
+
+import numpy as np
 
 from gapminer.concept_net import TemporalConceptNetwork, network_from_edge_times
 from gapminer.corpus import SCHEMA_VERSION, CorpusStore, PaperRecord, validate_record
-from gapminer.topology import FlagFiltration, facets, _xor_sorted
+from gapminer.topology import FlagFiltration, PersistenceDiagram, save_diagram_records
 
 
 def raw_record(pid, year, l3, l0=("D",), refs=(), **extra):
@@ -42,6 +48,17 @@ def write_corpus(path: Path, raws, header=True) -> Path:
     return path
 
 
+# The instance set of acceptance criteria 1, 3 and 4.
+C1_INSTANCE_SEED = 424242
+C1_INSTANCES = 200
+
+
+def c1_instances():
+    rng = random.Random(C1_INSTANCE_SEED)
+    for _ in range(C1_INSTANCES):
+        yield random_temporal_network(rng, max_nodes=12, max_edges=30)
+
+
 def random_temporal_network(
     rng: random.Random,
     max_nodes: int = 12,
@@ -58,6 +75,127 @@ def random_temporal_network(
         (u, v, rng.randrange(year_lo, year_hi + 1)) for u, v in all_pairs[:m]
     ]
     return network_from_edge_times("T", edges)
+
+
+# -- simplicial complexes of any dimension --------------------------------------
+
+def facets(vertices: tuple[str, ...]) -> list[tuple[str, ...]]:
+    """All faces of codimension one (the boundary over Z2)."""
+    if len(vertices) == 1:
+        return []
+    return [vertices[:i] + vertices[i + 1 :] for i in range(len(vertices))]
+
+
+def boundary_chain(vertices: tuple[str, ...]) -> dict[tuple[str, ...], int]:
+    """Boundary of a simplex as a Z2 chain (face -> coefficient)."""
+    return {face: 1 for face in facets(vertices)}
+
+
+def apply_boundary(chain: dict[tuple[str, ...], int]) -> dict[tuple[str, ...], int]:
+    """Apply the boundary operator to a Z2 chain."""
+    out: dict[tuple[str, ...], int] = defaultdict(int)
+    for vertices, coeff in chain.items():
+        if coeff % 2 == 0:
+            continue
+        for face in facets(vertices):
+            out[face] += 1
+    return {face: c % 2 for face, c in out.items() if c % 2}
+
+
+def check_filtration(filtration: FlagFiltration) -> None:
+    """Raise ValueError unless vertex tuples are strictly sorted and every
+    face precedes its cofaces no later than they enter."""
+    present: dict[tuple[str, ...], int] = {}
+    for s in filtration.simplices:
+        if len(set(s.vertices)) != len(s.vertices) or tuple(sorted(s.vertices)) != s.vertices:
+            raise ValueError(f"vertices must be strictly sorted: {s.vertices}")
+        for face in facets(s.vertices):
+            face_value = present.get(face)
+            if face_value is None or face_value > s.filtration_value:
+                raise ValueError(f"face {face} missing or later than {s.vertices}")
+        present[s.vertices] = s.filtration_value
+
+
+def filtration_from_simplices(
+    entries: Iterable[tuple[tuple[str, ...], int]]
+) -> FlagFiltration:
+    """Validated filtration from (vertices, value) pairs; ties break on the
+    vertex tuple."""
+    filtration = FlagFiltration.from_entries((v, t, v) for v, t in entries)
+    check_filtration(filtration)
+    return filtration
+
+
+def clique_filtration(network: TemporalConceptNetwork, max_dim: int) -> FlagFiltration:
+    """Every clique of up to max_dim + 1 vertices, by recursive expansion.
+
+    The same total order as build_flag_filtration, extended above dimension
+    2: a clique's value is the latest of its edges' birth years and ties
+    order by the descending tuple of its edges' tie ranks.
+    """
+    if max_dim < 1:
+        raise ValueError("max_dim must be at least 1")
+    edge_time = {pair: birth.time for pair, birth in network.edges.items()}
+    edge_rank = {pair: birth.tie_rank for pair, birth in network.edges.items()}
+    vertex_time: dict[str, int] = {}
+    adjacency: dict[str, set[str]] = defaultdict(set)
+    for (u, v), t in edge_time.items():
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+        for x in (u, v):
+            vertex_time[x] = min(t, vertex_time.get(x, t))
+
+    entries: list[tuple[tuple[str, ...], int, object]] = []
+    for vertex, t in vertex_time.items():
+        entries.append(((vertex,), t, vertex))
+    for pair in network.edges:
+        entries.append((pair, edge_time[pair], edge_rank[pair]))
+
+    def expand(clique: tuple[str, ...], candidates: set[str], value: int, ranks: tuple[int, ...]) -> None:
+        for w in sorted(candidates):
+            new_ranks = ranks
+            new_value = value
+            for x in clique:
+                pair = (x, w) if x < w else (w, x)
+                new_ranks = new_ranks + (edge_rank[pair],)
+                new_value = max(new_value, edge_time[pair])
+            bigger = clique + (w,)
+            entries.append(
+                (tuple(sorted(bigger)), new_value, tuple(sorted(new_ranks, reverse=True)))
+            )
+            if len(bigger) < max_dim + 1:
+                expand(bigger, {x for x in candidates if x > w and x in adjacency[w]}, new_value, new_ranks)
+
+    if max_dim >= 2:
+        for u, v in network.edges:
+            above = {w for w in adjacency[u] & adjacency[v] if w > v}
+            expand((u, v), above, edge_time[(u, v)], (edge_rank[(u, v)],))
+    return FlagFiltration.from_entries(entries)
+
+
+# -- reference persistence and homology -----------------------------------------
+
+def _xor_sorted(a: list[int], b: list[int]) -> list[int]:
+    """Symmetric difference of two ascending index lists."""
+    out: list[int] = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        x, y = a[i], b[j]
+        if x < y:
+            out.append(x)
+            i += 1
+        elif x > y:
+            out.append(y)
+            j += 1
+        else:
+            i += 1
+            j += 1
+    if i < na:
+        out.extend(a[i:])
+    if j < nb:
+        out.extend(b[j:])
+    return out
 
 
 def full_reduction(filtration: FlagFiltration):
@@ -107,3 +245,89 @@ def engine_dim1_profile(diagram, years):
         )
         profile[year] = births - deaths
     return profile
+
+
+def betti(diagram: PersistenceDiagram, dim: int, year: int) -> int:
+    """Number of dim-dimensional classes alive just after the given year."""
+    alive = sum(
+        1
+        for p in diagram.pairs
+        if p.dim == dim
+        and p.birth.filtration_value <= year
+        and p.death.filtration_value > year
+    )
+    alive += sum(
+        1
+        for e in diagram.essentials
+        if e.dim == dim and e.birth.filtration_value <= year
+    )
+    return alive
+
+
+def _gf2_rank(matrix: np.ndarray) -> int:
+    a = matrix.copy()
+    rows, cols = a.shape
+    rank = 0
+    for c in range(cols):
+        if rank == rows:
+            break
+        pivots = np.flatnonzero(a[rank:, c])
+        if pivots.size == 0:
+            continue
+        p = rank + int(pivots[0])
+        if p != rank:
+            a[[rank, p]] = a[[p, rank]]
+        hits = np.flatnonzero(a[:, c])
+        hits = hits[hits != rank]
+        if hits.size:
+            a[hits] ^= a[rank]
+        rank += 1
+    return rank
+
+
+def betti_oracle(
+    filtration: FlagFiltration, year: int, *, max_dim: int = 2, max_simplices: int = 2000
+) -> tuple[int, ...]:
+    """Betti numbers 0..max_dim of the complex at the given year, by dense
+    elimination.
+
+    Intentionally naive and independent of compute_persistence: builds the
+    full boundary matrices over Z2 and takes ranks, so
+    beta_k = nullity(boundary_k) - rank(boundary_{k+1}). max_dim is the top
+    dimension of the filtration; 2 for build_flag_filtration.
+    """
+    sub = [s for s in filtration.simplices if s.filtration_value <= year]
+    if len(sub) > max_simplices:
+        raise ValueError(
+            f"oracle limited to {max_simplices} simplices, got {len(sub)}"
+        )
+    by_dim: dict[int, list[tuple[str, ...]]] = defaultdict(list)
+    for s in sub:
+        by_dim[s.dim].append(s.vertices)
+    local_index: dict[int, dict[tuple[str, ...], int]] = {
+        d: {v: i for i, v in enumerate(vs)} for d, vs in by_dim.items()
+    }
+    ranks: dict[int, int] = {}
+    for d in range(1, max_dim + 1):
+        cols = by_dim.get(d, [])
+        rows = by_dim.get(d - 1, [])
+        if not cols or not rows:
+            ranks[d] = 0
+            continue
+        m = np.zeros((len(rows), len(cols)), dtype=np.uint8)
+        row_index = local_index[d - 1]
+        for j, vertices in enumerate(cols):
+            for face in facets(vertices):
+                m[row_index[face], j] = 1
+        ranks[d] = _gf2_rank(m)
+    result = []
+    for k in range(max_dim + 1):
+        n_k = len(by_dim.get(k, []))
+        rank_k = ranks.get(k, 0)
+        rank_k1 = ranks.get(k + 1, 0)
+        result.append(n_k - rank_k - rank_k1)
+    return tuple(result)
+
+
+def save_diagram(diagram: PersistenceDiagram, path) -> None:
+    save_diagram_records(diagram.records(), path)

@@ -20,7 +20,9 @@ from gapminer.classify import Category, analyze_discipline, classify_all
 from gapminer.corpus import load_corpus
 from gapminer.pipeline import PipelineConfig, run
 from gapminer.synth import make_synthetic
-from gapminer.topology import betti_oracle, build_flag_filtration
+from gapminer.topology import build_flag_filtration
+
+from helpers import betti_oracle
 
 GOLDEN_DIR = Path(__file__).parent / "golden" / "planted"
 GOLDEN_FILES = ("classification.csv", "shares.csv", "metrics.csv")
@@ -52,7 +54,7 @@ def main() -> int:
     topologies = {}
     for d in sorted(store.disciplines()):
         topo = analyze_discipline(store, d)
-        filtration = build_flag_filtration(topo.network, 2)
+        filtration = build_flag_filtration(topo.network)
         close_year = 2000 + CYCLE_LEN - 1
         assert betti_oracle(filtration, close_year - 1)[1] == 0
         assert betti_oracle(filtration, close_year)[1] == CYCLES

@@ -24,40 +24,28 @@ from gapminer.metrics import (
 )
 from gapminer.pipeline import PipelineConfig, run, verify_manifest
 from gapminer.synth import make_synthetic
-from gapminer.topology import (
+from gapminer.topology import build_flag_filtration, compute_persistence
+
+from helpers import (
+    C1_INSTANCES,
     apply_boundary,
     betti_oracle,
     boundary_chain,
-    build_flag_filtration,
-    compute_persistence,
-)
-
-from helpers import (
     build_store,
+    c1_instances,
     engine_dim1_profile,
     full_reduction,
-    random_temporal_network,
     raw_record,
 )
 
 GOLDEN_DIR = Path(__file__).parent / "golden" / "planted"
 GOLDEN_FILES = ("classification.csv", "shares.csv", "metrics.csv")
 
-_INSTANCE_SEED = 424242
-_N_INSTANCES = 200
-
-
-def _instances():
-    rng = random.Random(_INSTANCE_SEED)
-    for _ in range(_N_INSTANCES):
-        yield random_temporal_network(rng, max_nodes=12, max_edges=30)
-
-
 def test_c1_oracle_equivalence():
     started = time.monotonic()
     checked_years = 0
-    for network in _instances():
-        filtration = build_flag_filtration(network, 2)
+    for network in c1_instances():
+        filtration = build_flag_filtration(network)
         diagram = compute_persistence(filtration)
         profile = engine_dim1_profile(diagram, filtration.years())
         for year in filtration.years():
@@ -67,7 +55,7 @@ def test_c1_oracle_equivalence():
     assert elapsed < 30.0, f"oracle equivalence took {elapsed:.1f}s"
     print(
         f"\n[acceptance] criterion 1 PASS: engine dim-1 profile equals the dense "
-        f"oracle on {_N_INSTANCES} random graphs ({checked_years} year checks, "
+        f"oracle on {C1_INSTANCES} random graphs ({checked_years} year checks, "
         f"{elapsed:.1f}s)"
     )
 
@@ -96,8 +84,8 @@ def test_c2_planted_cycle_detection(tmp_path):
 
 def test_c3_positivity_shortcut_agreement():
     instances = 0
-    for network in _instances():
-        filtration = build_flag_filtration(network, 2)
+    for network in c1_instances():
+        filtration = build_flag_filtration(network)
         naive_pairs, naive_essentials = full_reduction(filtration)
         reduction_births = {b for b, _ in naive_pairs} | naive_essentials
         reduction_positive = {
@@ -131,8 +119,8 @@ def test_c3_positivity_shortcut_agreement():
 
 def test_c4_boundary_squared_zero():
     simplex_count = 0
-    for network in _instances():
-        filtration = build_flag_filtration(network, 2)
+    for network in c1_instances():
+        filtration = build_flag_filtration(network)
         for s in filtration.simplices:
             assert apply_boundary(boundary_chain(s.vertices)) == {}
             simplex_count += 1

@@ -15,9 +15,9 @@ from gapminer.classify import (
     share_table,
 )
 from gapminer.errors import MissingDependencyError
-from gapminer.topology import betti_oracle, build_flag_filtration
+from gapminer.topology import build_flag_filtration
 
-from helpers import build_store, raw_record
+from helpers import betti_oracle, build_store, raw_record
 
 
 def cycle_corpus(n=4, discipline="D", start=2000, prefix="P"):
@@ -38,7 +38,7 @@ def test_cycle_closer_is_gap_opener():
     store = build_store(cycle_corpus(4))
     topo = analyze_store(store)
     # Construction check via the oracle: the cycle exists only after the last edge.
-    filt = build_flag_filtration(topo["D"].network, 2)
+    filt = build_flag_filtration(topo["D"].network)
     assert betti_oracle(filt, 2002)[1] == 0
     assert betti_oracle(filt, 2003)[1] == 1
     classifications = classify_all(store, topo)

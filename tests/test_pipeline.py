@@ -6,7 +6,7 @@ import json
 import pytest
 
 from gapminer.cli import main
-from gapminer.errors import MissingDependencyError
+from gapminer.errors import ConfigError, MissingDependencyError
 from gapminer.pipeline import PipelineConfig, run, verify_manifest
 from gapminer.synth import make_synthetic
 
@@ -67,7 +67,7 @@ def test_changed_config_reruns_downstream(tmp_path):
     result = run(changed)
     assert result.statuses["ingest"] == "skipped"
     assert result.statuses["network"] == "skipped"
-    assert result.statuses["persist"] == "skipped"  # max_dim unchanged
+    assert result.statuses["persist"] == "skipped"  # network files unchanged
     assert result.statuses["classify"] == "ok"
 
 
@@ -215,3 +215,42 @@ def test_failed_stage_marked_invalid_in_manifest(tmp_path, monkeypatch):
     result = run(small_config(tmp_path, stages=("network",)))
     assert result.statuses["network"] == "ok"
     assert verify_manifest(config.output_dir)
+
+
+@pytest.mark.parametrize("damage", ["truncate", "garble"])
+def test_corrupt_manifest_is_treated_as_absent(tmp_path, caplog, damage):
+    config = small_config(tmp_path)
+    run(config)
+    manifest = config.output_dir / "manifest.json"
+    text = manifest.read_text()
+    manifest.write_text(text[: len(text) // 2] if damage == "truncate" else "\x00{]" + text)
+    assert not verify_manifest(config.output_dir)
+    with caplog.at_level("WARNING", logger="gapminer.pipeline"):
+        result = run(config)
+    assert "manifest.json is unreadable" in caplog.text
+    assert all(status == "ok" for status in result.statuses.values())
+    assert verify_manifest(config.output_dir)
+
+
+@pytest.mark.parametrize("kind, stage", [("networks", "network"), ("diagrams", "persist")])
+def test_malformed_artifact_row_is_data_error(tmp_path, capsys, kind, stage):
+    config = small_config(tmp_path)
+    run(config)
+    artifact = sorted((config.output_dir / kind).glob("*.csv"))[0]
+    with open(artifact, "a", encoding="utf-8") as fh:
+        fh.write("x,y\n")
+    capsys.readouterr()
+    code = main(["classify", "--corpus", str(config.corpus_path), "--out", str(config.output_dir)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert artifact.name in err
+    assert f"rerun stage {stage}" in err
+
+
+def test_max_dim_is_an_unknown_config_key(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"max_dim": 2}')
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "unknown config keys: max_dim" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="unknown config keys: max_dim"):
+        PipelineConfig.from_sources(None, {"max_dim": 3})

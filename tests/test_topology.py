@@ -1,5 +1,6 @@
 """Filtration construction, the persistence engine, the dense Betti oracle,
-and the cross-checks between them."""
+and the cross-checks between them. The oracle and the any-dimension
+reference complex live in helpers.py."""
 
 from __future__ import annotations
 
@@ -9,19 +10,26 @@ import pytest
 
 from gapminer.concept_net import network_from_edge_times
 from gapminer.topology import (
-    FlagFiltration,
-    apply_boundary,
-    betti_oracle,
-    boundary_chain,
     build_flag_filtration,
     compute_persistence,
-    facets,
     gap_edges,
     load_diagram_records,
-    save_diagram,
 )
 
-from helpers import engine_dim1_profile, full_reduction, random_temporal_network
+from helpers import (
+    apply_boundary,
+    betti,
+    betti_oracle,
+    boundary_chain,
+    c1_instances,
+    clique_filtration,
+    engine_dim1_profile,
+    facets,
+    filtration_from_simplices,
+    full_reduction,
+    random_temporal_network,
+    save_diagram,
+)
 
 
 def cycle_network(n=4, start=1):
@@ -35,7 +43,7 @@ def cycle_network(n=4, start=1):
 
 def test_triangle_value_is_max_of_edge_times():
     net = network_from_edge_times("T", [("a", "b", 1), ("b", "c", 2), ("a", "c", 3)])
-    filt = build_flag_filtration(net, 2)
+    filt = build_flag_filtration(net)
     triangle = [s for s in filt.simplices if s.dim == 2]
     assert len(triangle) == 1
     assert triangle[0].vertices == ("a", "b", "c")
@@ -43,7 +51,7 @@ def test_triangle_value_is_max_of_edge_times():
 
 
 def test_chordless_square_has_no_triangles():
-    filt = build_flag_filtration(cycle_network(4), 2)
+    filt = build_flag_filtration(cycle_network(4))
     dims = [s.dim for s in filt.simplices]
     assert dims.count(0) == 4 and dims.count(1) == 4 and dims.count(2) == 0
 
@@ -51,17 +59,15 @@ def test_chordless_square_has_no_triangles():
 def test_k4_clique_counts():
     nodes = ["a", "b", "c", "d"]
     edges = [(u, v, 1) for i, u in enumerate(nodes) for v in nodes[i + 1 :]]
-    filt = build_flag_filtration(network_from_edge_times("T", edges), 2)
+    filt = build_flag_filtration(network_from_edge_times("T", edges))
     dims = [s.dim for s in filt.simplices]
     assert dims.count(0) == 4 and dims.count(1) == 6 and dims.count(2) == 4
-    filt3 = build_flag_filtration(network_from_edge_times("T", edges), 3)
-    assert [s.dim for s in filt3.simplices].count(3) == 1
 
 
 def test_filtration_order_invariants():
     rng = random.Random(5)
     for _ in range(25):
-        filt = build_flag_filtration(random_temporal_network(rng), 2)
+        filt = build_flag_filtration(random_temporal_network(rng))
         seen = {}
         previous = None
         for s in filt.simplices:
@@ -76,7 +82,7 @@ def test_filtration_order_invariants():
 
 
 def test_step_boundaries_cover_filtration():
-    filt = build_flag_filtration(cycle_network(5), 2)
+    filt = build_flag_filtration(cycle_network(5))
     spans = list(filt.step_boundaries.values())
     assert spans[0][0] == 0 and spans[-1][1] == len(filt)
     for (a, b), (c, d) in zip(spans, spans[1:]):
@@ -87,13 +93,13 @@ def test_step_boundaries_cover_filtration():
 
 def test_vertices_enter_with_first_edge():
     net = network_from_edge_times("T", [("a", "b", 3), ("b", "c", 1)])
-    filt = build_flag_filtration(net, 2)
+    filt = build_flag_filtration(net)
     values = {s.vertices: s.filtration_value for s in filt.simplices if s.dim == 0}
     assert values == {("a",): 3, ("b",): 1, ("c",): 1}
 
 
 def test_empty_network_empty_filtration():
-    filt = build_flag_filtration(network_from_edge_times("T", []), 2)
+    filt = build_flag_filtration(network_from_edge_times("T", []))
     assert len(filt) == 0
     assert compute_persistence(filt).pairs == ()
 
@@ -101,18 +107,18 @@ def test_empty_network_empty_filtration():
 # -- persistence engine -------------------------------------------------------
 
 def test_square_cycle_is_essential_at_closing_edge():
-    filt = build_flag_filtration(cycle_network(4, start=1), 2)
+    filt = build_flag_filtration(cycle_network(4, start=1))
     diagram = compute_persistence(filt)
     ess1 = [e for e in diagram.essentials if e.dim == 1]
     assert len(ess1) == 1
     assert ess1[0].birth.filtration_value == 4  # the year-4 closing edge
-    assert diagram.betti(1, 4) == 1
+    assert betti(diagram, 1, 4) == 1
     assert betti_oracle(filt, 4)[1] == 1
 
 
 def test_filled_triangle_zero_persistence_pair():
     net = network_from_edge_times("T", [("a", "b", 1), ("b", "c", 2), ("a", "c", 3)])
-    filt = build_flag_filtration(net, 2)
+    filt = build_flag_filtration(net)
     diagram = compute_persistence(filt)
     dim1 = [p for p in diagram.pairs if p.dim == 1]
     assert len(dim1) == 1
@@ -125,7 +131,7 @@ def test_filled_triangle_zero_persistence_pair():
 
 def test_two_disjoint_edges_two_components():
     net = network_from_edge_times("T", [("a", "b", 1), ("c", "d", 2)])
-    diagram = compute_persistence(build_flag_filtration(net, 2))
+    diagram = compute_persistence(build_flag_filtration(net))
     assert len([e for e in diagram.essentials if e.dim == 0]) == 2
     assert not [p for p in diagram.pairs if p.dim == 1]
     assert not [e for e in diagram.essentials if e.dim == 1]
@@ -134,7 +140,7 @@ def test_two_disjoint_edges_two_components():
 def test_engine_deterministic():
     rng = random.Random(21)
     net = random_temporal_network(rng)
-    filt = build_flag_filtration(net, 2)
+    filt = build_flag_filtration(net)
     assert compute_persistence(filt) == compute_persistence(filt)
 
 
@@ -142,13 +148,13 @@ def test_engine_deterministic():
 
 def test_gap_edges_filters_zero_persistence():
     net = network_from_edge_times("T", [("a", "b", 1), ("b", "c", 2), ("a", "c", 3)])
-    diagram = compute_persistence(build_flag_filtration(net, 2))
+    diagram = compute_persistence(build_flag_filtration(net))
     assert gap_edges(diagram, 1) == set()
     assert gap_edges(diagram, 0) == {("a", "c")}
 
 
 def test_gap_edges_keeps_essential_cycle():
-    diagram = compute_persistence(build_flag_filtration(cycle_network(4), 2))
+    diagram = compute_persistence(build_flag_filtration(cycle_network(4)))
     for min_persistence in (0, 1, 5, 100):
         assert gap_edges(diagram, min_persistence) == {("v0", "v3")}
 
@@ -160,7 +166,7 @@ def test_gap_edges_persistence_threshold():
         "T",
         [("a", "b", 1), ("b", "c", 2), ("c", "d", 3), ("a", "d", 4), ("a", "c", 6)],
     )
-    diagram = compute_persistence(build_flag_filtration(net, 2))
+    diagram = compute_persistence(build_flag_filtration(net))
     assert gap_edges(diagram, 1) == {("a", "d")}
     assert gap_edges(diagram, 2) == {("a", "d")}
     assert gap_edges(diagram, 3) == set()
@@ -169,12 +175,12 @@ def test_gap_edges_persistence_threshold():
 # -- dense oracle -------------------------------------------------------------
 
 def test_oracle_single_vertex():
-    filt = FlagFiltration.from_simplices([(("a",), 1)], 1)
-    assert betti_oracle(filt, 1) == (1, 0)
+    filt = filtration_from_simplices([(("a",), 1)])
+    assert betti_oracle(filt, 1, max_dim=1) == (1, 0)
 
 
 def test_oracle_square_circle_homology():
-    filt = build_flag_filtration(cycle_network(4), 2)
+    filt = build_flag_filtration(cycle_network(4))
     assert betti_oracle(filt, 10) == (1, 1, 0)
 
 
@@ -182,22 +188,15 @@ def test_oracle_k4_two_skeleton_has_beta2():
     nodes = ["a", "b", "c", "d"]
     edges = [(u, v, 1) for i, u in enumerate(nodes) for v in nodes[i + 1 :]]
     net = network_from_edge_times("T", edges)
-    assert betti_oracle(build_flag_filtration(net, 2), 1) == (1, 0, 1)
+    assert betti_oracle(build_flag_filtration(net), 1) == (1, 0, 1)
     # Filling the solid tetrahedron kills the 2-sphere class.
-    assert betti_oracle(build_flag_filtration(net, 3), 1) == (1, 0, 0, 0)
+    assert betti_oracle(clique_filtration(net, 3), 1, max_dim=3) == (1, 0, 0, 0)
 
 
 def test_oracle_size_limit():
-    filt = build_flag_filtration(cycle_network(8), 2)
+    filt = build_flag_filtration(cycle_network(8))
     with pytest.raises(ValueError):
         betti_oracle(filt, 10, max_simplices=3)
-
-
-def test_engine_k4_dim2_essential():
-    nodes = ["a", "b", "c", "d"]
-    edges = [(u, v, 1) for i, u in enumerate(nodes) for v in nodes[i + 1 :]]
-    diagram = compute_persistence(build_flag_filtration(network_from_edge_times("T", edges), 2))
-    assert len([e for e in diagram.essentials if e.dim == 2]) == 1
 
 
 # -- boundary operator ---------------------------------------------------------
@@ -205,7 +204,7 @@ def test_engine_k4_dim2_essential():
 def test_boundary_squared_is_zero():
     rng = random.Random(33)
     for _ in range(30):
-        filt = build_flag_filtration(random_temporal_network(rng), 3)
+        filt = clique_filtration(random_temporal_network(rng), 3)
         for s in filt.simplices:
             assert apply_boundary(boundary_chain(s.vertices)) == {}
 
@@ -216,7 +215,7 @@ def test_oracle_equivalence_random_graphs():
     rng = random.Random(101)
     for _ in range(60):
         net = random_temporal_network(rng)
-        filt = build_flag_filtration(net, 2)
+        filt = build_flag_filtration(net)
         diagram = compute_persistence(filt)
         years = filt.years()
         profile = engine_dim1_profile(diagram, years)
@@ -225,42 +224,62 @@ def test_oracle_equivalence_random_graphs():
 
 
 def test_oracle_equivalence_all_dimensions():
-    # Full Betti vectors, not just dimension 1: components, cycles, and the
-    # dimension-2 classes of the truncated complex.
+    # Both Betti numbers the engine computes: components and cycles.
     rng = random.Random(505)
     for _ in range(25):
-        filt = build_flag_filtration(random_temporal_network(rng), 2)
+        filt = build_flag_filtration(random_temporal_network(rng))
         diagram = compute_persistence(filt)
         for year in filt.years():
-            expected = betti_oracle(filt, year)
-            got = tuple(diagram.betti(dim, year) for dim in range(filt.max_dim + 1))
+            expected = betti_oracle(filt, year)[:2]
+            got = tuple(betti(diagram, dim, year) for dim in (0, 1))
             assert got == expected
 
 
-def test_engine_matches_oracle_with_tetrahedra():
-    rng = random.Random(606)
-    for _ in range(15):
-        net = random_temporal_network(rng, max_nodes=8, max_edges=20)
-        filt = build_flag_filtration(net, 3)
-        diagram = compute_persistence(filt)
-        for year in filt.years():
-            expected = betti_oracle(filt, year)
-            got = tuple(diagram.betti(dim, year) for dim in range(4))
-            assert got == expected
+def _low_dim_reduction(filt):
+    """full_reduction's pairs and essentials born in dimension 0 or 1."""
+    pairs, essentials = full_reduction(filt)
+    low = {i for i, s in enumerate(filt.simplices) if s.dim <= 1}
+    return {(b, d) for b, d in pairs if b in low}, essentials & low
 
 
 def test_engine_matches_naive_full_reduction():
     rng = random.Random(202)
-    for _ in range(40):
-        filt = build_flag_filtration(random_temporal_network(rng), 2)
+    networks = [random_temporal_network(rng) for _ in range(40)] + list(c1_instances())
+    for net in networks:
+        filt = build_flag_filtration(net)
+        # The triangle listing reproduces the recursive clique expansion.
+        assert filt.simplices == clique_filtration(net, 2).simplices
         diagram = compute_persistence(filt)
+        assert all(p.dim <= 1 for p in diagram.pairs)
+        assert all(e.dim <= 1 for e in diagram.essentials)
         engine_pairs = {
             (p.birth.order_index, p.death.order_index) for p in diagram.pairs
         }
         engine_essentials = {e.birth.order_index for e in diagram.essentials}
-        naive_pairs, naive_essentials = full_reduction(filt)
+        naive_pairs, naive_essentials = _low_dim_reduction(filt)
         assert engine_pairs == naive_pairs
         assert engine_essentials == naive_essentials
+
+
+def test_higher_cliques_do_not_change_low_dimensions():
+    # H0 and H1 of a flag complex depend only on its 2-skeleton: filling the
+    # tetrahedra changes no dimension-0 or dimension-1 feature.
+    def features(filt, pairs, essentials):
+        v = [s.vertices for s in filt.simplices]
+        return {(v[b], v[d]) for b, d in pairs}, {v[i] for i in essentials}
+
+    rng = random.Random(606)
+    for _ in range(15):
+        net = random_temporal_network(rng, max_nodes=8, max_edges=20)
+        skeleton = build_flag_filtration(net)
+        diagram = compute_persistence(skeleton)
+        engine = features(
+            skeleton,
+            [(p.birth.order_index, p.death.order_index) for p in diagram.pairs],
+            [e.birth.order_index for e in diagram.essentials],
+        )
+        full = clique_filtration(net, 3)
+        assert engine == features(full, *_low_dim_reduction(full))
 
 
 def test_positivity_union_find_agrees_with_reduction():
@@ -268,7 +287,7 @@ def test_positivity_union_find_agrees_with_reduction():
     # naive reduction's zero columns are the independent source of truth.
     rng = random.Random(303)
     for _ in range(40):
-        filt = build_flag_filtration(random_temporal_network(rng), 2)
+        filt = build_flag_filtration(random_temporal_network(rng))
         naive_pairs, naive_essentials = full_reduction(filt)
         naive_births = {b for b, _ in naive_pairs} | naive_essentials
         reduction_positive_edges = {
@@ -302,7 +321,7 @@ def test_diagram_value_multiset_invariant_under_tie_permutation():
     for _ in range(15):
         net = random_temporal_network(rng, max_nodes=8, max_edges=16, year_hi=2002)
         base = [(u, v, e.time) for (u, v), e in net.edges.items()]
-        filt_a = build_flag_filtration(network_from_edge_times("T", base), 2)
+        filt_a = build_flag_filtration(network_from_edge_times("T", base))
 
         def multiset(diagram):
             values = [
@@ -321,7 +340,7 @@ def test_diagram_value_multiset_invariant_under_tie_permutation():
         rng.shuffle(permuted_names)
         mapping = dict(zip(names, permuted_names))
         renamed = [(mapping[u], mapping[v], t) for u, v, t in base]
-        filt_b = build_flag_filtration(network_from_edge_times("T", renamed), 2)
+        filt_b = build_flag_filtration(network_from_edge_times("T", renamed))
         assert multiset(compute_persistence(filt_a)) == multiset(compute_persistence(filt_b))
 
 
@@ -331,7 +350,7 @@ def test_diagram_dump_round_trip(tmp_path):
     net = network_from_edge_times(
         "T", [("a", "b", 1), ("b", "c", 2), ("a", "c", 3), ("c", "d", 4), ("b", "d", 5)]
     )
-    diagram = compute_persistence(build_flag_filtration(net, 2))
+    diagram = compute_persistence(build_flag_filtration(net))
     path = tmp_path / "diag.csv"
     save_diagram(diagram, path)
     records = load_diagram_records(path)
@@ -342,12 +361,16 @@ def test_diagram_dump_round_trip(tmp_path):
 def test_every_simplex_is_birth_death_or_essential():
     rng = random.Random(77)
     for _ in range(20):
-        filt = build_flag_filtration(random_temporal_network(rng), 2)
+        filt = build_flag_filtration(random_temporal_network(rng))
         diagram = compute_persistence(filt)
         births = {p.birth.order_index for p in diagram.pairs}
         deaths = {p.death.order_index for p in diagram.pairs}
         essentials = {e.birth.order_index for e in diagram.essentials}
-        assert births | deaths | essentials == set(range(len(filt)))
+        # Triangles that kill no cycle are dimension-2 features the engine
+        # does not emit; every vertex and edge is accounted for.
+        low = {s.order_index for s in filt.simplices if s.dim <= 1}
+        assert low <= births | deaths | essentials
+        assert births | essentials <= low
         assert not births & deaths
         assert not (births | deaths) & essentials
         for p in diagram.pairs:
