@@ -7,21 +7,27 @@ concept pair anywhere; otherwise it made no novel pairing.
 
 from __future__ import annotations
 
+import csv
 import logging
 import math
-import multiprocessing
 from collections import defaultdict
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .concept_net import Pair, TemporalConceptNetwork, build_network, randomize_labels
+from .concept_net import (
+    Pair,
+    PaperRow,
+    TemporalConceptNetwork,
+    build_network,
+    discipline_rows,
+    randomize_labels,
+)
 from .corpus import CorpusStore
-from .errors import MissingDependencyError
-from .topology import build_flag_filtration, compute_persistence, gap_edges
-from .util import derive_seed, write_csv
+from .errors import DataError, MissingDependencyError
+from .topology import gap_edges, network_diagram
+from .util import derive_seed, parallel_map, write_csv
 
 logger = logging.getLogger(__name__)
 
@@ -33,6 +39,8 @@ class Category(str, Enum):
 
 
 CATEGORIES = (Category.GAP_OPENER, Category.NOVEL_PAIR_NON_GAP, Category.NO_NOVEL_PAIR)
+
+CLASSIFICATION_HEADER = ("paper_id", "category", "n_gap_edges", "n_novel_pairs")
 
 KIND_GAP = "gap"
 KIND_NOVEL = "novel"
@@ -65,55 +73,13 @@ class DisciplineTopology:
     gap_pairs: frozenset[Pair]
 
 
-def analyze_discipline(
-    store: CorpusStore, discipline: str, *, min_persistence: int = 1
-) -> DisciplineTopology:
-    network = build_network(store, discipline)
-    diagram = compute_persistence(build_flag_filtration(network))
-    return DisciplineTopology(discipline, network, frozenset(gap_edges(diagram, min_persistence)))
-
-
-# Store handed to forked analysis workers; only valid under the fork start
-# method, where children inherit it copy-on-write instead of via pickling.
-_FORK_STORE: CorpusStore | None = None
-
-
-def _analyze_forked(args: tuple[str, int]) -> DisciplineTopology:
-    discipline, min_persistence = args
-    return analyze_discipline(_FORK_STORE, discipline, min_persistence=min_persistence)
-
-
-def analyze_store(
-    store: CorpusStore,
-    *,
-    min_persistence: int = 1,
-    threads: int = 1,
-) -> dict[str, DisciplineTopology]:
-    """Networks and gap pairs for every discipline in the store.
-
-    Disciplines are independent; with threads > 1 and a fork-capable platform
-    they run in a process pool, collected in sorted order for determinism.
-    """
-    global _FORK_STORE
-    disciplines = store.disciplines()
-    parallel = (
-        threads > 1
-        and len(disciplines) > 1
-        and multiprocessing.get_start_method() == "fork"
-    )
-    if parallel:
-        _FORK_STORE = store
-        try:
-            with ProcessPoolExecutor(max_workers=min(threads, len(disciplines))) as pool:
-                results = list(
-                    pool.map(_analyze_forked, [(d, min_persistence) for d in disciplines])
-                )
-        finally:
-            _FORK_STORE = None
-        return {t.discipline: t for t in sorted(results, key=lambda t: t.discipline)}
-    return {
-        d: analyze_discipline(store, d, min_persistence=min_persistence) for d in disciplines
-    }
+def discipline_topology(task: tuple[str, Sequence[PaperRow], int]) -> DisciplineTopology:
+    """Network and gap pairs of one discipline from its labelled rows
+    (discipline, rows, min_persistence): the null model's pool task."""
+    discipline, rows, min_persistence = task
+    network = build_network(discipline, rows)
+    records, _ = network_diagram(network)
+    return DisciplineTopology(discipline, network, frozenset(gap_edges(records, min_persistence)))
 
 
 def classify_all(
@@ -207,18 +173,32 @@ def null_comparison(
     """Mean category shares over label-randomized replicates.
 
     Each replicate randomizes labels with a derived sub-seed, rebuilds every
-    discipline network, recomputes persistence, and classifies. Rows report
-    the mean count and mean fraction with the standard error of the fraction.
+    discipline network, recomputes persistence, and classifies. One pool runs
+    the (replicate, discipline) tasks; randomization leaves years and
+    disciplines alone, so the real store classifies and groups every
+    replicate. Rows report the mean count and mean fraction with the standard
+    error of the fraction.
     """
     if replicates < 1:
         raise ValueError("replicates must be at least 1")
+    n_disciplines = len(store.disciplines())
+
+    def tasks():
+        for replicate in range(replicates):
+            labels = randomize_labels(store, derive_seed(seed, "null", replicate))
+            for discipline, rows in discipline_rows(store, labels).items():
+                yield discipline, rows, min_persistence
+
     acc: dict[tuple[str, str, Category], list[tuple[float, float]]] = defaultdict(list)
-    for replicate in range(replicates):
-        rand_store = randomize_labels(store, derive_seed(seed, "null", replicate))
-        topologies = analyze_store(rand_store, min_persistence=min_persistence, threads=threads)
-        classifications = classify_all(rand_store, topologies)
+    topologies: dict[str, DisciplineTopology] = {}
+    for topology in parallel_map(discipline_topology, tasks(), threads):
+        topologies[topology.discipline] = topology
+        if len(topologies) < n_disciplines:
+            continue  # the replicate's other disciplines are still to come
+        classifications = classify_all(store, topologies)
+        topologies = {}
         for grouping in groupings:
-            for row in share_table(classifications, rand_store, grouping):
+            for row in share_table(classifications, store, grouping):
                 acc[(row.grouping, row.group, row.category)].append(
                     (row.count, row.fraction)
                 )
@@ -249,18 +229,26 @@ def write_classification_csv(
         rows.append(
             (rec.paper_id, cls.category.value, cls.gap_pair_count, cls.novel_pair_count)
         )
-    write_csv(path, ("paper_id", "category", "n_gap_edges", "n_novel_pairs"), rows)
+    write_csv(path, CLASSIFICATION_HEADER, rows)
 
 
 def load_classification_csv(path: Path) -> dict[str, Category]:
-    import csv as _csv
-
+    """Read the per-paper categories; a malformed row raises DataError naming
+    the file, the line and the stage that writes the file."""
     categories: dict[str, Category] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = _csv.reader(fh)
-        next(reader)
-        for paper_id, category, _, _ in reader:
-            categories[paper_id] = Category(category)
+        reader = csv.reader(fh)
+        if next(reader, None) != list(CLASSIFICATION_HEADER):
+            raise DataError(f"{path}: missing classification header; rerun stage classify")
+        for row in reader:
+            try:
+                paper_id, category, _, _ = row
+                categories[paper_id] = Category(category)
+            except ValueError as exc:
+                raise DataError(
+                    f"{path}, line {reader.line_num}: malformed classification row {row!r} "
+                    f"({exc}); rerun stage classify"
+                ) from exc
     return categories
 
 

@@ -13,9 +13,10 @@ import logging
 import random
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, groupby
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Mapping, Sequence
 
 from .corpus import CorpusStore, PaperRecord
 from .errors import DataError, InfeasibleResamplingError, UnknownDisciplineError
@@ -24,6 +25,7 @@ from .util import derive_seed
 logger = logging.getLogger(__name__)
 
 Pair = tuple[str, str]
+PaperRow = tuple[int, str, tuple[str, ...]]  # (year, paper_id, level-3 ids)
 
 NETWORK_HEADER = ("u", "v", "time", "introducers")
 
@@ -68,23 +70,35 @@ def _finish_network(discipline: str, raw: dict[Pair, tuple[int, frozenset[str]]]
     return TemporalConceptNetwork(discipline, nodes, edges, tau_max)
 
 
-def build_network(store: CorpusStore, discipline: str) -> TemporalConceptNetwork:
-    """Build the discipline's cumulative co-occurrence network.
-
-    Papers are visited in the deterministic (year, paper_id) order; an edge's
-    introducers are all papers of its first year that contain the pair.
+def discipline_rows(
+    store: CorpusStore, labels: Mapping[str, tuple[str, ...]] | None = None
+) -> dict[str, list[PaperRow]]:
+    """Every discipline's papers as (year, paper_id, level-3 ids) rows, in
+    (year, paper_id) order and by sorted discipline id, from one pass over
+    the store. Labels from randomize_labels replace the level-3 ids when given.
     """
-    info = store.concept_registry.get(discipline)
-    if info is None or info.level != 0:
+    rows: dict[str, list[PaperRow]] = {d: [] for d in store.disciplines()}
+    for rec in store.iter_papers():
+        row = (rec.year, rec.paper_id, rec.level3_ids if labels is None else labels[rec.paper_id])
+        for discipline in rec.level0_ids:
+            rows[discipline].append(row)
+    return rows
+
+
+def build_network(discipline: str, rows: Sequence[PaperRow]) -> TemporalConceptNetwork:
+    """Build the discipline's cumulative co-occurrence network from its rows.
+
+    Rows come in the deterministic (year, paper_id) order of discipline_rows;
+    an edge's introducers are all papers of its first year that contain the
+    pair. A discipline with no paper is unknown.
+    """
+    if not rows:
         raise UnknownDisciplineError(f"unknown discipline id {discipline!r}")
     raw: dict[Pair, tuple[int, frozenset[str]]] = {}
-    for year in store.by_year:
+    for year, papers in groupby(rows, key=itemgetter(0)):
         batch: dict[Pair, set[str]] = {}
-        for pid in store.by_year[year]:
-            rec = store.papers[pid]
-            if discipline not in rec.level0_ids:
-                continue
-            for u, v in combinations(rec.level3_ids, 2):
+        for _, pid, concepts in papers:
+            for u, v in combinations(concepts, 2):
                 pair = _canonical(u, v)
                 if pair in raw:
                     continue
@@ -219,19 +233,20 @@ def _repair_collisions(hands: list[list[str]], rng: random.Random) -> bool:
     return False
 
 
-def randomize_labels(store: CorpusStore, seed: int) -> CorpusStore:
+def randomize_labels(store: CorpusStore, seed: int) -> dict[str, tuple[str, ...]]:
     """Null model: permute level-3 labels across papers, per discipline.
 
-    Each paper keeps its label count (and its confidence values); the label
-    multiset of every discipline is preserved exactly. Papers sharing the same
-    set of discipline memberships are shuffled together, which keeps the
-    multiset invariant exact even for multi-discipline papers. Labels within a
-    paper stay distinct (collisions are resampled).
+    Returns each paper's new sorted level-3 ids. Each paper keeps its label
+    count; the label multiset of every discipline is preserved exactly.
+    Papers sharing the same set of discipline memberships are shuffled
+    together, which keeps the multiset invariant exact even for
+    multi-discipline papers. Labels within a paper stay distinct (collisions
+    are resampled).
     """
     groups: dict[tuple[str, ...], list[PaperRecord]] = {}
     for rec in store.iter_papers():
         groups.setdefault(rec.level0_ids, []).append(rec)
-    new_records: list[PaperRecord] = []
+    labels: dict[str, tuple[str, ...]] = {}
     for key in sorted(groups):
         members = groups[key]  # already in (year, paper_id) order
         rng = random.Random(derive_seed(seed, "labels", *key))
@@ -239,28 +254,5 @@ def randomize_labels(store: CorpusStore, seed: int) -> CorpusStore:
         sizes = [len(rec.level3_ids) for rec in members]
         hands = _deal_hands(pool, sizes, rng)
         for rec, hand in zip(members, hands):
-            confidences = [conf for _, conf in rec.level3_fields]
-            fields = tuple(sorted(zip(sorted(hand), confidences)))
-            new_records.append(
-                PaperRecord(
-                    paper_id=rec.paper_id,
-                    year=rec.year,
-                    level0_fields=rec.level0_fields,
-                    level3_fields=fields,
-                    references=rec.references,
-                    title=rec.title,
-                    venue_id=rec.venue_id,
-                    authors=rec.authors,
-                    affiliations=rec.affiliations,
-                )
-            )
-    return CorpusStore.from_records(new_records)
-
-
-def label_multiset(store: CorpusStore, discipline: str) -> Counter:
-    """Multiset of level-3 labels over the discipline's papers (for checks)."""
-    counts: Counter = Counter()
-    for rec in store.iter_papers():
-        if discipline in rec.level0_ids:
-            counts.update(rec.level3_ids)
-    return counts
+            labels[rec.paper_id] = tuple(sorted(hand))
+    return labels

@@ -12,25 +12,23 @@ from __future__ import annotations
 import json
 import logging
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable
 
 from . import classify as classify_mod
 from . import metrics as metrics_mod
-from .concept_net import Pair, build_network, load_network, save_network
+from .concept_net import Pair, build_network, discipline_rows, load_network, save_network
 from .corpus import build_citation_index, load_corpus, save_corpus, write_rejection_report
 from .errors import ConfigError, DataError, MissingDependencyError
 from .topology import (
     DiagramRecord,
-    build_flag_filtration,
-    compute_persistence,
     gap_edges,
     load_diagram_records,
+    network_diagram,
     save_diagram_records,
 )
-from .util import json_digest, sha256_file, sha256_text, write_csv, write_json
+from .util import json_digest, parallel_map, sha256_file, sha256_text, write_csv, write_json
 
 logger = logging.getLogger(__name__)
 
@@ -126,21 +124,10 @@ def _slug(name: str) -> str:
     return f"{safe}-{sha256_text(name)[:8]}"
 
 
-def _persist_discipline(
-    task: tuple[str, str]
-) -> tuple[str, list[DiagramRecord], int, int, int]:
+def _persist_discipline(task: tuple[str, str]) -> tuple[str, list[DiagramRecord], int]:
     """Worker for the persist stage; module-level so process pools can use it."""
     discipline, network_path = task
-    network = load_network(network_path, discipline)
-    filtration = build_flag_filtration(network)
-    diagram = compute_persistence(filtration)
-    return (
-        discipline,
-        diagram.records(),
-        len(filtration),
-        len(diagram.pairs),
-        len(diagram.essentials),
-    )
+    return (discipline, *network_diagram(load_network(network_path, discipline)))
 
 
 def _read_manifest(path: Path) -> dict | None:
@@ -225,22 +212,24 @@ class Pipeline:
             )
         return path
 
-    def _network_files(self, stage: str) -> dict[str, Path]:
-        self._require(stage, self.networks_index, "network")
-        with open(self.networks_index, "r", encoding="utf-8") as fh:
-            index = json.load(fh)
-        return {
-            d: self._require(stage, self.out / meta["file"], "network")
-            for d, meta in index["disciplines"].items()
-        }
+    def _read_index(self, index: Path, producer: str) -> dict[str, dict]:
+        """The per-discipline entries of a networks/ or diagrams/ index; an
+        unreadable index raises DataError naming it and the stage to rerun."""
+        try:
+            with open(index, "r", encoding="utf-8") as fh:
+                entries = json.load(fh)["disciplines"]
+            if not all(isinstance(meta["file"], str) for meta in entries.values()):
+                raise TypeError("an entry's file is not a string")
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise DataError(f"{index}: unreadable index ({exc!r}); rerun stage {producer}") from exc
+        return entries
 
-    def _diagram_files(self, stage: str) -> dict[str, Path]:
-        self._require(stage, self.diagrams_index, "persist")
-        with open(self.diagrams_index, "r", encoding="utf-8") as fh:
-            index = json.load(fh)
+    def _index_files(self, stage: str, index: Path, producer: str) -> dict[str, Path]:
+        """The per-discipline files an index lists, each required to exist."""
+        self._require(stage, index, producer)
         return {
-            d: self._require(stage, self.out / meta["file"], "persist")
-            for d, meta in index["disciplines"].items()
+            d: self._require(stage, self.out / meta["file"], producer)
+            for d, meta in self._read_index(index, producer).items()
         }
 
     def _stage_inputs(self, stage: str) -> dict:
@@ -258,15 +247,15 @@ class Pipeline:
             path = self._require(stage, self.corpus_norm, "ingest")
             return {"config": {}, "files": {self._rel(path): sha256_file(path)}}
         if stage == "persist":
-            files = self._network_files(stage)
+            files = self._index_files(stage, self.networks_index, "network")
             return {
                 "config": {},
                 "files": {self._rel(p): sha256_file(p) for p in files.values()},
             }
         if stage == "classify":
             paths = [self._require(stage, self.corpus_norm, "ingest")]
-            paths += list(self._network_files(stage).values())
-            paths += list(self._diagram_files(stage).values())
+            paths += list(self._index_files(stage, self.networks_index, "network").values())
+            paths += list(self._index_files(stage, self.diagrams_index, "persist").values())
             return {
                 "config": {
                     "min_persistence": cfg.min_persistence,
@@ -280,7 +269,7 @@ class Pipeline:
                 self._require(stage, self.corpus_norm, "ingest"),
                 self._require(stage, self.classification_csv, "classify"),
             ]
-            paths += list(self._network_files(stage).values())
+            paths += list(self._index_files(stage, self.networks_index, "network").values())
             return {
                 "config": {
                     "seed": cfg.seed,
@@ -351,8 +340,8 @@ class Pipeline:
         store = self._load_store()
         outputs = []
         index: dict[str, dict] = {}
-        for discipline in store.disciplines():
-            network = build_network(store, discipline)
+        for discipline, rows in discipline_rows(store).items():
+            network = build_network(discipline, rows)
             path = self.out / "networks" / f"{_slug(discipline)}.csv"
             save_network(network, path)
             outputs.append(path)
@@ -366,33 +355,30 @@ class Pipeline:
         return outputs
 
     def _run_persist(self) -> list[Path]:
-        cfg = self.config
-        files = self._network_files("persist")
+        files = self._index_files("persist", self.networks_index, "network")
         outputs = []
         index: dict[str, dict] = {}
         tasks = [(d, str(p)) for d, p in sorted(files.items())]
-        if cfg.threads > 1 and len(tasks) > 1:
-            with ProcessPoolExecutor(max_workers=min(cfg.threads, len(tasks))) as pool:
-                results = list(pool.map(_persist_discipline, tasks))
-        else:
-            results = [_persist_discipline(task) for task in tasks]
-        for discipline, records, n_simplices, n_pairs, n_essentials in sorted(results):
+        for discipline, records, n_simplices in parallel_map(
+            _persist_discipline, tasks, self.config.threads
+        ):
             path = self.out / "diagrams" / f"{_slug(discipline)}.csv"
             save_diagram_records(records, path)
             outputs.append(path)
+            n_pairs = sum(1 for r in records if r.death_year is not None)
             index[discipline] = {
                 "file": self._rel(path),
                 "simplices": n_simplices,
                 "pairs": n_pairs,
-                "essentials": n_essentials,
+                "essentials": len(records) - n_pairs,
             }
         write_json(self.diagrams_index, {"disciplines": index})
         outputs.append(self.diagrams_index)
         return outputs
 
     def _load_topologies(self, stage: str) -> dict[str, classify_mod.DisciplineTopology]:
-        networks = self._network_files(stage)
-        diagrams = self._diagram_files(stage)
+        networks = self._index_files(stage, self.networks_index, "network")
+        diagrams = self._index_files(stage, self.diagrams_index, "persist")
         topologies = {}
         for discipline in sorted(networks):
             network = load_network(networks[discipline], discipline)
@@ -435,7 +421,8 @@ class Pipeline:
             for pid, cat in classify_mod.load_classification_csv(self.classification_csv).items()
         }
         novel_pairs: dict[str, set[Pair]] = {}
-        for discipline, path in sorted(self._network_files("metrics").items()):
+        files = self._index_files("metrics", self.networks_index, "network")
+        for discipline, path in sorted(files.items()):
             network = load_network(path, discipline)
             for pair, birth in network.edges.items():
                 for pid in birth.introducers:
@@ -457,10 +444,8 @@ class Pipeline:
     def _run_report(self) -> list[Path]:
         with open(self.ingest_meta, "r", encoding="utf-8") as fh:
             ingest = json.load(fh)
-        with open(self.networks_index, "r", encoding="utf-8") as fh:
-            networks = json.load(fh)
-        with open(self.diagrams_index, "r", encoding="utf-8") as fh:
-            diagrams = json.load(fh)
+        networks = self._read_index(self.networks_index, "network")
+        diagrams = self._read_index(self.diagrams_index, "persist")
         categories = classify_mod.load_classification_csv(self.classification_csv)
         counts: dict[str, int] = {c.value: 0 for c in classify_mod.CATEGORIES}
         for cat in categories.values():
@@ -473,8 +458,8 @@ class Pipeline:
             "category_counts": counts,
             "gap_opener_share": (counts["GapOpener"] / total) if total else None,
             "ingest": ingest,
-            "networks": networks["disciplines"],
-            "diagrams": diagrams["disciplines"],
+            "networks": networks,
+            "diagrams": diagrams,
             "multi_discipline_papers": multi,
             "title_verb_ratios": verb_ratios,
             "notes": [

@@ -12,7 +12,7 @@ import csv
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Union
+from typing import Iterable
 
 from .concept_net import TemporalConceptNetwork
 from .errors import DataError, InternalError
@@ -43,13 +43,9 @@ class FlagFiltration:
     """
 
     simplices: list[Simplex]
-    step_boundaries: dict[int, tuple[int, int]]
 
     def __len__(self) -> int:
         return len(self.simplices)
-
-    def years(self) -> list[int]:
-        return list(self.step_boundaries)
 
     @classmethod
     def from_entries(
@@ -58,19 +54,9 @@ class FlagFiltration:
         """Build from (vertices, value, tie-key) triples; the caller
         guarantees face closure and sorted vertex tuples."""
         ordered = sorted(entries, key=lambda e: (e[1], len(e[0]), e[2]))
-        simplices = [
-            Simplex(vertices, value, index)
-            for index, (vertices, value, _) in enumerate(ordered)
-        ]
-        boundaries: dict[int, tuple[int, int]] = {}
-        start = 0
-        for i, s in enumerate(simplices):
-            if i and s.filtration_value != simplices[i - 1].filtration_value:
-                boundaries[simplices[i - 1].filtration_value] = (start, i)
-                start = i
-        if simplices:
-            boundaries[simplices[-1].filtration_value] = (start, len(simplices))
-        return cls(simplices, boundaries)
+        return cls(
+            [Simplex(vertices, value, index) for index, (vertices, value, _) in enumerate(ordered)]
+        )
 
 
 def build_flag_filtration(network: TemporalConceptNetwork) -> FlagFiltration:
@@ -116,10 +102,6 @@ class PersistencePair:
     birth: Simplex
     death: Simplex
     dim: int
-
-    @property
-    def persistence(self) -> int:
-        return self.death.filtration_value - self.birth.filtration_value
 
 
 @dataclass(frozen=True, slots=True)
@@ -283,26 +265,20 @@ def compute_persistence(filtration: FlagFiltration) -> PersistenceDiagram:
     return PersistenceDiagram(pairs, essentials)
 
 
-def gap_edges(
-    diagram: Union[PersistenceDiagram, Iterable[DiagramRecord]],
-    min_persistence: int = 1,
-) -> set[Pair]:
+def network_diagram(network: TemporalConceptNetwork) -> tuple[list[DiagramRecord], int]:
+    """The diagram rows of a network's flag complex, sorted as dumped, and
+    the complex's simplex count. The one topology path of real and null runs."""
+    filtration = build_flag_filtration(network)
+    return compute_persistence(filtration).records(), len(filtration)
+
+
+def gap_edges(records: Iterable[DiagramRecord], min_persistence: int = 1) -> set[Pair]:
     """Dimension-1 birth edges: essential, or persisting at least the given
     number of years. These concept pairs are the detected gaps."""
     if min_persistence < 0:
         raise ValueError("min_persistence must be non-negative")
     result: set[Pair] = set()
-    if isinstance(diagram, PersistenceDiagram):
-        for p in diagram.pairs:
-            if p.dim == 1 and p.persistence >= min_persistence:
-                u, v = p.birth.vertices
-                result.add((u, v))
-        for e in diagram.essentials:
-            if e.dim == 1:
-                u, v = e.birth.vertices
-                result.add((u, v))
-        return result
-    for rec in diagram:
+    for rec in records:
         if rec.dim != 1:
             continue
         if rec.death_year is None or rec.death_year - rec.birth_year >= min_persistence:

@@ -1,12 +1,18 @@
-"""Small shared helpers: seed derivation, hashing, deterministic file output."""
+"""Small shared helpers: seed derivation, hashing, deterministic file output,
+and the process pool."""
 
 from __future__ import annotations
 
 import csv
 import hashlib
 import json
+from collections import deque
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 
 def derive_seed(base: int, *parts: object) -> int:
@@ -61,3 +67,25 @@ def write_json(path: Path, payload: Any) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def parallel_map(fn: Callable[[T], R], tasks: Iterable[T], threads: int) -> Iterator[R]:
+    """fn of every task, yielded in task order.
+
+    threads == 1 runs each task here when its result is asked for, so tasks
+    are made one at a time. Otherwise one process pool runs them all, with
+    at most two tasks per worker queued ahead of the one the caller waits
+    for; fn and each task must pickle, under any start method.
+    """
+    if threads == 1:
+        for task in tasks:
+            yield fn(task)
+        return
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        pending: deque = deque()
+        for task in tasks:
+            pending.append(pool.submit(fn, task))
+            if len(pending) > 2 * threads:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()

@@ -1,4 +1,5 @@
-"""Shared test fixtures: record builders, random temporal graphs, and the
+"""Shared test fixtures: record builders, random temporal graphs, store-level
+wrappers over the null model's per-discipline task, label checks, and the
 reference machinery the dimension-0/1 engine is checked against: a flag
 complex of any dimension, the naive full column reduction, and the dense
 Betti oracle."""
@@ -7,13 +8,19 @@ from __future__ import annotations
 
 import json
 import random
-from collections import defaultdict
+from collections import Counter, defaultdict
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from gapminer.concept_net import TemporalConceptNetwork, network_from_edge_times
+from gapminer.classify import DisciplineTopology, discipline_topology
+from gapminer.concept_net import (
+    TemporalConceptNetwork,
+    build_network,
+    discipline_rows,
+    network_from_edge_times,
+)
 from gapminer.corpus import SCHEMA_VERSION, CorpusStore, PaperRecord, validate_record
 from gapminer.topology import FlagFiltration, PersistenceDiagram, save_diagram_records
 
@@ -46,6 +53,54 @@ def write_corpus(path: Path, raws, header=True) -> Path:
         for raw in raws:
             fh.write((raw if isinstance(raw, str) else json.dumps(raw)) + "\n")
     return path
+
+
+# -- store-level views of the per-discipline functions ---------------------------
+
+def network_of(store: CorpusStore, discipline: str) -> TemporalConceptNetwork:
+    """The discipline's network, built from its rows as the pipeline does."""
+    return build_network(discipline, discipline_rows(store).get(discipline, []))
+
+
+def analyze_discipline(
+    store: CorpusStore, discipline: str, *, min_persistence: int = 1
+) -> DisciplineTopology:
+    """Network and gap pairs of one discipline with the store's own labels."""
+    rows = discipline_rows(store)[discipline]
+    return discipline_topology((discipline, rows, min_persistence))
+
+
+def analyze_store(
+    store: CorpusStore, *, min_persistence: int = 1
+) -> dict[str, DisciplineTopology]:
+    """Networks and gap pairs of every discipline, through the null model's task."""
+    return {
+        d: discipline_topology((d, rows, min_persistence))
+        for d, rows in discipline_rows(store).items()
+    }
+
+
+def label_multiset(
+    store: CorpusStore, discipline: str, labels: Mapping[str, tuple[str, ...]] | None = None
+) -> Counter:
+    """Multiset of level-3 labels over the discipline's papers; labels from
+    randomize_labels replace the store's when given."""
+    counts: Counter = Counter()
+    for pid, rec in store.papers.items():
+        if discipline in rec.level0_ids:
+            counts.update(rec.level3_ids if labels is None else labels[pid])
+    return counts
+
+
+def check_label_conservation(store: CorpusStore, labels: Mapping[str, tuple[str, ...]]) -> None:
+    """The null model's conservation laws: every paper keeps its label count
+    with distinct labels, and every discipline keeps its label multiset."""
+    assert set(labels) == set(store.papers)
+    for pid, rec in store.papers.items():
+        assert len(labels[pid]) == len(rec.level3_ids)
+        assert len(set(labels[pid])) == len(labels[pid])
+    for d in store.disciplines():
+        assert label_multiset(store, d, labels) == label_multiset(store, d)
 
 
 # The instance set of acceptance criteria 1, 3 and 4.
@@ -100,6 +155,16 @@ def apply_boundary(chain: dict[tuple[str, ...], int]) -> dict[tuple[str, ...], i
         for face in facets(vertices):
             out[face] += 1
     return {face: c % 2 for face, c in out.items() if c % 2}
+
+
+def step_boundaries(filtration: FlagFiltration) -> dict[int, tuple[int, int]]:
+    """Each filtration value (year) with the [start, end) index span of its
+    simplices, in ascending order."""
+    spans: dict[int, tuple[int, int]] = {}
+    for i, s in enumerate(filtration.simplices):
+        start = spans.get(s.filtration_value, (i, i))[0]
+        spans[s.filtration_value] = (start, i + 1)
+    return spans
 
 
 def check_filtration(filtration: FlagFiltration) -> None:

@@ -16,13 +16,13 @@ import sys
 import tempfile
 from pathlib import Path
 
-from gapminer.classify import Category, analyze_discipline, classify_all
+from gapminer.classify import Category, classify_all
 from gapminer.corpus import load_corpus
 from gapminer.pipeline import PipelineConfig, run
 from gapminer.synth import make_synthetic
 from gapminer.topology import build_flag_filtration
 
-from helpers import betti_oracle
+from helpers import analyze_discipline, betti_oracle
 
 GOLDEN_DIR = Path(__file__).parent / "golden" / "planted"
 GOLDEN_FILES = ("classification.csv", "shares.csv", "metrics.csv")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import random
 
 import pytest
@@ -9,15 +10,15 @@ import pytest
 from gapminer.classify import (
     CATEGORIES,
     Category,
-    analyze_store,
     classify_all,
     null_comparison,
     share_table,
 )
+from gapminer import util
 from gapminer.errors import MissingDependencyError
 from gapminer.topology import build_flag_filtration
 
-from helpers import betti_oracle, build_store, raw_record
+from helpers import analyze_store, betti_oracle, build_store, raw_record
 
 
 def cycle_corpus(n=4, discipline="D", start=2000, prefix="P"):
@@ -231,3 +232,31 @@ def test_null_comparison_directional_on_planted_structure():
         if r.grouping == "overall"
     }
     assert real[Category.GAP_OPENER] > rand[Category.GAP_OPENER]
+
+
+def test_null_comparison_one_spawn_pool_for_all_replicates(monkeypatch):
+    # The pool must work without fork: spawn is the default on macOS and
+    # Windows, and Linux defaults to forkserver from Python 3.14. Workers get
+    # their discipline's rows as arguments, not from the parent's memory.
+    raws = []
+    for d in ("D0", "D1", "D2"):
+        raws += cycle_corpus(5, discipline=d, prefix=f"{d}P")
+        raws += [
+            raw_record(f"{d}F{j}", 2001 + j % 4, (f"{d}c{j % 5}", f"{d}f{j}"), l0=(d,))
+            for j in range(8)
+        ]
+    raws.append(raw_record("both", 2003, ("D0c0", "D1c2"), l0=("D0", "D1")))
+    store = build_store(raws)
+    pools = []
+    real_executor = util.ProcessPoolExecutor
+
+    def spawn_executor(*args, **kwargs):
+        pools.append(kwargs)
+        return real_executor(*args, mp_context=multiprocessing.get_context("spawn"), **kwargs)
+
+    monkeypatch.setattr(util, "ProcessPoolExecutor", spawn_executor)
+    serial = null_comparison(store, seed=6, replicates=3)
+    assert pools == []
+    parallel = null_comparison(store, seed=6, replicates=3, threads=2)
+    assert len(pools) == 1
+    assert parallel == serial

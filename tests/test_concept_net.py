@@ -6,8 +6,7 @@ import random
 import pytest
 
 from gapminer.concept_net import (
-    build_network,
-    label_multiset,
+    discipline_rows,
     load_network,
     network_from_edge_times,
     novel_pairs,
@@ -16,7 +15,7 @@ from gapminer.concept_net import (
 )
 from gapminer.errors import InfeasibleResamplingError, UnknownDisciplineError
 
-from helpers import build_store, raw_record
+from helpers import build_store, check_label_conservation, network_of, raw_record
 
 
 def test_first_occurrence_wins():
@@ -26,7 +25,7 @@ def test_first_occurrence_wins():
             raw_record("P2", 2001, ("a", "b")),
         ]
     )
-    net = build_network(store, "D")
+    net = network_of(store, "D")
     assert net.edges[("a", "b")].time == 2000
     assert net.edges[("a", "b")].introducers == frozenset({"P1"})
     assert net.tau_max == 2000
@@ -39,13 +38,13 @@ def test_same_year_tie_records_all_introducers():
             raw_record("P2", 2000, ("a", "b")),
         ]
     )
-    net = build_network(store, "D")
+    net = network_of(store, "D")
     assert net.edges[("a", "b")].introducers == frozenset({"P1", "P2"})
 
 
 def test_pairwise_expansion():
     store = build_store([raw_record("P1", 2000, ("a", "b", "c"))])
-    net = build_network(store, "D")
+    net = network_of(store, "D")
     assert set(net.edges) == {("a", "b"), ("a", "c"), ("b", "c")}
     assert all(e.time == 2000 and e.introducers == frozenset({"P1"}) for e in net.edges.values())
 
@@ -53,7 +52,7 @@ def test_pairwise_expansion():
 def test_unknown_discipline_raises():
     store = build_store([raw_record("P1", 2000, ("a", "b"))])
     with pytest.raises(UnknownDisciplineError):
-        build_network(store, "NOPE")
+        network_of(store, "NOPE")
 
 
 def test_novel_pairs_cases():
@@ -64,17 +63,17 @@ def test_novel_pairs_cases():
             raw_record("P3", 2002, ("a", "b", "c")),
         ]
     )
-    net = build_network(store, "D")
+    net = network_of(store, "D")
     assert novel_pairs(store.papers["P2"], net) == set()
     assert novel_pairs(store.papers["P3"], net) == {("a", "c"), ("b", "c")}
     solo = build_store([raw_record("P1", 2000, ("a", "b", "c"))])
-    assert len(novel_pairs(solo.papers["P1"], build_network(solo, "D"))) == 3
+    assert len(novel_pairs(solo.papers["P1"], network_of(solo, "D"))) == 3
 
 
 def test_novel_pairs_rejects_foreign_paper():
     store = build_store([raw_record("P1", 2000, ("a", "b"))])
     other = build_store([raw_record("Q1", 2000, ("a", "b"), l0=("E",))])
-    net = build_network(store, "D")
+    net = network_of(store, "D")
     with pytest.raises(UnknownDisciplineError):
         novel_pairs(other.papers["Q1"], net)
 
@@ -88,10 +87,10 @@ def test_temporal_monotonicity_replay():
             concepts = rng.sample("abcdefgh", rng.randrange(2, 5))
             raws.append(raw_record(f"P{i:03d}", year, concepts))
         store = build_store(raws)
-        net = build_network(store, "D")
+        net = network_of(store, "D")
         for year in store.years():
             partial = build_store([r for r in raws if r["year"] <= year])
-            replayed = build_network(partial, "D")
+            replayed = network_of(partial, "D")
             expected = {p for p, e in net.edges.items() if e.time <= year}
             assert set(replayed.edges) == expected
 
@@ -103,8 +102,8 @@ def test_insensitive_to_within_year_input_order():
         raw_record("P3", 2000, ("a", "c")),
         raw_record("P4", 2001, ("a", "d")),
     ]
-    net1 = build_network(build_store(raws), "D")
-    net2 = build_network(build_store(list(reversed(raws))), "D")
+    net1 = network_of(build_store(raws), "D")
+    net2 = network_of(build_store(list(reversed(raws))), "D")
     assert net1 == net2  # times, introducers, and tie ranks all id-derived
 
 
@@ -116,7 +115,7 @@ def test_tie_rank_total_order():
             raw_record("P3", 1999, ("e", "f")),
         ]
     )
-    net = build_network(store, "D")
+    net = network_of(store, "D")
     ranked = sorted(net.edges.values(), key=lambda e: e.tie_rank)
     assert [e.tie_rank for e in ranked] == [0, 1, 2]
     assert ranked[0].time == 1999
@@ -130,7 +129,7 @@ def test_network_dump_round_trip(tmp_path):
             raw_record("P2", 2001, ("a", "d")),
         ]
     )
-    net = build_network(store, "D")
+    net = network_of(store, "D")
     path = tmp_path / "net.csv"
     save_network(net, path)
     assert load_network(path, "D") == net
@@ -143,7 +142,7 @@ def test_network_from_edge_times_keeps_earliest():
 
 def test_randomize_singleton_store_identical():
     store = build_store([raw_record("P1", 2000, ("a", "b", "c"))])
-    assert randomize_labels(store, 5) == store
+    assert randomize_labels(store, 5) == {"P1": ("a", "b", "c")}
 
 
 def test_randomize_preserves_counts_and_multiset():
@@ -153,13 +152,7 @@ def test_randomize_preserves_counts_and_multiset():
             raw_record("P2", 2001, ("c", "d")),
         ]
     )
-    shuffled = randomize_labels(store, 123)
-    for pid in store.papers:
-        assert len(shuffled.papers[pid].level3_ids) == len(store.papers[pid].level3_ids)
-        assert len(set(shuffled.papers[pid].level3_ids)) == len(
-            shuffled.papers[pid].level3_ids
-        )
-    assert label_multiset(shuffled, "D") == label_multiset(store, "D")
+    check_label_conservation(store, randomize_labels(store, 123))
 
 
 def test_randomize_same_seed_identical():
@@ -180,9 +173,7 @@ def test_randomize_respects_discipline_boundaries():
         concepts = rng.sample([f"{d}c{j}" for j in range(9)], rng.randrange(2, 5))
         raws.append(raw_record(f"P{i:03d}", 2000 + i % 4, concepts, l0=(d,)))
     store = build_store(raws)
-    shuffled = randomize_labels(store, 7)
-    for d in ("D0", "D1", "D2"):
-        assert label_multiset(shuffled, d) == label_multiset(store, d)
+    check_label_conservation(store, randomize_labels(store, 7))
 
 
 def test_randomize_multi_discipline_papers_consistent():
@@ -192,9 +183,23 @@ def test_randomize_multi_discipline_papers_consistent():
         raw_record("P3", 2000, ("e", "f"), l0=("D",)),
     ]
     store = build_store(raws)
-    shuffled = randomize_labels(store, 17)
-    assert label_multiset(shuffled, "D") == label_multiset(store, "D")
-    assert label_multiset(shuffled, "E") == label_multiset(store, "E")
+    check_label_conservation(store, randomize_labels(store, 17))
+
+
+def test_randomized_rows_keep_everything_but_labels():
+    raws = [
+        raw_record("P1", 2000, ("a", "b"), l0=("D", "E")),
+        raw_record("P2", 2001, ("c", "d", "g"), l0=("D",)),
+        raw_record("P3", 2000, ("e", "f"), l0=("E",)),
+    ]
+    store = build_store(raws)
+    labels = randomize_labels(store, 4)
+    real, shuffled = discipline_rows(store), discipline_rows(store, labels)
+    assert list(real) == list(shuffled) == ["D", "E"]
+    assert real["D"] == [(2000, "P1", ("a", "b")), (2001, "P2", ("c", "d", "g"))]
+    for d in real:
+        assert [row[:2] for row in shuffled[d]] == [row[:2] for row in real[d]]
+        assert [ids for _, pid, ids in shuffled[d]] == [labels[pid] for _, pid, _ in real[d]]
 
 
 def test_randomize_infeasible_raises():

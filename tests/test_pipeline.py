@@ -164,10 +164,16 @@ def test_threads_do_not_change_results(tmp_path):
     config_b = small_config(tmp_path, output_dir=tmp_path / "par", threads=4)
     run(config_a)
     run(config_b)
-    for name in OUTPUTS:
+    names = list(OUTPUTS)
+    for kind in ("networks", "diagrams"):
+        files = sorted(p.name for p in (config_a.output_dir / kind).iterdir())
+        assert files == sorted(p.name for p in (config_b.output_dir / kind).iterdir())
+        assert "index.json" in files and len(files) > 1
+        names += [f"{kind}/{name}" for name in files]
+    for name in names:
         assert (config_a.output_dir / name).read_bytes() == (
             config_b.output_dir / name
-        ).read_bytes()
+        ).read_bytes(), name
 
 
 def test_report_includes_verb_ratios_and_lexicon_override(tmp_path):
@@ -254,3 +260,37 @@ def test_max_dim_is_an_unknown_config_key(tmp_path, capsys):
     assert "unknown config keys: max_dim" in capsys.readouterr().err
     with pytest.raises(ConfigError, match="unknown config keys: max_dim"):
         PipelineConfig.from_sources(None, {"max_dim": 3})
+
+
+@pytest.mark.parametrize("stage", ["metrics", "report"])
+@pytest.mark.parametrize("row", ["P1,GapOpener", "P1,Bogus,0,0"])
+def test_malformed_classification_row_is_data_error(tmp_path, capsys, stage, row):
+    config = small_config(tmp_path)
+    run(config)
+    with open(config.output_dir / "classification.csv", "a", encoding="utf-8") as fh:
+        fh.write(row + "\n")
+    lines = (config.output_dir / "classification.csv").read_text().count("\n")
+    capsys.readouterr()
+    code = main([stage, "--corpus", str(config.corpus_path), "--out", str(config.output_dir)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"classification.csv, line {lines}" in err
+    assert "rerun stage classify" in err
+
+
+@pytest.mark.parametrize("kind, producer, consumer", [
+    ("networks", "network", "persist"),
+    ("diagrams", "persist", "classify"),
+])
+def test_truncated_index_is_data_error(tmp_path, capsys, kind, producer, consumer):
+    config = small_config(tmp_path)
+    run(config)
+    index = config.output_dir / kind / "index.json"
+    text = index.read_text()
+    index.write_text(text[: len(text) // 2])
+    capsys.readouterr()
+    code = main([consumer, "--corpus", str(config.corpus_path), "--out", str(config.output_dir)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"{kind}/index.json" in err
+    assert f"rerun stage {producer}" in err

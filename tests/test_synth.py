@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from gapminer.classify import Category, analyze_store, classify_all
+from gapminer.classify import Category, classify_all
 from gapminer.corpus import load_corpus
 from gapminer.errors import ConfigError
 from gapminer.synth import make_synthetic
+
+from helpers import analyze_store
 
 
 def test_same_seed_byte_identical(tmp_path):

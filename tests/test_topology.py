@@ -29,6 +29,7 @@ from helpers import (
     full_reduction,
     random_temporal_network,
     save_diagram,
+    step_boundaries,
 )
 
 
@@ -83,11 +84,12 @@ def test_filtration_order_invariants():
 
 def test_step_boundaries_cover_filtration():
     filt = build_flag_filtration(cycle_network(5))
-    spans = list(filt.step_boundaries.values())
+    boundaries = step_boundaries(filt)
+    spans = list(boundaries.values())
     assert spans[0][0] == 0 and spans[-1][1] == len(filt)
     for (a, b), (c, d) in zip(spans, spans[1:]):
         assert b == c
-    for year, (a, b) in filt.step_boundaries.items():
+    for year, (a, b) in boundaries.items():
         assert all(s.filtration_value == year for s in filt.simplices[a:b])
 
 
@@ -149,14 +151,14 @@ def test_engine_deterministic():
 def test_gap_edges_filters_zero_persistence():
     net = network_from_edge_times("T", [("a", "b", 1), ("b", "c", 2), ("a", "c", 3)])
     diagram = compute_persistence(build_flag_filtration(net))
-    assert gap_edges(diagram, 1) == set()
-    assert gap_edges(diagram, 0) == {("a", "c")}
+    assert gap_edges(diagram.records(), 1) == set()
+    assert gap_edges(diagram.records(), 0) == {("a", "c")}
 
 
 def test_gap_edges_keeps_essential_cycle():
     diagram = compute_persistence(build_flag_filtration(cycle_network(4)))
     for min_persistence in (0, 1, 5, 100):
-        assert gap_edges(diagram, min_persistence) == {("v0", "v3")}
+        assert gap_edges(diagram.records(), min_persistence) == {("v0", "v3")}
 
 
 def test_gap_edges_persistence_threshold():
@@ -167,9 +169,9 @@ def test_gap_edges_persistence_threshold():
         [("a", "b", 1), ("b", "c", 2), ("c", "d", 3), ("a", "d", 4), ("a", "c", 6)],
     )
     diagram = compute_persistence(build_flag_filtration(net))
-    assert gap_edges(diagram, 1) == {("a", "d")}
-    assert gap_edges(diagram, 2) == {("a", "d")}
-    assert gap_edges(diagram, 3) == set()
+    assert gap_edges(diagram.records(), 1) == {("a", "d")}
+    assert gap_edges(diagram.records(), 2) == {("a", "d")}
+    assert gap_edges(diagram.records(), 3) == set()
 
 
 # -- dense oracle -------------------------------------------------------------
@@ -217,7 +219,7 @@ def test_oracle_equivalence_random_graphs():
         net = random_temporal_network(rng)
         filt = build_flag_filtration(net)
         diagram = compute_persistence(filt)
-        years = filt.years()
+        years = list(step_boundaries(filt))
         profile = engine_dim1_profile(diagram, years)
         for year in years:
             assert profile[year] == betti_oracle(filt, year)[1]
@@ -229,7 +231,7 @@ def test_oracle_equivalence_all_dimensions():
     for _ in range(25):
         filt = build_flag_filtration(random_temporal_network(rng))
         diagram = compute_persistence(filt)
-        for year in filt.years():
+        for year in step_boundaries(filt):
             expected = betti_oracle(filt, year)[:2]
             got = tuple(betti(diagram, dim, year) for dim in (0, 1))
             assert got == expected
@@ -355,7 +357,6 @@ def test_diagram_dump_round_trip(tmp_path):
     save_diagram(diagram, path)
     records = load_diagram_records(path)
     assert records == diagram.records()
-    assert gap_edges(records, 1) == gap_edges(diagram, 1)
 
 
 def test_every_simplex_is_birth_death_or_essential():
