@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .concept_net import Pair
 from .corpus import CitationIndex, CorpusStore, PaperRecord
 from .util import derive_seed
@@ -278,34 +276,73 @@ def _rewire(
     Preserves each paper's reference count and each cited paper's (hence each
     journal's) citation count exactly; swaps creating duplicate references or
     self-citations are rejected.
+
+    Each attempt draws two edge positions exactly as `rng.randrange(total)`
+    does (getrandbits of total.bit_length() bits, redrawn while out of range),
+    so the random stream, every accepted swap and the final `rng` state are
+    those of the randrange loop kept in tests/helpers.py.
     """
-    edges = list(edges)
     total = len(edges)
     if total < 2:
-        return edges
-    ref_sets: dict[str, set[str]] = defaultdict(set)
-    for citing, cited in edges:
-        ref_sets[citing].add(cited)
+        return list(edges)
+    ids: dict[str, int] = {}
+    citing = [ids.setdefault(p, len(ids)) for p, _ in edges]
+    cited = [ids.setdefault(r, len(ids)) for _, r in edges]
+    n = len(ids)
+    # A (citing, cited) pair is the key citing * n + cited; row[e] is the
+    # citing part of edge e's key, which swaps never change.
+    row = [p * n for p in citing]
+    present = {base + r for base, r in zip(row, cited)}
+    getrandbits = rng.getrandbits
+    k = total.bit_length()
     for _ in range(factor * total):
-        a = rng.randrange(total)
-        b = rng.randrange(total)
-        if a == b:
+        a = getrandbits(k)
+        while a >= total:
+            a = getrandbits(k)
+        b = getrandbits(k)
+        while b >= total:
+            b = getrandbits(k)
+        row1 = row[a]
+        row2 = row[b]
+        if row1 == row2:  # same edge or same citing paper
             continue
-        p1, r1 = edges[a]
-        p2, r2 = edges[b]
-        if p1 == p2 or r1 == r2:
+        r1 = cited[a]
+        r2 = cited[b]
+        if r1 == r2:
             continue
-        if r2 in ref_sets[p1] or r1 in ref_sets[p2]:
+        key12 = row1 + r2
+        key21 = row2 + r1
+        if key12 in present or key21 in present or r2 == citing[a] or r1 == citing[b]:
             continue
-        if r2 == p1 or r1 == p2:
-            continue
-        ref_sets[p1].remove(r1)
-        ref_sets[p1].add(r2)
-        ref_sets[p2].remove(r2)
-        ref_sets[p2].add(r1)
-        edges[a] = (p1, r2)
-        edges[b] = (p2, r1)
-    return edges
+        present.remove(row1 + r1)
+        present.remove(row2 + r2)
+        present.add(key12)
+        present.add(key21)
+        cited[a] = r2
+        cited[b] = r1
+    names = list(ids)
+    return [(names[p], names[r]) for p, r in zip(citing, cited)]
+
+
+def _percentile(values: Iterable[float], q: float) -> float:
+    """The q-th percentile by linear interpolation between order statistics
+    (Hyndman and Fan's definition 7).
+
+    The float steps are those of the array-library percentile the tests
+    compare against, so results agree bit for bit: the virtual index is
+    (n - 1) * (q / 100), and the interpolation counts back from the upper
+    neighbour once the fraction reaches one half.
+    """
+    ordered = sorted(values)
+    virtual = (len(ordered) - 1) * (q / 100)
+    i = math.floor(virtual)
+    if i + 1 >= len(ordered):
+        return ordered[-1]
+    lo = ordered[i]
+    hi = ordered[i + 1]
+    g = virtual - i
+    diff = hi - lo
+    return hi - diff * (1 - g) if g >= 0.5 else lo + diff * g
 
 
 class YearCocitationBaseline:
@@ -394,7 +431,7 @@ def novelty(
     for i, j in combinations(range(len(refs)), 2):
         vi, vj = venues[i], venues[j]
         z_scores.append(baseline.z((vi, vj) if vi <= vj else (vj, vi)))
-    tenth = float(np.percentile(np.array(z_scores, dtype=float), 10))
+    tenth = _percentile(z_scores, 10)
     return NoveltyProfile(paper.paper_id, tuple(z_scores), tenth)
 
 

@@ -142,6 +142,30 @@ def _read_manifest(path: Path) -> dict | None:
     return manifest
 
 
+def _read_json(path: Path, producer: str, extract: Callable[[object], dict]) -> dict:
+    """`extract` applied to the JSON document at `path`; a truncated or
+    garbled document, or one `extract` cannot read, raises DataError naming
+    the file and the stage to rerun."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return extract(json.load(fh))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise DataError(f"{path}: unreadable ({exc!r}); rerun stage {producer}") from exc
+
+
+def _index_entries(document: object) -> dict[str, dict]:
+    entries = document["disciplines"]
+    if not all(isinstance(meta["file"], str) for meta in entries.values()):
+        raise TypeError("an entry's file is not a string")
+    return entries
+
+
+def _ingest_counts(document: object) -> dict:
+    if not isinstance(document, dict):
+        raise TypeError("ingest metadata is not an object")
+    return document
+
+
 class Pipeline:
     def __init__(self, config: PipelineConfig):
         config.validate()
@@ -213,16 +237,8 @@ class Pipeline:
         return path
 
     def _read_index(self, index: Path, producer: str) -> dict[str, dict]:
-        """The per-discipline entries of a networks/ or diagrams/ index; an
-        unreadable index raises DataError naming it and the stage to rerun."""
-        try:
-            with open(index, "r", encoding="utf-8") as fh:
-                entries = json.load(fh)["disciplines"]
-            if not all(isinstance(meta["file"], str) for meta in entries.values()):
-                raise TypeError("an entry's file is not a string")
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
-            raise DataError(f"{index}: unreadable index ({exc!r}); rerun stage {producer}") from exc
-        return entries
+        """The per-discipline entries of a networks/ or diagrams/ index."""
+        return _read_json(index, producer, _index_entries)
 
     def _index_files(self, stage: str, index: Path, producer: str) -> dict[str, Path]:
         """The per-discipline files an index lists, each required to exist."""
@@ -442,8 +458,7 @@ class Pipeline:
         return [self.metrics_csv]
 
     def _run_report(self) -> list[Path]:
-        with open(self.ingest_meta, "r", encoding="utf-8") as fh:
-            ingest = json.load(fh)
+        ingest = _read_json(self.ingest_meta, "ingest", _ingest_counts)
         networks = self._read_index(self.networks_index, "network")
         diagrams = self._read_index(self.diagrams_index, "persist")
         categories = classify_mod.load_classification_csv(self.classification_csv)

@@ -1,8 +1,9 @@
 """Shared test fixtures: record builders, random temporal graphs, store-level
-wrappers over the null model's per-discipline task, label checks, and the
-reference machinery the dimension-0/1 engine is checked against: a flag
+wrappers over the null model's per-discipline task, label checks, the
+reference machinery the dimension-0/1 engine is checked against (a flag
 complex of any dimension, the naive full column reduction, and the dense
-Betti oracle."""
+Betti oracle), and the randrange citation-switching loop the novelty
+baseline's rewiring is checked against."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import json
 import random
 from collections import Counter, defaultdict
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -130,6 +131,42 @@ def random_temporal_network(
         (u, v, rng.randrange(year_lo, year_hi + 1)) for u, v in all_pairs[:m]
     ]
     return network_from_edge_times("T", edges)
+
+
+# -- reference citation switching -------------------------------------------------
+
+def reference_rewire(
+    edges: Sequence[tuple[str, str]], rng: random.Random, factor: int
+) -> list[tuple[str, str]]:
+    """The per-paper-set randrange loop that metrics._rewire must equal: same
+    output list and same final rng state."""
+    edges = list(edges)
+    total = len(edges)
+    if total < 2:
+        return edges
+    ref_sets: dict[str, set[str]] = defaultdict(set)
+    for citing, cited in edges:
+        ref_sets[citing].add(cited)
+    for _ in range(factor * total):
+        a = rng.randrange(total)
+        b = rng.randrange(total)
+        if a == b:
+            continue
+        p1, r1 = edges[a]
+        p2, r2 = edges[b]
+        if p1 == p2 or r1 == r2:
+            continue
+        if r2 in ref_sets[p1] or r1 in ref_sets[p2]:
+            continue
+        if r2 == p1 or r1 == p2:
+            continue
+        ref_sets[p1].remove(r1)
+        ref_sets[p1].add(r2)
+        ref_sets[p2].remove(r2)
+        ref_sets[p2].add(r1)
+        edges[a] = (p1, r2)
+        edges[b] = (p2, r1)
+    return edges
 
 
 # -- simplicial complexes of any dimension --------------------------------------

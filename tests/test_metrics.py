@@ -6,7 +6,10 @@ import math
 import random
 from collections import Counter
 
+import numpy
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gapminer.corpus import build_citation_index
 from gapminer.metrics import (
@@ -14,6 +17,7 @@ from gapminer.metrics import (
     CitationTrajectory,
     ConceptOccurrences,
     YearCocitationBaseline,
+    _percentile,
     _rewire,
     cd_index,
     citation_trajectory,
@@ -30,7 +34,7 @@ from gapminer.metrics import (
     verb_ratio,
 )
 
-from helpers import build_store, raw_record
+from helpers import build_store, raw_record, reference_rewire
 
 
 # -- disruption ----------------------------------------------------------------
@@ -291,6 +295,68 @@ def test_rewire_preserves_both_degree_sequences():
             assert len(set(cited)) == k  # reference sets stay duplicate-free
 
 
+# Totals where the rejection rate of a bit_length-bit draw changes.
+_REWIRE_TOTALS = (2, 3, 7, 8, 9, 31, 32, 33, 127, 128, 129)
+
+
+def _edge_set(total, pool, rng):
+    """`total` distinct (citing, cited) pairs without self-citations over
+    `pool` papers; a small pool makes most swaps duplicate a reference or
+    create a self-citation, since papers both cite and are cited."""
+    papers = [f"W{i}" for i in range(pool)]
+    pairs = [(p, r) for p in papers for r in papers if p != r]
+    return rng.sample(pairs, total)
+
+
+def _assert_rewire_matches_reference(edges, seed, factor=10):
+    ours, reference = random.Random(seed), random.Random(seed)
+    assert _rewire(edges, ours, factor) == reference_rewire(edges, reference, factor)
+    assert ours.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize("total", _REWIRE_TOTALS)
+def test_rewire_equals_randrange_reference(total):
+    dense = math.ceil((1 + math.sqrt(1 + 4 * total)) / 2)  # pool * (pool - 1) >= total
+    for seed in range(40):
+        rng = random.Random(seed * 1000 + total)
+        for pool in (dense, dense + 1, 3 * total):
+            _assert_rewire_matches_reference(_edge_set(total, pool, rng), seed)
+
+
+def test_rewire_rejects_self_citations_and_duplicates_like_reference():
+    self_citing = [("A", "B"), ("B", "A")]
+    duplicating = [("A", "X"), ("A", "Y"), ("B", "X")]
+    for seed in range(50):
+        _assert_rewire_matches_reference(self_citing, seed)
+        assert _rewire(self_citing, random.Random(seed), 10) == self_citing
+        _assert_rewire_matches_reference(duplicating, seed)
+    for seed in range(20):
+        store = novelty_corpus(seed)
+        edges = [
+            (pid, ref) for pid in store.by_year[2000] for ref in store.papers[pid].references
+        ]
+        _assert_rewire_matches_reference(edges, seed)
+    for edges in ([], [("A", "B")]):
+        _assert_rewire_matches_reference(edges, 0)
+
+
+def test_inline_draw_is_randrange():
+    """_rewire draws an edge position as getrandbits(total.bit_length()),
+    redrawn while out of range. That must be what randrange(total) does, or
+    a change to the interpreter's sampler would silently change metrics.csv."""
+    for total in _REWIRE_TOTALS + (1000, 4096, 70001):
+        for seed in range(20):
+            ours, expected = random.Random(seed), random.Random(seed)
+            getrandbits = ours.getrandbits
+            k = total.bit_length()
+            for _ in range(100):
+                a = getrandbits(k)
+                while a >= total:
+                    a = getrandbits(k)
+                assert a == expected.randrange(total)
+            assert ours.getstate() == expected.getstate()
+
+
 def test_novelty_z_directions():
     store = novelty_corpus()
     index = build_citation_index(store)
@@ -330,10 +396,26 @@ def test_novelty_profiles_have_percentiles():
     for profile in profiles.values():
         assert 0.0 <= profile.yearly_percentile <= 100.0
         assert profile.tenth_percentile <= max(profile.z_scores)
-        tenth = float(
-            __import__("numpy").percentile(list(profile.z_scores), 10)
-        )
-        assert profile.tenth_percentile == pytest.approx(tenth)
+        tenth = float(numpy.percentile(list(profile.z_scores), 10))
+        assert profile.tenth_percentile == tenth
+
+
+_FLOATS = st.floats(min_value=-1e7, max_value=1e7, allow_nan=False)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    values=st.one_of(
+        st.lists(_FLOATS, min_size=1, max_size=60),
+        # Ties: draws from a pool of at most five values.
+        st.lists(_FLOATS, min_size=1, max_size=5).flatmap(
+            lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=60)
+        ),
+    ),
+    q=st.sampled_from((10, 0, 25, 50, 90, 100)),
+)
+def test_percentile_equals_numpy_linear(values, q):
+    assert _percentile(values, q) == float(numpy.percentile(values, q))
 
 
 # -- concept pair stats ------------------------------------------------------------------

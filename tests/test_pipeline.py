@@ -3,6 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from gapminer.cli import main
@@ -294,3 +300,52 @@ def test_truncated_index_is_data_error(tmp_path, capsys, kind, producer, consume
     err = capsys.readouterr().err
     assert f"{kind}/index.json" in err
     assert f"rerun stage {producer}" in err
+
+
+def test_truncated_ingest_meta_is_data_error(tmp_path, capsys):
+    config = small_config(tmp_path)
+    run(config)
+    meta = config.output_dir / "ingest.json"
+    text = meta.read_text()
+    meta.write_text(text[: len(text) // 2])
+    capsys.readouterr()
+    code = main(["report", "--corpus", str(config.corpus_path), "--out", str(config.output_dir)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "ingest.json" in err
+    assert "rerun stage ingest" in err
+
+
+def test_runtime_needs_standard_library_only(tmp_path):
+    """synth and run succeed with numpy unimportable, and nothing imports it.
+    A child process, because the test helpers import numpy into this one."""
+    script = textwrap.dedent(
+        """
+        import sys
+        sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+        from gapminer.cli import main
+        from gapminer.pipeline import verify_manifest
+        corpus, out = sys.argv[1], sys.argv[2]
+        assert main([
+            "synth", "--generator", "planted-cycle", "--out", corpus, "--seed", "5",
+            "--cycle-len", "5", "--disciplines", "2", "--filler-fresh", "10", "--filler-dup", "4",
+        ]) == 0
+        assert main([
+            "run", "--corpus", corpus, "--out", out, "--seed", "13",
+            "--null-replicates", "2", "--n-rand", "2",
+        ]) == 0
+        assert verify_manifest(out)
+        assert sys.modules["numpy"] is None
+        assert not [name for name in sys.modules if name.startswith("numpy.")]
+        """
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "corpus.jsonl"), str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "out" / "metrics.csv").exists()
