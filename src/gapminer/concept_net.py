@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations, groupby
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .corpus import CorpusStore, PaperRecord
 from .errors import DataError, InfeasibleResamplingError, UnknownDisciplineError
@@ -39,9 +39,6 @@ class EdgeBirth:
     introducers: frozenset[str]
     tie_rank: int
 
-    def min_introducer(self) -> str:
-        return min(self.introducers)
-
 
 @dataclass
 class TemporalConceptNetwork:
@@ -49,9 +46,6 @@ class TemporalConceptNetwork:
     nodes: set[str]
     edges: dict[Pair, EdgeBirth]
     tau_max: int | None
-
-    def edge_time(self, pair: Pair) -> int:
-        return self.edges[pair].time
 
 
 def _canonical(u: str, v: str) -> Pair:
@@ -106,40 +100,6 @@ def build_network(discipline: str, rows: Sequence[PaperRow]) -> TemporalConceptN
         for pair, intro in batch.items():
             raw[pair] = (year, frozenset(intro))
     return _finish_network(discipline, raw)
-
-
-def network_from_edge_times(
-    discipline: str, edges: Iterable[tuple[str, str, int]]
-) -> TemporalConceptNetwork:
-    """Construct a network directly from (u, v, year) triples.
-
-    Duplicate pairs keep the earliest year. Introducers are synthesized;
-    useful for tests and for loading edge dumps without a corpus.
-    """
-    raw: dict[Pair, tuple[int, frozenset[str]]] = {}
-    for u, v, year in edges:
-        if u == v:
-            raise ValueError(f"self-loop {u!r}")
-        pair = _canonical(u, v)
-        existing = raw.get(pair)
-        if existing is None or year < existing[0]:
-            raw[pair] = (year, frozenset({f"edge:{pair[0]}|{pair[1]}"}))
-    return _finish_network(discipline, raw)
-
-
-def novel_pairs(paper: PaperRecord, network: TemporalConceptNetwork) -> set[Pair]:
-    """Concept pairs this paper introduced into the discipline's network."""
-    if network.discipline not in paper.level0_ids:
-        raise UnknownDisciplineError(
-            f"paper {paper.paper_id} is not assigned to discipline {network.discipline!r}"
-        )
-    result: set[Pair] = set()
-    for u, v in combinations(paper.level3_ids, 2):
-        pair = _canonical(u, v)
-        birth = network.edges.get(pair)
-        if birth is not None and paper.paper_id in birth.introducers:
-            result.add(pair)
-    return result
 
 
 def save_network(network: TemporalConceptNetwork, path: str | Path) -> None:

@@ -128,10 +128,6 @@ class CitationTrajectory:
         best = max(self.counts)
         return self.counts.index(best)
 
-    @property
-    def peak_count(self) -> int:
-        return max(self.counts)
-
 
 def citation_trajectory(
     paper: PaperRecord,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import re
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable
@@ -20,7 +21,7 @@ from . import classify as classify_mod
 from . import metrics as metrics_mod
 from .concept_net import Pair, build_network, discipline_rows, load_network, save_network
 from .corpus import build_citation_index, load_corpus, save_corpus, write_rejection_report
-from .errors import ConfigError, DataError, MissingDependencyError
+from .errors import ConfigError, DataError, InternalError, MissingDependencyError
 from .topology import (
     DiagramRecord,
     gap_edges,
@@ -105,6 +106,8 @@ class PipelineConfig:
             raise ConfigError("n_rand must be at least 1")
         if self.threads < 1:
             raise ConfigError("threads must be at least 1")
+        if self.verb_lexicon_path is not None and not Path(self.verb_lexicon_path).is_file():
+            raise ConfigError(f"verb lexicon not found: {self.verb_lexicon_path}")
         unknown = sorted(set(self.stages) - set(STAGES))
         if unknown:
             raise ConfigError(
@@ -570,10 +573,12 @@ class Pipeline:
             logger.info("stage %s: running", stage)
             try:
                 outputs = runner()
-            except Exception:
+            except Exception as exc:
                 self.manifest["stages"][stage] = {"inputs": inputs_digest, "invalid": True}
                 self._write_manifest()
                 logger.exception("stage %s failed", stage)
+                if isinstance(exc, BrokenProcessPool):
+                    raise InternalError(f"stage {stage}: a worker process died ({exc})") from exc
                 raise
             self.manifest["stages"][stage] = {
                 "inputs": inputs_digest,

@@ -1,16 +1,22 @@
 """Flag-complex filtrations and persistent homology over Z2 in dimensions 0 and 1.
 
 Gaps are dimension-1 classes, and H1 of a flag complex depends only on its
-2-skeleton, so the filtration stops at triangles. Union-find pairs
-dimension 0 and marks the edges that create cycles; one pass over the
-triangle columns finds the deaths of those cycles.
+2-skeleton, so the filtration stops at triangles. The complex is implicit:
+edge tie ranks are global and ascend in time, so one walk over the edges in
+rank order meets them in filtration order. On the way, union-find pairs
+dimension 0 and marks the edges that close cycles, and every triangle is
+listed at its youngest edge, which always closes a cycle. The first
+triangle listed at an edge kills that edge's cycle with no column work (an
+apparent pair); one pass over the other triangle columns finds the
+remaining cycle deaths.
 """
 
 from __future__ import annotations
 
 import csv
-from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import islice
 from pathlib import Path
 from typing import Iterable
 
@@ -33,83 +39,6 @@ class Simplex:
         return len(self.vertices) - 1
 
 
-@dataclass
-class FlagFiltration:
-    """Totally ordered simplices of a flag complex.
-
-    Order is ascending (filtration value, dimension, tie key), so within a
-    year vertices precede edges precede triangles and faces always precede
-    cofaces.
-    """
-
-    simplices: list[Simplex]
-
-    def __len__(self) -> int:
-        return len(self.simplices)
-
-    @classmethod
-    def from_entries(
-        cls, entries: Iterable[tuple[tuple[str, ...], int, object]]
-    ) -> "FlagFiltration":
-        """Build from (vertices, value, tie-key) triples; the caller
-        guarantees face closure and sorted vertex tuples."""
-        ordered = sorted(entries, key=lambda e: (e[1], len(e[0]), e[2]))
-        return cls(
-            [Simplex(vertices, value, index) for index, (vertices, value, _) in enumerate(ordered)]
-        )
-
-
-def build_flag_filtration(network: TemporalConceptNetwork) -> FlagFiltration:
-    """Expand a temporal network into the 2-skeleton of its filtered flag complex.
-
-    Every vertex, edge and triangle becomes a simplex whose value is the
-    latest of its edges' birth years. Vertices enter with their first edge;
-    isolated concepts never appear. Edge ties within a year follow the
-    network's tie ranks; triangles order by their edges' ranks (latest first).
-    """
-    edges = network.edges
-    vertex_time: dict[str, int] = {}
-    adjacency: dict[str, set[str]] = defaultdict(set)
-    for (u, v), birth in edges.items():
-        adjacency[u].add(v)
-        adjacency[v].add(u)
-        for x in (u, v):
-            t = vertex_time.get(x)
-            if t is None or birth.time < t:
-                vertex_time[x] = birth.time
-
-    entries: list[tuple[tuple[str, ...], int, object]] = [
-        ((vertex,), t, vertex) for vertex, t in vertex_time.items()
-    ]
-    for pair, birth in edges.items():
-        entries.append((pair, birth.time, birth.tie_rank))
-    for (u, v), uv in edges.items():
-        for w in adjacency[u] & adjacency[v]:
-            if w > v:
-                uw, vw = edges[(u, w)], edges[(v, w)]
-                entries.append(
-                    (
-                        (u, v, w),
-                        max(uv.time, uw.time, vw.time),
-                        tuple(sorted((uv.tie_rank, uw.tie_rank, vw.tie_rank), reverse=True)),
-                    )
-                )
-    return FlagFiltration.from_entries(entries)
-
-
-@dataclass(frozen=True, slots=True)
-class PersistencePair:
-    birth: Simplex
-    death: Simplex
-    dim: int
-
-
-@dataclass(frozen=True, slots=True)
-class EssentialClass:
-    birth: Simplex
-    dim: int
-
-
 @dataclass(frozen=True, slots=True)
 class DiagramRecord:
     """Flat form of one feature, as written to diagram dumps."""
@@ -121,148 +50,193 @@ class DiagramRecord:
 
 
 @dataclass
+class FlagFiltration:
+    """The 2-skeleton of a network's filtered flag complex, held implicitly.
+
+    edges[r] is the edge of tie rank r as (u, v, year). cofaces holds, in
+    ascending r, each edge r that is the youngest edge of some triangles,
+    with the (higher, lower) ranks of those triangles' other two edges in
+    ascending order: since ranks ascend in time, that is the triangles'
+    filtration order, (value, descending rank triple). dim0 holds the
+    dimension-0 features and cycle_edges the ranks of the edges that closed
+    a cycle, both found by the walk that built the complex.
+    """
+
+    vertex_year: dict[str, int]
+    edges: list[tuple[str, str, int]]
+    cofaces: list[tuple[int, list[tuple[int, int]]]]
+    n_triangles: int
+    dim0: list[DiagramRecord]
+    cycle_edges: list[int]
+
+    def __len__(self) -> int:
+        return len(self.vertex_year) + len(self.edges) + self.n_triangles
+
+    @cached_property
+    def simplices(self) -> list[Simplex]:
+        """Every simplex in filtration order, built on first use: ascending
+        (value, dimension, tie key), so within a year vertices (by name)
+        precede edges (by rank) precede triangles (by descending rank
+        triple), and faces always precede cofaces."""
+        entries: list[tuple[tuple[str, ...], int, int, object]] = [
+            ((x,), t, 0, x) for x, t in self.vertex_year.items()
+        ]
+        entries.extend(((u, v), t, 1, r) for r, (u, v, t) in enumerate(self.edges))
+        for r, group in self.cofaces:
+            u, v, t = self.edges[r]
+            for hi, lo in group:
+                a, b, _ = self.edges[hi]
+                w = b if a in (u, v) else a
+                entries.append((tuple(sorted((u, v, w))), t, 2, (r, hi, lo)))
+        entries.sort(key=lambda e: e[1:])
+        return [Simplex(vertices, t, i) for i, (vertices, t, _, _) in enumerate(entries)]
+
+
+def _find(parent: dict[str, str], x: str) -> str:
+    root = x
+    while parent[root] != root:
+        parent[root] = parent[parent[root]]
+        root = parent[root]
+    return root
+
+
+def build_flag_filtration(network: TemporalConceptNetwork) -> FlagFiltration:
+    """Walk a temporal network's edges once in rank order into its flag complex.
+
+    A vertex enters with its first edge, and a simplex's value is the latest
+    of its edges' birth years; isolated concepts never appear. Union-find
+    over the vertices, ordered by (year, name), applies the elder rule: an
+    edge joining two components kills the younger one. An edge whose ends
+    are already connected closes a cycle, and the neighbours its ends
+    already share give exactly the triangles it is the youngest edge of.
+    """
+    vertex_year: dict[str, int] = {}
+    neighbours: dict[str, dict[str, int]] = {}  # vertex -> {neighbour: edge rank}
+    parent: dict[str, str] = {}
+    oldest: dict[str, tuple[int, str]] = {}  # root -> (year, name) of its oldest vertex
+    edges: list[tuple[str, str, int]] = []
+    cofaces: list[tuple[int, list[tuple[int, int]]]] = []
+    n_triangles = 0
+    dim0: list[DiagramRecord] = []
+    cycle_edges: list[int] = []
+    ordered = sorted(network.edges.items(), key=lambda item: item[1].tie_rank)
+    for r, ((u, v), birth) in enumerate(ordered):
+        year = birth.time
+        edges.append((u, v, year))
+        for x in (u, v):
+            if x not in vertex_year:
+                vertex_year[x] = year
+                neighbours[x] = {}
+                parent[x] = x
+                oldest[x] = (year, x)
+        root_u, root_v = _find(parent, u), _find(parent, v)
+        near_u, near_v = neighbours[u], neighbours[v]
+        if root_u != root_v:
+            old, young = oldest[root_u], oldest[root_v]
+            if young < old:
+                old, young = young, old
+            parent[root_v] = root_u
+            oldest[root_u] = old
+            dim0.append(DiagramRecord(0, (young[1],), young[0], year))
+        else:
+            cycle_edges.append(r)
+            common = near_u.keys() & near_v.keys()
+            if common:
+                n_triangles += len(common)
+                group = sorted(
+                    (a, b) if a > b else (b, a)
+                    for a, b in ((near_u[w], near_v[w]) for w in common)
+                )
+                cofaces.append((r, group))
+        near_u[v] = r
+        near_v[u] = r
+    dim0.extend(
+        DiagramRecord(0, (name,), t, None)
+        for x, (t, name) in oldest.items()
+        if parent[x] == x
+    )
+    return FlagFiltration(vertex_year, edges, cofaces, n_triangles, dim0, cycle_edges)
+
+
+@dataclass
 class PersistenceDiagram:
-    pairs: tuple[PersistencePair, ...]
-    essentials: tuple[EssentialClass, ...]
+    """Features in dimensions 0 and 1: pairs die, essentials never do."""
+
+    pairs: tuple[DiagramRecord, ...]
+    essentials: tuple[DiagramRecord, ...]
 
     def records(self) -> list[DiagramRecord]:
-        out = [
-            DiagramRecord(p.dim, p.birth.vertices, p.birth.filtration_value, p.death.filtration_value)
-            for p in self.pairs
-        ]
-        out.extend(
-            DiagramRecord(e.dim, e.birth.vertices, e.birth.filtration_value, None)
-            for e in self.essentials
-        )
+        out = [*self.pairs, *self.essentials]
         out.sort(key=lambda r: (r.dim, r.birth_year, r.birth_vertices))
         return out
-
-
-class _BirthUnionFind:
-    """Union-find over vertex order indices, tracking each component's oldest
-    (minimum-index) vertex."""
-
-    __slots__ = ("_parent", "_birth")
-
-    def __init__(self) -> None:
-        self._parent: dict[int, int] = {}
-        self._birth: dict[int, int] = {}
-
-    def add(self, index: int) -> None:
-        self._parent[index] = index
-        self._birth[index] = index
-
-    def find(self, index: int) -> int:
-        parent = self._parent
-        root = index
-        while parent[root] != root:
-            parent[root] = parent[parent[root]]
-            root = parent[root]
-        return root
-
-    def merge(self, root_a: int, root_b: int) -> int:
-        """Merge two distinct roots; returns the younger birth index, which is
-        the class the connecting edge kills (elder rule)."""
-        birth_a, birth_b = self._birth[root_a], self._birth[root_b]
-        old, young = (birth_a, birth_b) if birth_a < birth_b else (birth_b, birth_a)
-        self._parent[root_b] = root_a
-        self._birth[root_a] = old
-        return young
-
-    def component_births(self) -> list[int]:
-        return sorted(
-            self._birth[i] for i in self._parent if self._parent[i] == i
-        )
 
 
 def compute_persistence(filtration: FlagFiltration) -> PersistenceDiagram:
     """Persistent homology of the 2-skeleton filtration over Z2, in
     dimensions 0 and 1.
 
-    Dimension 0 runs on union-find (edges that merge components are deaths),
-    which matches the standard column reduction outcome exactly. The edges
-    that join already-connected vertices give birth to dimension-1 classes;
-    reducing the triangle columns in filtration order pairs them with the
-    triangles that kill them.
+    Dimension 0 and the cycle-closing edges come from the filtration's
+    union-find. The triangle columns are reduced in filtration order; each
+    edge's first triangle has that edge as its pivot and no older column can
+    share it, so it is stored as the pivot column as it stands.
     """
-    simplices = filtration.simplices
-    vertex_index: dict[str, int] = {}
-    edges: list[Simplex] = []
-    triangles: list[Simplex] = []
-    for s in simplices:
-        if len(s.vertices) == 1:
-            vertex_index[s.vertices[0]] = s.order_index
-        elif len(s.vertices) == 2:
-            edges.append(s)
-        else:
-            triangles.append(s)
-
-    pairs_idx: list[tuple[int, int]] = []
-    uf = _BirthUnionFind()
-    for index in vertex_index.values():
-        uf.add(index)
-    positive_edges: set[int] = set()
-    for edge in edges:
-        u, v = edge.vertices
-        root_u = uf.find(vertex_index[u])
-        root_v = uf.find(vertex_index[v])
-        if root_u == root_v:
-            positive_edges.add(edge.order_index)
-        else:
-            young = uf.merge(root_u, root_v)
-            pairs_idx.append((young, edge.order_index))
-    essentials_idx = uf.component_births()
-
-    # Columns are bitmask integers over edge row indices; XOR and bit_length
-    # run at word speed, which is what makes 10^5-triangle disciplines
-    # tractable. Stored pivot columns are compressed (pivot rows below their
-    # own low eliminated), which shortens the chains that grind dependent
-    # columns down to zero. The boundary rank cannot exceed the number of
-    # cycle-creating edges; once reached, every remaining column provably
+    edges = filtration.edges
+    n_cycles = len(filtration.cycle_edges)
+    # Columns are bitmask integers over edge ranks; XOR and bit_length run at
+    # word speed, which is what makes 10^5-triangle disciplines tractable.
+    # Reduced pivot columns are compressed (pivot rows below their own low
+    # eliminated), which shortens the chains that grind dependent columns
+    # down to zero. The boundary rank cannot exceed the number of
+    # cycle-closing edges; once reached, every remaining column provably
     # reduces to zero, so the pass stops.
-    row_of = {s.vertices: i for i, s in enumerate(edges)}
     pivot_col: dict[int, int] = {}
-    for s in triangles:
-        if len(pivot_col) == len(positive_edges):
+    deaths: list[tuple[int, int]] = []  # (killed edge rank, youngest edge rank of the killer)
+    for r, group in filtration.cofaces:
+        if len(pivot_col) == n_cycles:
             break
-        u, v, w = s.vertices
-        column = (1 << row_of[(u, v)]) | (1 << row_of[(u, w)]) | (1 << row_of[(v, w)])
-        while column:
-            low = column.bit_length() - 1
-            other = pivot_col.get(low)
-            if other is None:
+        hi, lo = group[0]
+        pivot_col[r] = (1 << r) | (1 << hi) | (1 << lo)
+        deaths.append((r, r))
+        for hi, lo in islice(group, 1, None):
+            if len(pivot_col) == n_cycles:
                 break
-            column ^= other
-        if not column:
-            continue
-        low = column.bit_length() - 1
-        remainder = column ^ (1 << low)
-        while remainder:
-            row = remainder.bit_length() - 1
-            other = pivot_col.get(row)
-            if other is None:
-                remainder ^= 1 << row
-            else:
+            column = (1 << r) | (1 << hi) | (1 << lo)
+            while column:
+                low = column.bit_length() - 1
+                other = pivot_col.get(low)
+                if other is None:
+                    break
                 column ^= other
-                remainder = column & ((1 << row) - 1)
-        pivot_col[low] = column
-        pairs_idx.append((edges[low].order_index, s.order_index))
+            if not column:
+                continue
+            low = column.bit_length() - 1
+            remainder = column ^ (1 << low)
+            while remainder:
+                row = remainder.bit_length() - 1
+                other = pivot_col.get(row)
+                if other is None:
+                    remainder ^= 1 << row
+                else:
+                    column ^= other
+                    remainder = column & ((1 << row) - 1)
+            pivot_col[low] = column
+            deaths.append((low, r))
 
-    paired_dim1 = {edges[low].order_index for low in pivot_col}
-    if not paired_dim1 <= positive_edges:
+    if not pivot_col.keys() <= set(filtration.cycle_edges):
         raise InternalError(
             "reduction paired a component-merging edge as a cycle birth"
         )
-    essentials_idx.extend(positive_edges - paired_dim1)
-
-    pairs = tuple(
-        PersistencePair(simplices[b], simplices[d], simplices[b].dim)
-        for b, d in sorted(pairs_idx)
+    pairs = [rec for rec in filtration.dim0 if rec.death_year is not None]
+    pairs.extend(
+        DiagramRecord(1, edges[b][:2], edges[b][2], edges[d][2]) for b, d in deaths
     )
-    essentials = tuple(
-        EssentialClass(simplices[i], simplices[i].dim) for i in sorted(essentials_idx)
+    essentials = [rec for rec in filtration.dim0 if rec.death_year is None]
+    essentials.extend(
+        DiagramRecord(1, edges[b][:2], edges[b][2], None)
+        for b in filtration.cycle_edges
+        if b not in pivot_col
     )
-    return PersistenceDiagram(pairs, essentials)
+    return PersistenceDiagram(tuple(pairs), tuple(essentials))
 
 
 def network_diagram(network: TemporalConceptNetwork) -> tuple[list[DiagramRecord], int]:

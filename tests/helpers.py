@@ -1,15 +1,20 @@
 """Shared test fixtures: record builders, random temporal graphs, store-level
 wrappers over the null model's per-discipline task, label checks, the
-reference machinery the dimension-0/1 engine is checked against (a flag
-complex of any dimension, the naive full column reduction, and the dense
-Betti oracle), and the randrange citation-switching loop the novelty
-baseline's rewiring is checked against."""
+reference machinery the implicit dimension-0/1 engine is checked against (a
+flag complex of any dimension listed as Simplex objects, the explicit
+triangle-column reduction that engine replaced, the naive full column
+reduction, and the dense Betti oracle), and the randrange citation-switching
+loop the novelty baseline's rewiring is checked against."""
 
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
 import random
 from collections import Counter, defaultdict
+from dataclasses import dataclass
+from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -17,13 +22,16 @@ import numpy as np
 
 from gapminer.classify import DisciplineTopology, discipline_topology
 from gapminer.concept_net import (
+    Pair,
     TemporalConceptNetwork,
+    _canonical,
+    _finish_network,
     build_network,
     discipline_rows,
-    network_from_edge_times,
 )
 from gapminer.corpus import SCHEMA_VERSION, CorpusStore, PaperRecord, validate_record
-from gapminer.topology import FlagFiltration, PersistenceDiagram, save_diagram_records
+from gapminer.errors import InternalError, UnknownDisciplineError
+from gapminer.topology import DiagramRecord, Simplex
 
 
 def raw_record(pid, year, l3, l0=("D",), refs=(), **extra):
@@ -54,6 +62,49 @@ def write_corpus(path: Path, raws, header=True) -> Path:
         for raw in raws:
             fh.write((raw if isinstance(raw, str) else json.dumps(raw)) + "\n")
     return path
+
+
+# -- networks -------------------------------------------------------------------
+
+def network_from_edge_times(
+    discipline: str, edges: Iterable[tuple[str, str, int]]
+) -> TemporalConceptNetwork:
+    """Construct a network directly from (u, v, year) triples.
+
+    Duplicate pairs keep the earliest year. Each edge's one introducer is
+    synthesized from its pair.
+    """
+    raw: dict[Pair, tuple[int, frozenset[str]]] = {}
+    for u, v, year in edges:
+        if u == v:
+            raise ValueError(f"self-loop {u!r}")
+        pair = _canonical(u, v)
+        existing = raw.get(pair)
+        if existing is None or year < existing[0]:
+            raw[pair] = (year, frozenset({f"edge:{pair[0]}|{pair[1]}"}))
+    return _finish_network(discipline, raw)
+
+
+def novel_pairs(paper: PaperRecord, network: TemporalConceptNetwork) -> set[Pair]:
+    """Concept pairs this paper introduced into the discipline's network."""
+    if network.discipline not in paper.level0_ids:
+        raise UnknownDisciplineError(
+            f"paper {paper.paper_id} is not assigned to discipline {network.discipline!r}"
+        )
+    result: set[Pair] = set()
+    for u, v in combinations(paper.level3_ids, 2):
+        pair = _canonical(u, v)
+        birth = network.edges.get(pair)
+        if birth is not None and paper.paper_id in birth.introducers:
+            result.add(pair)
+    return result
+
+
+def exit_in_worker(task) -> None:
+    """A pool task that kills its worker process, as a crash would."""
+    if multiprocessing.parent_process() is None:
+        raise RuntimeError("exit_in_worker must run in a pool worker")
+    os._exit(1)
 
 
 # -- store-level views of the per-discipline functions ---------------------------
@@ -194,7 +245,28 @@ def apply_boundary(chain: dict[tuple[str, ...], int]) -> dict[tuple[str, ...], i
     return {face: c % 2 for face, c in out.items() if c % 2}
 
 
-def step_boundaries(filtration: FlagFiltration) -> dict[int, tuple[int, int]]:
+@dataclass
+class ListedFiltration:
+    """A filtration given as its totally ordered simplices."""
+
+    simplices: list[Simplex]
+
+    def __len__(self) -> int:
+        return len(self.simplices)
+
+
+def listed_filtration(
+    entries: Iterable[tuple[tuple[str, ...], int, object]]
+) -> ListedFiltration:
+    """Order (vertices, value, tie-key) triples by (value, dimension, tie
+    key); the caller guarantees face closure and sorted vertex tuples."""
+    ordered = sorted(entries, key=lambda e: (e[1], len(e[0]), e[2]))
+    return ListedFiltration(
+        [Simplex(vertices, value, index) for index, (vertices, value, _) in enumerate(ordered)]
+    )
+
+
+def step_boundaries(filtration) -> dict[int, tuple[int, int]]:
     """Each filtration value (year) with the [start, end) index span of its
     simplices, in ascending order."""
     spans: dict[int, tuple[int, int]] = {}
@@ -204,7 +276,7 @@ def step_boundaries(filtration: FlagFiltration) -> dict[int, tuple[int, int]]:
     return spans
 
 
-def check_filtration(filtration: FlagFiltration) -> None:
+def check_filtration(filtration) -> None:
     """Raise ValueError unless vertex tuples are strictly sorted and every
     face precedes its cofaces no later than they enter."""
     present: dict[tuple[str, ...], int] = {}
@@ -220,20 +292,21 @@ def check_filtration(filtration: FlagFiltration) -> None:
 
 def filtration_from_simplices(
     entries: Iterable[tuple[tuple[str, ...], int]]
-) -> FlagFiltration:
+) -> ListedFiltration:
     """Validated filtration from (vertices, value) pairs; ties break on the
     vertex tuple."""
-    filtration = FlagFiltration.from_entries((v, t, v) for v, t in entries)
+    filtration = listed_filtration((v, t, v) for v, t in entries)
     check_filtration(filtration)
     return filtration
 
 
-def clique_filtration(network: TemporalConceptNetwork, max_dim: int) -> FlagFiltration:
+def clique_filtration(network: TemporalConceptNetwork, max_dim: int) -> ListedFiltration:
     """Every clique of up to max_dim + 1 vertices, by recursive expansion.
 
-    The same total order as build_flag_filtration, extended above dimension
-    2: a clique's value is the latest of its edges' birth years and ties
-    order by the descending tuple of its edges' tie ranks.
+    The same total order as build_flag_filtration's listing, extended above
+    dimension 2: a clique's value is the latest of its edges' birth years
+    and ties order by the descending tuple of its edges' tie ranks. At
+    max_dim=2 this is the reference engine's explicit complex.
     """
     if max_dim < 1:
         raise ValueError("max_dim must be at least 1")
@@ -272,7 +345,7 @@ def clique_filtration(network: TemporalConceptNetwork, max_dim: int) -> FlagFilt
         for u, v in network.edges:
             above = {w for w in adjacency[u] & adjacency[v] if w > v}
             expand((u, v), above, edge_time[(u, v)], (edge_rank[(u, v)],))
-    return FlagFiltration.from_entries(entries)
+    return listed_filtration(entries)
 
 
 # -- reference persistence and homology -----------------------------------------
@@ -300,7 +373,7 @@ def _xor_sorted(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def full_reduction(filtration: FlagFiltration):
+def full_reduction(filtration):
     """Standard left-to-right column reduction of the full boundary matrix.
 
     No clearing, no union-find shortcut; returns ({(birth, death)}, {essential})
@@ -327,43 +400,191 @@ def full_reduction(filtration: FlagFiltration):
     return pairs, essentials
 
 
-def engine_dim1_profile(diagram, years):
-    """Net dimension-1 class count per year from the engine's diagram."""
-    profile = {}
-    for year in years:
-        births = sum(
-            1
-            for p in diagram.pairs
-            if p.dim == 1 and p.birth.filtration_value <= year
-        ) + sum(
-            1
-            for e in diagram.essentials
-            if e.dim == 1 and e.birth.filtration_value <= year
+def reduction_records(filtration, pairs, essentials) -> list[DiagramRecord]:
+    """full_reduction's features born in dimension 0 or 1 as sorted diagram
+    records, the form the engine emits."""
+    simplices = filtration.simplices
+    out = [
+        DiagramRecord(
+            simplices[b].dim,
+            simplices[b].vertices,
+            simplices[b].filtration_value,
+            simplices[d].filtration_value,
         )
-        deaths = sum(
-            1
-            for p in diagram.pairs
-            if p.dim == 1 and p.death.filtration_value <= year
-        )
-        profile[year] = births - deaths
-    return profile
+        for b, d in pairs
+        if simplices[b].dim <= 1
+    ]
+    out.extend(
+        DiagramRecord(simplices[i].dim, simplices[i].vertices, simplices[i].filtration_value, None)
+        for i in essentials
+        if simplices[i].dim <= 1
+    )
+    out.sort(key=lambda r: (r.dim, r.birth_year, r.birth_vertices))
+    return out
 
 
-def betti(diagram: PersistenceDiagram, dim: int, year: int) -> int:
+def engine_dim1_profile(records: Iterable[DiagramRecord], years) -> dict[int, int]:
+    """Net dimension-1 class count per year from diagram records."""
+    records = list(records)
+    return {year: betti(records, 1, year) for year in years}
+
+
+def betti(records: Iterable[DiagramRecord], dim: int, year: int) -> int:
     """Number of dim-dimensional classes alive just after the given year."""
-    alive = sum(
+    return sum(
         1
-        for p in diagram.pairs
-        if p.dim == dim
-        and p.birth.filtration_value <= year
-        and p.death.filtration_value > year
+        for r in records
+        if r.dim == dim
+        and r.birth_year <= year
+        and (r.death_year is None or r.death_year > year)
     )
-    alive += sum(
-        1
-        for e in diagram.essentials
-        if e.dim == dim and e.birth.filtration_value <= year
+
+
+# -- the explicit engine the implicit one replaced ------------------------------
+
+@dataclass(frozen=True, slots=True)
+class PersistencePair:
+    birth: Simplex
+    death: Simplex
+    dim: int
+
+
+@dataclass(frozen=True, slots=True)
+class EssentialClass:
+    birth: Simplex
+    dim: int
+
+
+@dataclass
+class ReferenceDiagram:
+    pairs: tuple[PersistencePair, ...]
+    essentials: tuple[EssentialClass, ...]
+
+    def records(self) -> list[DiagramRecord]:
+        out = [
+            DiagramRecord(p.dim, p.birth.vertices, p.birth.filtration_value, p.death.filtration_value)
+            for p in self.pairs
+        ]
+        out.extend(
+            DiagramRecord(e.dim, e.birth.vertices, e.birth.filtration_value, None)
+            for e in self.essentials
+        )
+        out.sort(key=lambda r: (r.dim, r.birth_year, r.birth_vertices))
+        return out
+
+
+class _BirthUnionFind:
+    """Union-find over vertex order indices, tracking each component's oldest
+    (minimum-index) vertex."""
+
+    __slots__ = ("_parent", "_birth")
+
+    def __init__(self) -> None:
+        self._parent: dict[int, int] = {}
+        self._birth: dict[int, int] = {}
+
+    def add(self, index: int) -> None:
+        self._parent[index] = index
+        self._birth[index] = index
+
+    def find(self, index: int) -> int:
+        parent = self._parent
+        root = index
+        while parent[root] != root:
+            parent[root] = parent[parent[root]]
+            root = parent[root]
+        return root
+
+    def merge(self, root_a: int, root_b: int) -> int:
+        """Merge two distinct roots; returns the younger birth index, which is
+        the class the connecting edge kills (elder rule)."""
+        birth_a, birth_b = self._birth[root_a], self._birth[root_b]
+        old, young = (birth_a, birth_b) if birth_a < birth_b else (birth_b, birth_a)
+        self._parent[root_b] = root_a
+        self._birth[root_a] = old
+        return young
+
+    def component_births(self) -> list[int]:
+        return sorted(
+            self._birth[i] for i in self._parent if self._parent[i] == i
+        )
+
+
+def reference_persistence(filtration) -> ReferenceDiagram:
+    """The explicit engine: union-find over the listed vertices and edges for
+    dimension 0, then every triangle column of the listing reduced in order,
+    with compression and the rank-saturation stop, but no apparent pairs."""
+    simplices = filtration.simplices
+    vertex_index: dict[str, int] = {}
+    edges: list[Simplex] = []
+    triangles: list[Simplex] = []
+    for s in simplices:
+        if len(s.vertices) == 1:
+            vertex_index[s.vertices[0]] = s.order_index
+        elif len(s.vertices) == 2:
+            edges.append(s)
+        elif len(s.vertices) == 3:
+            triangles.append(s)
+
+    pairs_idx: list[tuple[int, int]] = []
+    uf = _BirthUnionFind()
+    for index in vertex_index.values():
+        uf.add(index)
+    positive_edges: set[int] = set()
+    for edge in edges:
+        u, v = edge.vertices
+        root_u = uf.find(vertex_index[u])
+        root_v = uf.find(vertex_index[v])
+        if root_u == root_v:
+            positive_edges.add(edge.order_index)
+        else:
+            young = uf.merge(root_u, root_v)
+            pairs_idx.append((young, edge.order_index))
+    essentials_idx = uf.component_births()
+
+    row_of = {s.vertices: i for i, s in enumerate(edges)}
+    pivot_col: dict[int, int] = {}
+    for s in triangles:
+        if len(pivot_col) == len(positive_edges):
+            break
+        u, v, w = s.vertices
+        column = (1 << row_of[(u, v)]) | (1 << row_of[(u, w)]) | (1 << row_of[(v, w)])
+        while column:
+            low = column.bit_length() - 1
+            other = pivot_col.get(low)
+            if other is None:
+                break
+            column ^= other
+        if not column:
+            continue
+        low = column.bit_length() - 1
+        remainder = column ^ (1 << low)
+        while remainder:
+            row = remainder.bit_length() - 1
+            other = pivot_col.get(row)
+            if other is None:
+                remainder ^= 1 << row
+            else:
+                column ^= other
+                remainder = column & ((1 << row) - 1)
+        pivot_col[low] = column
+        pairs_idx.append((edges[low].order_index, s.order_index))
+
+    paired_dim1 = {edges[low].order_index for low in pivot_col}
+    if not paired_dim1 <= positive_edges:
+        raise InternalError(
+            "reduction paired a component-merging edge as a cycle birth"
+        )
+    essentials_idx.extend(positive_edges - paired_dim1)
+
+    pairs = tuple(
+        PersistencePair(simplices[b], simplices[d], simplices[b].dim)
+        for b, d in sorted(pairs_idx)
     )
-    return alive
+    essentials = tuple(
+        EssentialClass(simplices[i], simplices[i].dim) for i in sorted(essentials_idx)
+    )
+    return ReferenceDiagram(pairs, essentials)
 
 
 def _gf2_rank(matrix: np.ndarray) -> int:
@@ -388,7 +609,7 @@ def _gf2_rank(matrix: np.ndarray) -> int:
 
 
 def betti_oracle(
-    filtration: FlagFiltration, year: int, *, max_dim: int = 2, max_simplices: int = 2000
+    filtration, year: int, *, max_dim: int = 2, max_simplices: int = 2000
 ) -> tuple[int, ...]:
     """Betti numbers 0..max_dim of the complex at the given year, by dense
     elimination.
@@ -429,7 +650,3 @@ def betti_oracle(
         rank_k1 = ranks.get(k + 1, 0)
         result.append(n_k - rank_k - rank_k1)
     return tuple(result)
-
-
-def save_diagram(diagram: PersistenceDiagram, path) -> None:
-    save_diagram_records(diagram.records(), path)

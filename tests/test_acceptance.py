@@ -51,7 +51,7 @@ def test_c1_oracle_equivalence():
         filtration = build_flag_filtration(network)
         diagram = compute_persistence(filtration)
         years = list(step_boundaries(filtration))
-        profile = engine_dim1_profile(diagram, years)
+        profile = engine_dim1_profile(diagram.records(), years)
         for year in years:
             assert profile[year] == betti_oracle(filtration, year)[1]
             checked_years += 1

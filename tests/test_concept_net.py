@@ -8,14 +8,19 @@ import pytest
 from gapminer.concept_net import (
     discipline_rows,
     load_network,
-    network_from_edge_times,
-    novel_pairs,
     randomize_labels,
     save_network,
 )
 from gapminer.errors import InfeasibleResamplingError, UnknownDisciplineError
 
-from helpers import build_store, check_label_conservation, network_of, raw_record
+from helpers import (
+    build_store,
+    check_label_conservation,
+    network_from_edge_times,
+    network_of,
+    novel_pairs,
+    raw_record,
+)
 
 
 def test_first_occurrence_wins():
@@ -119,7 +124,7 @@ def test_tie_rank_total_order():
     ranked = sorted(net.edges.values(), key=lambda e: e.tie_rank)
     assert [e.tie_rank for e in ranked] == [0, 1, 2]
     assert ranked[0].time == 1999
-    assert ranked[1].min_introducer() == "P1"
+    assert min(ranked[1].introducers) == "P1"
 
 
 def test_network_dump_round_trip(tmp_path):

@@ -16,6 +16,8 @@ from gapminer.errors import ConfigError, MissingDependencyError
 from gapminer.pipeline import PipelineConfig, run, verify_manifest
 from gapminer.synth import make_synthetic
 
+from helpers import exit_in_worker
+
 OUTPUTS = ("classification.csv", "shares.csv", "metrics.csv")
 
 
@@ -227,6 +229,37 @@ def test_failed_stage_marked_invalid_in_manifest(tmp_path, monkeypatch):
     result = run(small_config(tmp_path, stages=("network",)))
     assert result.statuses["network"] == "ok"
     assert verify_manifest(config.output_dir)
+
+
+def test_dead_worker_is_internal_error(tmp_path, capsys, monkeypatch):
+    import gapminer.pipeline as pipeline_mod
+
+    config = small_config(tmp_path)
+    run(small_config(tmp_path, stages=("ingest", "network")))
+    args = ["run", "--corpus", str(config.corpus_path), "--out", str(config.output_dir),
+            "--threads", "2", "--null-replicates", "2", "--n-rand", "2"]
+    monkeypatch.setattr(pipeline_mod, "_persist_discipline", exit_in_worker)
+    capsys.readouterr()
+    assert main(args) == 4
+    assert "stage persist: a worker process died" in capsys.readouterr().err
+    manifest = json.loads((config.output_dir / "manifest.json").read_text())
+    assert "outputs" not in manifest["stages"]["persist"]
+    assert "classify" not in manifest["stages"]
+    monkeypatch.undo()
+    assert main(args) == 0
+    assert verify_manifest(config.output_dir)
+
+
+def test_missing_verb_lexicon_is_config_error(tmp_path, capsys):
+    config = small_config(tmp_path)
+    lexicon = tmp_path / "nope.txt"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"verb_lexicon_path": str(lexicon)}))
+    args = ["run", "--config", str(cfg), "--corpus", str(config.corpus_path),
+            "--out", str(config.output_dir)]
+    assert main(args) == 2
+    assert f"verb lexicon not found: {lexicon}" in capsys.readouterr().err
+    assert not config.output_dir.exists()  # no stage started
 
 
 @pytest.mark.parametrize("damage", ["truncate", "garble"])

@@ -1,19 +1,24 @@
 """Filtration construction, the persistence engine, the dense Betti oracle,
-and the cross-checks between them. The oracle and the any-dimension
-reference complex live in helpers.py."""
+and the cross-checks between them. The oracle, the any-dimension reference
+complex and the explicit engine the implicit one replaced live in
+helpers.py."""
 
 from __future__ import annotations
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gapminer.concept_net import network_from_edge_times
 from gapminer.topology import (
+    DiagramRecord,
     build_flag_filtration,
     compute_persistence,
     gap_edges,
     load_diagram_records,
+    network_diagram,
+    save_diagram_records,
 )
 
 from helpers import (
@@ -27,8 +32,10 @@ from helpers import (
     facets,
     filtration_from_simplices,
     full_reduction,
+    network_from_edge_times,
     random_temporal_network,
-    save_diagram,
+    reduction_records,
+    reference_persistence,
     step_boundaries,
 )
 
@@ -113,8 +120,8 @@ def test_square_cycle_is_essential_at_closing_edge():
     diagram = compute_persistence(filt)
     ess1 = [e for e in diagram.essentials if e.dim == 1]
     assert len(ess1) == 1
-    assert ess1[0].birth.filtration_value == 4  # the year-4 closing edge
-    assert betti(diagram, 1, 4) == 1
+    assert ess1[0].birth_year == 4  # the year-4 closing edge
+    assert betti(diagram.records(), 1, 4) == 1
     assert betti_oracle(filt, 4)[1] == 1
 
 
@@ -124,8 +131,8 @@ def test_filled_triangle_zero_persistence_pair():
     diagram = compute_persistence(filt)
     dim1 = [p for p in diagram.pairs if p.dim == 1]
     assert len(dim1) == 1
-    assert dim1[0].birth.filtration_value == 3
-    assert dim1[0].death.filtration_value == 3
+    assert dim1[0].birth_year == 3
+    assert dim1[0].death_year == 3
     assert not [e for e in diagram.essentials if e.dim == 1]
     for year in (1, 2, 3):
         assert betti_oracle(filt, year)[1] == 0
@@ -220,7 +227,7 @@ def test_oracle_equivalence_random_graphs():
         filt = build_flag_filtration(net)
         diagram = compute_persistence(filt)
         years = list(step_boundaries(filt))
-        profile = engine_dim1_profile(diagram, years)
+        profile = engine_dim1_profile(diagram.records(), years)
         for year in years:
             assert profile[year] == betti_oracle(filt, year)[1]
 
@@ -230,58 +237,78 @@ def test_oracle_equivalence_all_dimensions():
     rng = random.Random(505)
     for _ in range(25):
         filt = build_flag_filtration(random_temporal_network(rng))
-        diagram = compute_persistence(filt)
+        records = compute_persistence(filt).records()
         for year in step_boundaries(filt):
             expected = betti_oracle(filt, year)[:2]
-            got = tuple(betti(diagram, dim, year) for dim in (0, 1))
+            got = tuple(betti(records, dim, year) for dim in (0, 1))
             assert got == expected
 
 
-def _low_dim_reduction(filt):
-    """full_reduction's pairs and essentials born in dimension 0 or 1."""
-    pairs, essentials = full_reduction(filt)
-    low = {i for i, s in enumerate(filt.simplices) if s.dim <= 1}
-    return {(b, d) for b, d in pairs if b in low}, essentials & low
+def check_against_references(net):
+    """The implicit engine against the explicit one and full_reduction: the
+    triangle listing in order, the diagram records and the simplex count."""
+    filt = clique_filtration(net, 2)
+    records = reference_persistence(filt).records()
+    assert build_flag_filtration(net).simplices == filt.simplices
+    assert network_diagram(net) == (records, len(filt))
+    assert records == reduction_records(filt, *full_reduction(filt))
 
 
 def test_engine_matches_naive_full_reduction():
     rng = random.Random(202)
-    networks = [random_temporal_network(rng) for _ in range(40)] + list(c1_instances())
-    for net in networks:
-        filt = build_flag_filtration(net)
-        # The triangle listing reproduces the recursive clique expansion.
-        assert filt.simplices == clique_filtration(net, 2).simplices
-        diagram = compute_persistence(filt)
-        assert all(p.dim <= 1 for p in diagram.pairs)
-        assert all(e.dim <= 1 for e in diagram.essentials)
-        engine_pairs = {
-            (p.birth.order_index, p.death.order_index) for p in diagram.pairs
-        }
-        engine_essentials = {e.birth.order_index for e in diagram.essentials}
-        naive_pairs, naive_essentials = _low_dim_reduction(filt)
-        assert engine_pairs == naive_pairs
-        assert engine_essentials == naive_essentials
+    for net in [random_temporal_network(rng) for _ in range(40)] + list(c1_instances()):
+        check_against_references(net)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_engine_matches_references_on_dense_years(data):
+    # Many edges per year: most ties within a year are broken by tie rank
+    # alone, which is where the triangle order and the apparent pairs
+    # could go wrong.
+    n = data.draw(st.integers(2, 15), label="nodes")
+    pairs = [(f"n{i:02d}", f"n{j:02d}") for i in range(n) for j in range(i + 1, n)]
+    chosen = data.draw(
+        st.lists(st.sampled_from(pairs), min_size=1, max_size=60, unique=True), label="edges"
+    )
+    n_years = data.draw(st.integers(1, 3), label="years")
+    years = data.draw(
+        st.lists(st.integers(2000, 2000 + n_years - 1), min_size=len(chosen), max_size=len(chosen)),
+        label="edge years",
+    )
+    check_against_references(
+        network_from_edge_times("T", [(u, v, t) for (u, v), t in zip(chosen, years)])
+    )
+
+
+def test_non_apparent_column_reduces_past_an_apparent_pivot():
+    # The square a-b, b-c, c-d (ranks 0-2, year 1) closed by a-d (rank 3,
+    # year 2) has no triangle. The year-3 chord a-c (rank 4) is the youngest
+    # edge of abc and acd. abc = {0, 1, 4} comes first and kills a-c as an
+    # apparent pair. acd = {2, 3, 4} shares that pivot: adding abc leaves
+    # {0, 1, 2, 3}, whose low is a-d, so the square dies in year 3.
+    net = network_from_edge_times(
+        "T", [("a", "b", 1), ("b", "c", 1), ("c", "d", 1), ("a", "d", 2), ("a", "c", 3)]
+    )
+    filt = build_flag_filtration(net)
+    assert filt.cycle_edges == [3, 4]
+    assert filt.cofaces == [(4, [(1, 0), (3, 2)])]
+    diagram = compute_persistence(filt)
+    assert [r for r in diagram.records() if r.dim == 1] == [
+        DiagramRecord(1, ("a", "d"), 2, 3),
+        DiagramRecord(1, ("a", "c"), 3, 3),
+    ]
+    check_against_references(net)
 
 
 def test_higher_cliques_do_not_change_low_dimensions():
     # H0 and H1 of a flag complex depend only on its 2-skeleton: filling the
     # tetrahedra changes no dimension-0 or dimension-1 feature.
-    def features(filt, pairs, essentials):
-        v = [s.vertices for s in filt.simplices]
-        return {(v[b], v[d]) for b, d in pairs}, {v[i] for i in essentials}
-
     rng = random.Random(606)
     for _ in range(15):
         net = random_temporal_network(rng, max_nodes=8, max_edges=20)
-        skeleton = build_flag_filtration(net)
-        diagram = compute_persistence(skeleton)
-        engine = features(
-            skeleton,
-            [(p.birth.order_index, p.death.order_index) for p in diagram.pairs],
-            [e.birth.order_index for e in diagram.essentials],
-        )
         full = clique_filtration(net, 3)
-        assert engine == features(full, *_low_dim_reduction(full))
+        assert network_diagram(net)[0] == reduction_records(full, *full_reduction(full))
 
 
 def test_positivity_union_find_agrees_with_reduction():
@@ -326,13 +353,7 @@ def test_diagram_value_multiset_invariant_under_tie_permutation():
         filt_a = build_flag_filtration(network_from_edge_times("T", base))
 
         def multiset(diagram):
-            values = [
-                (p.birth.filtration_value, p.death.filtration_value, p.dim)
-                for p in diagram.pairs
-            ]
-            values += [
-                (e.birth.filtration_value, None, e.dim) for e in diagram.essentials
-            ]
+            values = [(r.birth_year, r.death_year, r.dim) for r in diagram.records()]
             return sorted(values, key=lambda t: (t[0], t[1] is None, t[1] or 0, t[2]))
 
         # Renaming vertices permutes canonical pair order and hence tie ranks
@@ -354,7 +375,7 @@ def test_diagram_dump_round_trip(tmp_path):
     )
     diagram = compute_persistence(build_flag_filtration(net))
     path = tmp_path / "diag.csv"
-    save_diagram(diagram, path)
+    save_diagram_records(diagram.records(), path)
     records = load_diagram_records(path)
     assert records == diagram.records()
 
@@ -363,17 +384,16 @@ def test_every_simplex_is_birth_death_or_essential():
     rng = random.Random(77)
     for _ in range(20):
         filt = build_flag_filtration(random_temporal_network(rng))
-        diagram = compute_persistence(filt)
-        births = {p.birth.order_index for p in diagram.pairs}
-        deaths = {p.death.order_index for p in diagram.pairs}
-        essentials = {e.birth.order_index for e in diagram.essentials}
-        # Triangles that kill no cycle are dimension-2 features the engine
-        # does not emit; every vertex and edge is accounted for.
-        low = {s.order_index for s in filt.simplices if s.dim <= 1}
-        assert low <= births | deaths | essentials
-        assert births | essentials <= low
-        assert not births & deaths
-        assert not (births | deaths) & essentials
-        for p in diagram.pairs:
-            assert p.death.dim == p.birth.dim + 1
-            assert p.death.order_index > p.birth.order_index
+        records = compute_persistence(filt).records()
+        vertices = [s.vertices for s in filt.simplices if s.dim == 0]
+        edges = [s.vertices for s in filt.simplices if s.dim == 1]
+        # Every vertex is born once; every edge either kills a component or
+        # is born as a cycle. Triangles that kill no cycle are dimension-2
+        # features the engine does not emit.
+        assert sorted(r.birth_vertices for r in records if r.dim == 0) == sorted(vertices)
+        merges = [r for r in records if r.dim == 0 and r.death_year is not None]
+        cycles = [r.birth_vertices for r in records if r.dim == 1]
+        assert len(set(cycles)) == len(cycles) and set(cycles) <= set(edges)
+        assert len(merges) + len(cycles) == len(edges)
+        for r in records:
+            assert r.death_year is None or r.death_year >= r.birth_year
