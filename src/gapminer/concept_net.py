@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 from .corpus import CorpusStore, PaperRecord
 from .errors import DataError, InfeasibleResamplingError, UnknownDisciplineError
-from .util import derive_seed
+from .util import derive_seed, output_file
 
 logger = logging.getLogger(__name__)
 
@@ -104,9 +104,7 @@ def build_network(discipline: str, rows: Sequence[PaperRow]) -> TemporalConceptN
 
 def save_network(network: TemporalConceptNetwork, path: str | Path) -> None:
     """Dump edges as delimited text: u, v, time, introducers (';'-joined)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with output_file(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(NETWORK_HEADER)
         for pair in sorted(network.edges):

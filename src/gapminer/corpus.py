@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Union
 
 from .errors import CorpusQualityError, DataError
+from .util import output_file, write_csv
 
 logger = logging.getLogger(__name__)
 
@@ -360,17 +361,13 @@ def record_to_json(rec: PaperRecord) -> dict:
 
 def save_corpus(store: CorpusStore, path: str | Path) -> None:
     """Write the canonical line-delimited form; load_corpus round-trips it."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with output_file(path) as fh:
         fh.write(json.dumps({"schema_version": SCHEMA_VERSION}) + "\n")
         for rec in store.iter_papers():
             fh.write(json.dumps(record_to_json(rec), separators=(",", ":")) + "\n")
 
 
 def write_rejection_report(store: CorpusStore, path: str | Path) -> None:
-    from .util import write_csv
-
     write_csv(
         Path(path),
         ("paper_id", "reason"),
@@ -380,16 +377,14 @@ def write_rejection_report(store: CorpusStore, path: str | Path) -> None:
 
 @dataclass
 class CitationIndex:
-    """Forward/backward citation maps over a store.
+    """Forward citation map over a store: each paper's in-store citers.
 
     forward has a key for every in-store paper and only for in-store papers;
-    references to ids outside the store stay in backward and are tallied as
-    external. Citing-year anomalies (citer earlier than cited) are counted,
-    not repaired.
+    references to ids outside the store are tallied as external. Citing-year
+    anomalies (citer earlier than cited) are counted, not repaired.
     """
 
     forward: dict[str, frozenset[str]]
-    backward: dict[str, frozenset[str]]
     year_of: dict[str, int]
     external_references: int
     year_anomalies: int
@@ -400,17 +395,12 @@ class CitationIndex:
     def citation_count(self, paper_id: str) -> int:
         return len(self.forward.get(paper_id, ()))
 
-    def citer_years(self, paper_id: str) -> list[int]:
-        return sorted(self.year_of[c] for c in self.forward.get(paper_id, ()))
-
 
 def build_citation_index(store: CorpusStore) -> CitationIndex:
     forward: dict[str, set[str]] = {pid: set() for pid in store.papers}
-    backward: dict[str, frozenset[str]] = {}
     external = 0
     anomalies = 0
     for rec in store.iter_papers():
-        backward[rec.paper_id] = frozenset(rec.references)
         for ref in rec.references:
             cited = store.papers.get(ref)
             if cited is None:
@@ -423,7 +413,6 @@ def build_citation_index(store: CorpusStore) -> CitationIndex:
         logger.info("citation index: %d references point outside the store", external)
     return CitationIndex(
         forward={pid: frozenset(c) for pid, c in forward.items()},
-        backward=backward,
         year_of={pid: rec.year for pid, rec in store.papers.items()},
         external_references=external,
         year_anomalies=anomalies,

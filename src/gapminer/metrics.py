@@ -199,15 +199,6 @@ def top_k_flag(
     ties at the threshold are all flagged (so degenerate cohorts flag
     everyone). Membership in several cohorts flags on any of them.
     """
-    flags, _ = top_k_flag_detailed(citation_counts, k, cohort_of)
-    return flags
-
-
-def top_k_flag_detailed(
-    citation_counts: Mapping[str, int],
-    k: float,
-    cohort_of: Mapping[str, Sequence[object]],
-) -> tuple[dict[str, int], int]:
     cohorts: dict[object, list[str]] = defaultdict(list)
     for pid in citation_counts:
         for key in cohort_of[pid]:
@@ -227,7 +218,7 @@ def top_k_flag_detailed(
             widened += 1
     if widened:
         logger.info("top-%s%%: ties widened the flagged set in %d cohorts", k, widened)
-    return flags, widened
+    return flags
 
 
 # --------------------------------------------------------------------------
@@ -237,7 +228,6 @@ def top_k_flag_detailed(
 @dataclass(frozen=True)
 class NoveltyProfile:
     paper_id: str
-    z_scores: tuple[float, ...]
     tenth_percentile: float
     yearly_percentile: float | None = None
 
@@ -427,8 +417,7 @@ def novelty(
     for i, j in combinations(range(len(refs)), 2):
         vi, vj = venues[i], venues[j]
         z_scores.append(baseline.z((vi, vj) if vi <= vj else (vj, vi)))
-    tenth = _percentile(z_scores, 10)
-    return NoveltyProfile(paper.paper_id, tuple(z_scores), tenth)
+    return NoveltyProfile(paper.paper_id, _percentile(z_scores, 10))
 
 
 def compute_novelty_profiles(
@@ -455,7 +444,7 @@ def compute_novelty_profiles(
     year_of = {pid: store.papers[pid].year for pid in profiles}
     percentiles = percentile_rank(tenths, year_of)
     return {
-        pid: NoveltyProfile(pid, p.z_scores, p.tenth_percentile, percentiles[pid])
+        pid: NoveltyProfile(pid, p.tenth_percentile, percentiles[pid])
         for pid, p in profiles.items()
     }
 
@@ -477,16 +466,11 @@ class ConceptOccurrences:
     def count_before(self, concept: str, year: int) -> int:
         return bisect_left(self._years.get(concept, ()), year)
 
-    def count_through(self, concept: str, year: int) -> int:
-        return bisect_right(self._years.get(concept, ()), year)
-
 
 @dataclass(frozen=True)
 class ConceptPairStats:
     concept_age: float
     concept_popularity: float
-    popularity_after_5y: float
-    popularity_after_10y: float
 
 
 def concept_pair_stats(
@@ -496,7 +480,7 @@ def concept_pair_stats(
     occurrences: ConceptOccurrences | None = None,
 ) -> ConceptPairStats | None:
     """Average endpoint age and prior-occurrence count over the paper's novel
-    pairs, plus cumulative occurrence counts five and ten years on."""
+    pairs."""
     pairs = sorted(pairs)
     if not pairs:
         return None
@@ -505,8 +489,6 @@ def concept_pair_stats(
     registry = store.concept_registry
     ages = []
     prior = []
-    after5 = []
-    after10 = []
     for u, v in pairs:
         ages.append(
             (
@@ -519,26 +501,10 @@ def concept_pair_stats(
             (occurrences.count_before(u, paper.year) + occurrences.count_before(v, paper.year))
             / 2.0
         )
-        after5.append(
-            (
-                occurrences.count_through(u, paper.year + 5)
-                + occurrences.count_through(v, paper.year + 5)
-            )
-            / 2.0
-        )
-        after10.append(
-            (
-                occurrences.count_through(u, paper.year + 10)
-                + occurrences.count_through(v, paper.year + 10)
-            )
-            / 2.0
-        )
     n = len(pairs)
     return ConceptPairStats(
         concept_age=sum(ages) / n,
         concept_popularity=sum(prior) / n,
-        popularity_after_5y=sum(after5) / n,
-        popularity_after_10y=sum(after10) / n,
     )
 
 

@@ -4,7 +4,8 @@ Each stage reads the documented text artifacts of the previous stages and
 writes its own under the output directory, recording input and output
 digests in manifest.json. A stage whose inputs and recorded outputs are
 unchanged is skipped. The manifest contains no timestamps, so identical runs
-produce byte-identical manifests.
+produce byte-identical manifests. The stages are declared once, as the
+`Stage` entries of `_TABLE` at the end of this module.
 """
 
 from __future__ import annotations
@@ -35,14 +36,23 @@ logger = logging.getLogger(__name__)
 
 STAGES = ("ingest", "network", "persist", "classify", "metrics", "report")
 
-# Which stage produces each artifact a later stage may require.
-_STAGE_LABEL = {
-    "ingest": "ingest (corpus normalization)",
-    "network": "network (concept networks)",
-    "persist": "persist (topology: persistence diagrams)",
-    "classify": "classify (paper categories)",
-    "metrics": "metrics (per-paper table)",
-}
+
+@dataclass(frozen=True)
+class Stage:
+    """One pipeline stage, declared in `_TABLE`.
+
+    `run` writes every artifact in `makes`. The stage reruns when an artifact
+    in `reads`, an outside file named by a config field in `sources` (an
+    unset one is left out), or a config field in `config` changes.
+    """
+
+    name: str
+    label: str
+    run: Callable[[Pipeline], None]
+    makes: tuple[str, ...]
+    config: tuple[str, ...] = ()
+    reads: tuple[str, ...] = ()
+    sources: tuple[str, ...] = ()
 
 
 @dataclass
@@ -106,6 +116,8 @@ class PipelineConfig:
             raise ConfigError("n_rand must be at least 1")
         if self.threads < 1:
             raise ConfigError("threads must be at least 1")
+        if "ingest" in self.stages and self.corpus_path is None:
+            raise ConfigError("no corpus path configured")
         if self.verb_lexicon_path is not None and not Path(self.verb_lexicon_path).is_file():
             raise ConfigError(f"verb lexicon not found: {self.verb_lexicon_path}")
         unknown = sorted(set(self.stages) - set(STAGES))
@@ -145,15 +157,12 @@ def _read_manifest(path: Path) -> dict | None:
     return manifest
 
 
-def _read_json(path: Path, producer: str, extract: Callable[[object], dict]) -> dict:
-    """`extract` applied to the JSON document at `path`; a truncated or
-    garbled document, or one `extract` cannot read, raises DataError naming
-    the file and the stage to rerun."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return extract(json.load(fh))
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise DataError(f"{path}: unreadable ({exc!r}); rerun stage {producer}") from exc
+def _outputs_match(out: Path, outputs: dict[str, str]) -> bool:
+    """Every file named in `outputs` exists under `out` with its recorded digest."""
+    return all(
+        (out / rel).exists() and sha256_file(out / rel) == digest
+        for rel, digest in outputs.items()
+    )
 
 
 def _index_entries(document: object) -> dict[str, dict]:
@@ -188,156 +197,85 @@ class Pipeline:
             else:
                 self.manifest = manifest
 
-    # ---- artifact locations -------------------------------------------------
-
-    @property
-    def corpus_norm(self) -> Path:
-        return self.out / "corpus.norm.jsonl"
-
-    @property
-    def rejections_csv(self) -> Path:
-        return self.out / "rejections.csv"
-
-    @property
-    def ingest_meta(self) -> Path:
-        return self.out / "ingest.json"
-
-    @property
-    def networks_index(self) -> Path:
-        return self.out / "networks" / "index.json"
-
-    @property
-    def diagrams_index(self) -> Path:
-        return self.out / "diagrams" / "index.json"
-
-    @property
-    def classification_csv(self) -> Path:
-        return self.out / "classification.csv"
-
-    @property
-    def shares_csv(self) -> Path:
-        return self.out / "shares.csv"
-
-    @property
-    def metrics_csv(self) -> Path:
-        return self.out / "metrics.csv"
-
-    @property
-    def report_json(self) -> Path:
-        return self.out / "report.json"
-
     def _rel(self, path: Path) -> str:
         return path.relative_to(self.out).as_posix()
 
-    # ---- dependency handling ------------------------------------------------
+    # ---- artifacts ------------------------------------------------------------
 
-    def _require(self, stage: str, path: Path, produced_by: str) -> Path:
+    def _require(self, stage: str, path: Path, artifact: str) -> Path:
+        """`path`, which must exist; `artifact` is its name in the table."""
         if not path.exists():
+            maker = _maker(artifact)
             raise MissingDependencyError(
                 f"stage '{stage}' requires {self._rel(path)}, produced by stage "
-                f"'{produced_by}' [{_STAGE_LABEL[produced_by]}]; run that stage first"
+                f"'{maker.name}' [{maker.name} ({maker.label})]; run that stage first"
             )
         return path
 
-    def _read_index(self, index: Path, producer: str) -> dict[str, dict]:
-        """The per-discipline entries of a networks/ or diagrams/ index."""
-        return _read_json(index, producer, _index_entries)
+    def _read_json(self, rel: str, extract: Callable[[object], dict]) -> dict:
+        """`extract` applied to the JSON artifact `rel`; a truncated or garbled
+        document, or one `extract` cannot read, raises DataError naming the
+        file and the stage to rerun."""
+        path = self.out / rel
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                return extract(json.load(fh))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            maker = _maker(rel).name
+            raise DataError(f"{path}: unreadable ({exc!r}); rerun stage {maker}") from exc
 
-    def _index_files(self, stage: str, index: Path, producer: str) -> dict[str, Path]:
-        """The per-discipline files an index lists, each required to exist."""
-        self._require(stage, index, producer)
-        return {
-            d: self._require(stage, self.out / meta["file"], producer)
-            for d, meta in self._read_index(index, producer).items()
+    def _listed(self, kind: str) -> dict[str, Path]:
+        """The per-discipline files that `kind/index.json` lists."""
+        entries = self._read_json(f"{kind}/index.json", _index_entries)
+        return {d: self.out / meta["file"] for d, meta in entries.items()}
+
+    def _paths(self, stage: str, artifact: str) -> list[Path]:
+        """The files `artifact` stands for, each required to exist."""
+        if not artifact.endswith("/*"):
+            return [self._require(stage, self.out / artifact, artifact)]
+        kind = artifact[:-2]
+        self._require(stage, self.out / kind / "index.json", f"{kind}/index.json")
+        return [self._require(stage, p, artifact) for p in self._listed(kind).values()]
+
+    def _stage_inputs(self, stage: Stage) -> dict:
+        """The document whose digest decides whether `stage` reruns."""
+        files = {
+            self._rel(path): sha256_file(path)
+            for artifact in stage.reads
+            for path in self._paths(stage.name, artifact)
         }
-
-    def _stage_inputs(self, stage: str) -> dict:
-        cfg = self.config
-        if stage == "ingest":
-            if cfg.corpus_path is None:
-                raise ConfigError("no corpus path configured")
-            if not Path(cfg.corpus_path).exists():
-                raise DataError(f"corpus file not found: {cfg.corpus_path}")
-            return {
-                "config": {"year_min": cfg.year_min, "year_max": cfg.year_max},
-                "files": {"corpus": sha256_file(Path(cfg.corpus_path))},
-            }
-        if stage == "network":
-            path = self._require(stage, self.corpus_norm, "ingest")
-            return {"config": {}, "files": {self._rel(path): sha256_file(path)}}
-        if stage == "persist":
-            files = self._index_files(stage, self.networks_index, "network")
-            return {
-                "config": {},
-                "files": {self._rel(p): sha256_file(p) for p in files.values()},
-            }
-        if stage == "classify":
-            paths = [self._require(stage, self.corpus_norm, "ingest")]
-            paths += list(self._index_files(stage, self.networks_index, "network").values())
-            paths += list(self._index_files(stage, self.diagrams_index, "persist").values())
-            return {
-                "config": {
-                    "min_persistence": cfg.min_persistence,
-                    "null_replicates": cfg.null_replicates,
-                    "seed": cfg.seed,
-                },
-                "files": {self._rel(p): sha256_file(p) for p in paths},
-            }
-        if stage == "metrics":
-            paths = [
-                self._require(stage, self.corpus_norm, "ingest"),
-                self._require(stage, self.classification_csv, "classify"),
-            ]
-            paths += list(self._index_files(stage, self.networks_index, "network").values())
-            return {
-                "config": {
-                    "seed": cfg.seed,
-                    "n_rand": cfg.n_rand,
-                    "rewire_factor": cfg.rewire_factor,
-                    "cd_window": cfg.cd_window,
-                    "sb_horizon": cfg.sb_horizon,
-                },
-                "files": {self._rel(p): sha256_file(p) for p in paths},
-            }
-        if stage == "report":
-            paths = [
-                self._require(stage, self.ingest_meta, "ingest"),
-                self._require(stage, self.corpus_norm, "ingest"),
-                self._require(stage, self.networks_index, "network"),
-                self._require(stage, self.diagrams_index, "persist"),
-                self._require(stage, self.classification_csv, "classify"),
-                self._require(stage, self.shares_csv, "classify"),
-                self._require(stage, self.metrics_csv, "metrics"),
-            ]
-            files = {self._rel(p): sha256_file(p) for p in paths}
-            if cfg.verb_lexicon_path is not None:
-                files["verb_lexicon"] = sha256_file(Path(cfg.verb_lexicon_path))
-            return {"config": {}, "files": files}
-        raise ConfigError(f"unknown stage {stage!r}")
-
-    # ---- stage bodies ---------------------------------------------------------
+        for name in stage.sources:
+            source = getattr(self.config, name)
+            if source is None:
+                continue
+            key = name.removesuffix("_path")  # "corpus", "verb_lexicon"
+            if not Path(source).exists():
+                raise DataError(f"{key} file not found: {source}")
+            files[key] = sha256_file(Path(source))
+        return {"config": {f: getattr(self.config, f) for f in stage.config}, "files": files}
 
     def _load_store(self):
         """Load the normalized corpus, cached across stages of one run."""
-        digest = sha256_file(self.corpus_norm)
+        path = self.out / "corpus.norm.jsonl"
+        digest = sha256_file(path)
         if self._store_cache is None or self._store_cache[0] != digest:
             store = load_corpus(
-                self.corpus_norm,
-                year_min=self.config.year_min,
-                year_max=self.config.year_max,
+                path, year_min=self.config.year_min, year_max=self.config.year_max
             )
             self._store_cache = (digest, store)
         return self._store_cache[1]
 
-    def _run_ingest(self) -> list[Path]:
+    # ---- stage runners: each writes every artifact its Stage entry makes -------
+
+    def _run_ingest(self) -> None:
         cfg = self.config
         store = load_corpus(cfg.corpus_path, year_min=cfg.year_min, year_max=cfg.year_max)
-        save_corpus(store, self.corpus_norm)
-        write_rejection_report(store, self.rejections_csv)
+        save_corpus(store, self.out / "corpus.norm.jsonl")
+        write_rejection_report(store, self.out / "rejections.csv")
         index = build_citation_index(store)
         report = store.ingest_report
         write_json(
-            self.ingest_meta,
+            self.out / "ingest.json",
             {
                 "papers": len(store),
                 "lines": report.lines,
@@ -353,37 +291,28 @@ class Pipeline:
                 ),
             },
         )
-        return [self.corpus_norm, self.rejections_csv, self.ingest_meta]
 
-    def _run_network(self) -> list[Path]:
-        store = self._load_store()
-        outputs = []
+    def _run_network(self) -> None:
         index: dict[str, dict] = {}
-        for discipline, rows in discipline_rows(store).items():
+        for discipline, rows in discipline_rows(self._load_store()).items():
             network = build_network(discipline, rows)
             path = self.out / "networks" / f"{_slug(discipline)}.csv"
             save_network(network, path)
-            outputs.append(path)
             index[discipline] = {
                 "file": self._rel(path),
                 "nodes": len(network.nodes),
                 "edges": len(network.edges),
             }
-        write_json(self.networks_index, {"disciplines": index})
-        outputs.append(self.networks_index)
-        return outputs
+        write_json(self.out / "networks" / "index.json", {"disciplines": index})
 
-    def _run_persist(self) -> list[Path]:
-        files = self._index_files("persist", self.networks_index, "network")
-        outputs = []
+    def _run_persist(self) -> None:
+        tasks = [(d, str(p)) for d, p in sorted(self._listed("networks").items())]
         index: dict[str, dict] = {}
-        tasks = [(d, str(p)) for d, p in sorted(files.items())]
         for discipline, records, n_simplices in parallel_map(
             _persist_discipline, tasks, self.config.threads
         ):
             path = self.out / "diagrams" / f"{_slug(discipline)}.csv"
             save_diagram_records(records, path)
-            outputs.append(path)
             n_pairs = sum(1 for r in records if r.death_year is not None)
             index[discipline] = {
                 "file": self._rel(path),
@@ -391,30 +320,25 @@ class Pipeline:
                 "pairs": n_pairs,
                 "essentials": len(records) - n_pairs,
             }
-        write_json(self.diagrams_index, {"disciplines": index})
-        outputs.append(self.diagrams_index)
-        return outputs
+        write_json(self.out / "diagrams" / "index.json", {"disciplines": index})
 
-    def _load_topologies(self, stage: str) -> dict[str, classify_mod.DisciplineTopology]:
-        networks = self._index_files(stage, self.networks_index, "network")
-        diagrams = self._index_files(stage, self.diagrams_index, "persist")
-        topologies = {}
-        for discipline in sorted(networks):
-            network = load_network(networks[discipline], discipline)
-            records = load_diagram_records(diagrams[discipline])
-            topologies[discipline] = classify_mod.DisciplineTopology(
-                discipline,
-                network,
-                frozenset(gap_edges(records, self.config.min_persistence)),
-            )
-        return topologies
-
-    def _run_classify(self) -> list[Path]:
+    def _run_classify(self) -> None:
         cfg = self.config
         store = self._load_store()
-        topologies = self._load_topologies("classify")
+        networks = self._listed("networks")
+        diagrams = self._listed("diagrams")
+        topologies = {
+            d: classify_mod.DisciplineTopology(
+                d,
+                load_network(networks[d], d),
+                frozenset(gap_edges(load_diagram_records(diagrams[d]), cfg.min_persistence)),
+            )
+            for d in sorted(networks)
+        }
         classifications = classify_mod.classify_all(store, topologies)
-        classify_mod.write_classification_csv(classifications, store, self.classification_csv)
+        classify_mod.write_classification_csv(
+            classifications, store, self.out / "classification.csv"
+        )
         rows = []
         for grouping in classify_mod.GROUPINGS:
             rows.extend(classify_mod.share_table(classifications, store, grouping))
@@ -428,20 +352,20 @@ class Pipeline:
                     threads=cfg.threads,
                 )
             )
-        classify_mod.write_shares_csv(rows, self.shares_csv)
-        return [self.classification_csv, self.shares_csv]
+        classify_mod.write_shares_csv(rows, self.out / "shares.csv")
 
-    def _run_metrics(self) -> list[Path]:
+    def _run_metrics(self) -> None:
         cfg = self.config
         store = self._load_store()
         index = build_citation_index(store)
         categories = {
             pid: cat.value
-            for pid, cat in classify_mod.load_classification_csv(self.classification_csv).items()
+            for pid, cat in classify_mod.load_classification_csv(
+                self.out / "classification.csv"
+            ).items()
         }
         novel_pairs: dict[str, set[Pair]] = {}
-        files = self._index_files("metrics", self.networks_index, "network")
-        for discipline, path in sorted(files.items()):
+        for discipline, path in sorted(self._listed("networks").items()):
             network = load_network(path, discipline)
             for pair, birth in network.edges.items():
                 for pid in birth.introducers:
@@ -457,20 +381,17 @@ class Pipeline:
             cd_window=cfg.cd_window,
             sb_horizon=cfg.sb_horizon,
         )
-        write_csv(self.metrics_csv, metrics_mod.METRICS_HEADER, rows)
-        return [self.metrics_csv]
+        write_csv(self.out / "metrics.csv", metrics_mod.METRICS_HEADER, rows)
 
-    def _run_report(self) -> list[Path]:
-        ingest = _read_json(self.ingest_meta, "ingest", _ingest_counts)
-        networks = self._read_index(self.networks_index, "network")
-        diagrams = self._read_index(self.diagrams_index, "persist")
-        categories = classify_mod.load_classification_csv(self.classification_csv)
+    def _run_report(self) -> None:
+        ingest = self._read_json("ingest.json", _ingest_counts)
+        networks = self._read_json("networks/index.json", _index_entries)
+        diagrams = self._read_json("diagrams/index.json", _index_entries)
+        categories = classify_mod.load_classification_csv(self.out / "classification.csv")
         counts: dict[str, int] = {c.value: 0 for c in classify_mod.CATEGORIES}
         for cat in categories.values():
             counts[cat.value] += 1
-        multi = ingest.get("multi_discipline_papers", 0)
         total = len(categories)
-        verb_ratios = self._verb_ratios(categories)
         report = {
             "papers": total,
             "category_counts": counts,
@@ -478,27 +399,16 @@ class Pipeline:
             "ingest": ingest,
             "networks": networks,
             "diagrams": diagrams,
-            "multi_discipline_papers": multi,
-            "title_verb_ratios": verb_ratios,
+            "multi_discipline_papers": ingest.get("multi_discipline_papers", 0),
+            "title_verb_ratios": self._verb_ratios(categories),
             "notes": [
                 "discipline-level shares count multi-discipline papers once per discipline",
                 "networks use every positive-confidence discipline membership of a paper",
                 "top-k citation flags include all papers tied at the cohort threshold",
             ],
-            "config": {
-                "year_min": self.config.year_min,
-                "year_max": self.config.year_max,
-                "min_persistence": self.config.min_persistence,
-                "null_replicates": self.config.null_replicates,
-                "n_rand": self.config.n_rand,
-                "rewire_factor": self.config.rewire_factor,
-                "cd_window": self.config.cd_window,
-                "sb_horizon": self.config.sb_horizon,
-                "seed": self.config.seed,
-            },
+            "config": {f: getattr(self.config, f) for stage in _TABLE for f in stage.config},
         }
-        write_json(self.report_json, report)
-        return [self.report_json]
+        write_json(self.out / "report.json", report)
 
     def _verb_ratios(self, categories) -> dict[str, float | str] | None:
         """Verb frequency ratios between gap-opener and novel-pair titles.
@@ -531,62 +441,90 @@ class Pipeline:
 
     # ---- driver ---------------------------------------------------------------
 
-    _RUNNERS: dict[str, str] = {
-        "ingest": "_run_ingest",
-        "network": "_run_network",
-        "persist": "_run_persist",
-        "classify": "_run_classify",
-        "metrics": "_run_metrics",
-        "report": "_run_report",
-    }
-
-    def _write_manifest(self) -> None:
-        write_json(self.manifest_path, self.manifest)
-
-    def _outputs_valid(self, entry: dict) -> bool:
-        outputs = entry.get("outputs")
-        if not outputs:
-            return False
-        for rel, digest in outputs.items():
-            path = self.out / rel
-            if not path.exists() or sha256_file(path) != digest:
-                return False
-        return True
-
     def execute(self) -> PipelineResult:
         statuses: dict[str, str] = {}
-        for stage in STAGES:
-            if stage not in self.config.stages:
+        for stage in _TABLE:
+            if stage.name not in self.config.stages:
                 continue
             inputs_digest = json_digest(self._stage_inputs(stage))
-            entry = self.manifest["stages"].get(stage)
+            entry = self.manifest["stages"].get(stage.name)
             if (
                 entry
                 and not entry.get("invalid")
                 and entry.get("inputs") == inputs_digest
-                and self._outputs_valid(entry)
+                and entry.get("outputs")
+                and _outputs_match(self.out, entry["outputs"])
             ):
-                statuses[stage] = "skipped"
-                logger.info("stage %s: inputs unchanged, skipped", stage)
+                statuses[stage.name] = "skipped"
+                logger.info("stage %s: inputs unchanged, skipped", stage.name)
                 continue
-            runner: Callable[[], list[Path]] = getattr(self, self._RUNNERS[stage])
-            logger.info("stage %s: running", stage)
+            logger.info("stage %s: running", stage.name)
             try:
-                outputs = runner()
+                stage.run(self)
             except Exception as exc:
-                self.manifest["stages"][stage] = {"inputs": inputs_digest, "invalid": True}
-                self._write_manifest()
-                logger.exception("stage %s failed", stage)
+                self.manifest["stages"][stage.name] = {"inputs": inputs_digest, "invalid": True}
+                write_json(self.manifest_path, self.manifest)
+                logger.exception("stage %s failed", stage.name)
                 if isinstance(exc, BrokenProcessPool):
-                    raise InternalError(f"stage {stage}: a worker process died ({exc})") from exc
+                    raise InternalError(
+                        f"stage {stage.name}: a worker process died ({exc})"
+                    ) from exc
                 raise
-            self.manifest["stages"][stage] = {
+            outputs = [p for artifact in stage.makes for p in self._paths(stage.name, artifact)]
+            self.manifest["stages"][stage.name] = {
                 "inputs": inputs_digest,
                 "outputs": {self._rel(p): sha256_file(p) for p in outputs},
             }
-            self._write_manifest()
-            statuses[stage] = "ok"
+            write_json(self.manifest_path, self.manifest)
+            statuses[stage.name] = "ok"
         return PipelineResult(self.out, statuses, self.manifest)
+
+
+# The stages in run order. Artifact names are relative to the output
+# directory, and `kind/*` is every file that `kind/index.json` lists.
+_TABLE = (
+    Stage(
+        "ingest", "corpus normalization", Pipeline._run_ingest,
+        makes=("corpus.norm.jsonl", "rejections.csv", "ingest.json"),
+        config=("year_min", "year_max"),
+        sources=("corpus_path",),
+    ),
+    Stage(
+        "network", "concept networks", Pipeline._run_network,
+        makes=("networks/*", "networks/index.json"),
+        reads=("corpus.norm.jsonl",),
+    ),
+    Stage(
+        "persist", "topology: persistence diagrams", Pipeline._run_persist,
+        makes=("diagrams/*", "diagrams/index.json"),
+        reads=("networks/*",),
+    ),
+    Stage(
+        "classify", "paper categories", Pipeline._run_classify,
+        makes=("classification.csv", "shares.csv"),
+        config=("min_persistence", "null_replicates", "seed"),
+        reads=("corpus.norm.jsonl", "networks/*", "diagrams/*"),
+    ),
+    Stage(
+        "metrics", "per-paper table", Pipeline._run_metrics,
+        makes=("metrics.csv",),
+        config=("seed", "n_rand", "rewire_factor", "cd_window", "sb_horizon"),
+        reads=("corpus.norm.jsonl", "classification.csv", "networks/*"),
+    ),
+    Stage(
+        "report", "run summary", Pipeline._run_report,
+        makes=("report.json",),
+        reads=(
+            "ingest.json", "corpus.norm.jsonl", "networks/index.json", "diagrams/index.json",
+            "classification.csv", "shares.csv", "metrics.csv",
+        ),
+        sources=("verb_lexicon_path",),
+    ),
+)
+
+
+def _maker(artifact: str) -> Stage:
+    return next(stage for stage in _TABLE if artifact in stage.makes)
 
 
 def run(config: PipelineConfig) -> PipelineResult:
@@ -605,11 +543,7 @@ def verify_manifest(output_dir: Path) -> bool:
     manifest = _read_manifest(manifest_path)
     if manifest is None:
         return False
-    for stage, entry in manifest["stages"].items():
-        if entry.get("invalid"):
-            return False
-        for rel, digest in entry.get("outputs", {}).items():
-            path = Path(output_dir) / rel
-            if not path.exists() or sha256_file(path) != digest:
-                return False
-    return True
+    return all(
+        not entry.get("invalid") and _outputs_match(Path(output_dir), entry.get("outputs", {}))
+        for entry in manifest["stages"].values()
+    )

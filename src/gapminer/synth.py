@@ -25,6 +25,7 @@ from pathlib import Path
 
 from .corpus import SCHEMA_VERSION
 from .errors import ConfigError
+from .util import output_file
 
 GENERATORS = ("planted-cycle", "planted-clique", "random-pairs")
 
@@ -93,8 +94,7 @@ class _Emitter:
 
 def _write(records: list[dict], out_path: Path) -> Path:
     out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
+    with output_file(out_path) as fh:
         fh.write(json.dumps({"schema_version": SCHEMA_VERSION}) + "\n")
         for record in records:
             fh.write(json.dumps(record, separators=(",", ":")) + "\n")

@@ -22,6 +22,7 @@ from typing import Iterable
 
 from .concept_net import TemporalConceptNetwork
 from .errors import DataError, InternalError
+from .util import output_file
 
 Pair = tuple[str, str]
 
@@ -267,9 +268,7 @@ def save_diagram_records(records: Iterable[DiagramRecord], path: str | Path) -> 
     Dimension-0 births are vertices (birth_v empty); dimension-1 births are
     edges.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with output_file(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(DIAGRAM_HEADER)
         for rec in records:

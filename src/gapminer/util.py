@@ -1,15 +1,19 @@
-"""Small shared helpers: seed derivation, hashing, deterministic file output,
-and the process pool."""
+"""Small shared helpers: seed derivation, hashing, deterministic and atomic
+file output, and the process pool."""
 
 from __future__ import annotations
 
 import csv
 import hashlib
 import json
+import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager, suppress
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO, TypeVar
+
+from .errors import DataError
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -52,10 +56,31 @@ def fmt_cell(value: object) -> str:
     return str(value)
 
 
+@contextmanager
+def output_file(path: str | Path) -> Iterator[TextIO]:
+    """A UTF-8 text file for writing that replaces `path` only when the block
+    completes: it is written as a sibling temporary file, renamed over `path`
+    on success and removed on failure, so a reader sees the previous file or
+    the whole new one. No newline translation, so output bytes are the same
+    on every platform. An OSError becomes a DataError naming `path`.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
+    finally:
+        with suppress(OSError):
+            tmp.unlink()  # still there only if the block or the rename failed
+
+
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
     """Write a CSV file with '\\n' line endings regardless of platform."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with output_file(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
@@ -63,8 +88,7 @@ def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[object]
 
 
 def write_json(path: Path, payload: Any) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    with output_file(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

@@ -192,7 +192,7 @@ def test_citation_index_forward_backward():
     )
     index = build_citation_index(store)
     assert index.citers("B") == frozenset({"A"})
-    assert index.backward["A"] == frozenset({"B", "X"})
+    assert store.papers["A"].references == ("B", "X")
     assert "X" not in index.forward
     assert index.external_references == 1
 
@@ -200,7 +200,6 @@ def test_citation_index_forward_backward():
 def test_citation_index_empty_store():
     index = build_citation_index(CorpusStore.from_records([]))
     assert index.forward == {}
-    assert index.backward == {}
 
 
 def test_citation_index_mutual_consistency_and_anomalies():
@@ -213,9 +212,9 @@ def test_citation_index_mutual_consistency_and_anomalies():
     index = build_citation_index(store)
     for cited, citers in index.forward.items():
         for citer in citers:
-            assert cited in index.backward[citer]
-    for citer, refs in index.backward.items():
-        for ref in refs:
+            assert cited in store.papers[citer].references
+    for citer, rec in store.papers.items():
+        for ref in rec.references:
             if ref in store.papers:
                 assert citer in index.forward[ref]
     assert index.year_anomalies == 1  # "old" (2005) cites "new" (2010)

@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import os
+import shutil
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import gapminer.pipeline as pipeline_mod
+from gapminer import metrics as metrics_mod
 from gapminer.cli import main
 from gapminer.errors import ConfigError, MissingDependencyError
-from gapminer.pipeline import PipelineConfig, run, verify_manifest
+from gapminer.pipeline import STAGES, PipelineConfig, run, verify_manifest
 from gapminer.synth import make_synthetic
 
 from helpers import exit_in_worker
@@ -42,6 +47,128 @@ def small_config(tmp_path, **overrides):
     )
     values.update(overrides)
     return PipelineConfig(**values)
+
+
+def files_under(directory: Path) -> dict[str, bytes]:
+    return {
+        p.relative_to(directory).as_posix(): p.read_bytes()
+        for p in sorted(directory.rglob("*"))
+        if p.is_file()
+    }
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    """The config of one uninterrupted full run, whose outputs tests copy."""
+    config = small_config(tmp_path_factory.mktemp("finished"))
+    run(config)
+    return config
+
+
+def test_stages_are_the_table_in_order():
+    assert STAGES == ("ingest", "network", "persist", "classify", "metrics", "report")
+    assert STAGES == tuple(stage.name for stage in pipeline_mod._TABLE)
+    made: set[str] = set()
+    for stage in pipeline_mod._TABLE:
+        assert set(stage.reads) <= made, stage.name  # every input has an earlier maker
+        made |= set(stage.makes)
+
+
+# Each result-affecting config field, an edited value, and the first stage
+# that reads the field; a threads edit reruns nothing.
+CONFIG_EDITS = [
+    ("year_min", 1800, "ingest"),
+    ("year_max", 2100, "ingest"),
+    ("min_persistence", 0, "classify"),
+    ("null_replicates", 1, "classify"),
+    ("seed", 14, "classify"),
+    ("n_rand", 3, "metrics"),
+    ("rewire_factor", 5, "metrics"),
+    ("cd_window", 3, "metrics"),
+    ("sb_horizon", 10, "metrics"),
+    ("threads", 2, None),
+]
+
+
+@pytest.mark.parametrize("field, value, first", CONFIG_EDITS)
+def test_config_edit_reruns_from_its_first_reader(tmp_path, finished_run, field, value, first):
+    assert getattr(finished_run, field) != value
+    shutil.copytree(finished_run.output_dir, tmp_path / "out")
+    config = replace(finished_run, output_dir=tmp_path / "out", **{field: value})
+    statuses = run(config).statuses
+    upstream = STAGES[: STAGES.index(first)] if first else STAGES
+    assert [statuses[s] for s in upstream] == ["skipped"] * len(upstream)
+    if first:
+        assert statuses[first] == "ok"
+    assert set(run(config).statuses.values()) == {"skipped"}
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_interrupted_manifest_write_reruns_the_stage(tmp_path, finished_run, monkeypatch, stage):
+    """The run stops after `stage` wrote its artifacts but before the manifest
+    recorded them; a plain rerun redoes that stage and ends where an
+    uninterrupted run ends."""
+    write_json = pipeline_mod.write_json
+    interrupted = []
+
+    def interrupting_write_json(path, payload):
+        if Path(path).name == "manifest.json" and stage in payload["stages"] and not interrupted:
+            interrupted.append(stage)
+            raise RuntimeError("interrupted")
+        write_json(path, payload)
+
+    config = replace(finished_run, output_dir=tmp_path / "out")
+    monkeypatch.setattr(pipeline_mod, "write_json", interrupting_write_json)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        run(config)
+    monkeypatch.undo()
+    statuses = run(config).statuses
+    upstream = STAGES[: STAGES.index(stage)]
+    assert [statuses[s] for s in upstream] == ["skipped"] * len(upstream)
+    assert statuses[stage] == "ok"
+    assert verify_manifest(config.output_dir)
+    assert files_under(config.output_dir) == files_under(finished_run.output_dir)
+
+
+def test_unwritable_output_is_data_error(tmp_path, capsys):
+    config = small_config(tmp_path)
+    args = ["run", "--corpus", str(config.corpus_path), "--out", str(config.output_dir),
+            "--null-replicates", "1", "--n-rand", "1"]
+    config.output_dir.mkdir()
+    blocker = config.output_dir / "networks"
+    blocker.write_text("a file where the networks directory belongs\n")
+    capsys.readouterr()
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert f"cannot write {blocker}" in err
+    blocker.unlink()
+    assert main(args) == 0
+    assert verify_manifest(config.output_dir)
+
+
+def test_failed_write_keeps_the_previous_file(tmp_path, capsys, monkeypatch):
+    config = small_config(tmp_path)
+    args = ["run", "--corpus", str(config.corpus_path), "--out", str(config.output_dir),
+            "--null-replicates", "1", "--n-rand", "1"]
+    assert main(args) == 0
+    before = files_under(config.output_dir)
+    compute_metrics_rows = metrics_mod.compute_metrics_rows
+
+    def rows_then_full_disk(*args, **kwargs):
+        rows = compute_metrics_rows(*args, **kwargs)
+        yield from rows[: len(rows) // 2]
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(metrics_mod, "compute_metrics_rows", rows_then_full_disk)
+    capsys.readouterr()
+    assert main(args[:-1] + ["2"]) == 3  # n_rand 2 reruns metrics
+    assert f"cannot write {config.output_dir / 'metrics.csv'}" in capsys.readouterr().err
+    after = files_under(config.output_dir)
+    assert after.pop("manifest.json") != before.pop("manifest.json")  # metrics marked invalid
+    assert after == before  # the old metrics.csv, and no temporary file
+    monkeypatch.undo()
+    assert main(args) == 0
+    assert verify_manifest(config.output_dir)
 
 
 def test_full_run_produces_artifacts(tmp_path):
@@ -214,12 +341,10 @@ def test_failed_stage_marked_invalid_in_manifest(tmp_path, monkeypatch):
     config = small_config(tmp_path)
     run(small_config(tmp_path, stages=("ingest",)))
 
-    import gapminer.pipeline as pipeline_mod
-
-    def boom(self):
+    def boom(discipline, rows):
         raise RuntimeError("synthetic stage failure")
 
-    monkeypatch.setattr(pipeline_mod.Pipeline, "_run_network", boom)
+    monkeypatch.setattr(pipeline_mod, "build_network", boom)
     with pytest.raises(RuntimeError):
         run(small_config(tmp_path, stages=("network",)))
     manifest = json.loads((config.output_dir / "manifest.json").read_text())
@@ -232,8 +357,6 @@ def test_failed_stage_marked_invalid_in_manifest(tmp_path, monkeypatch):
 
 
 def test_dead_worker_is_internal_error(tmp_path, capsys, monkeypatch):
-    import gapminer.pipeline as pipeline_mod
-
     config = small_config(tmp_path)
     run(small_config(tmp_path, stages=("ingest", "network")))
     args = ["run", "--corpus", str(config.corpus_path), "--out", str(config.output_dir),
