@@ -14,19 +14,19 @@ from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from .concept_net import (
     Pair,
     PaperRow,
     TemporalConceptNetwork,
     build_network,
-    discipline_rows,
+    label_pools,
     randomize_labels,
 )
 from .corpus import CorpusStore
 from .errors import DataError, MissingDependencyError
-from .topology import gap_edges, network_diagram
+from .topology import network_gaps
 from .util import derive_seed, parallel_map, write_csv
 
 logger = logging.getLogger(__name__)
@@ -73,19 +73,40 @@ class DisciplineTopology:
     gap_pairs: frozenset[Pair]
 
 
-def discipline_topology(task: tuple[str, Sequence[PaperRow], int]) -> DisciplineTopology:
-    """Network and gap pairs of one discipline from its labelled rows
-    (discipline, rows, min_persistence): the null model's pool task."""
-    discipline, rows, min_persistence = task
-    network = build_network(discipline, rows)
-    records, _ = network_diagram(network)
-    return DisciplineTopology(discipline, network, frozenset(gap_edges(records, min_persistence)))
+def _introducers(
+    network: TemporalConceptNetwork, gap_pairs: AbstractSet[Pair]
+) -> tuple[set[str], set[str]]:
+    """The papers that introduced a gap edge of the network, and those that
+    introduced any of its edges."""
+    gap: set[str] = set()
+    novel: set[str] = set()
+    for pair, birth in network.edges.items():
+        novel.update(birth.introducers)
+        if pair in gap_pairs:
+            gap.update(birth.introducers)
+    return gap, novel
+
+
+def _categorize(
+    paper_ids: Iterable[str], gap: AbstractSet[str], novel: AbstractSet[str]
+) -> dict[str, Category]:
+    """The category rule, for real and null runs alike: gap openers
+    introduced a gap edge in some discipline, novel-pair papers some other
+    first-time pair, and the rest no new pair."""
+    return {
+        pid: Category.GAP_OPENER
+        if pid in gap
+        else Category.NOVEL_PAIR_NON_GAP
+        if pid in novel
+        else Category.NO_NOVEL_PAIR
+        for pid in paper_ids
+    }
 
 
 def classify_all(
     store: CorpusStore, topologies: Mapping[str, DisciplineTopology]
 ) -> dict[str, PaperClassification]:
-    """Classify every paper in the store exactly once."""
+    """Classify every paper in the store exactly once, with its evidence."""
     needed = {d for rec in store.papers.values() for d in rec.level0_ids}
     missing = sorted(needed - set(topologies))
     if missing:
@@ -93,24 +114,23 @@ def classify_all(
             f"no diagram available for disciplines containing papers: {missing}"
         )
     evidence: dict[str, list[Evidence]] = defaultdict(list)
+    gap: set[str] = set()
+    novel: set[str] = set()
     for discipline in sorted(topologies):
         topo = topologies[discipline]
+        gap_d, novel_d = _introducers(topo.network, topo.gap_pairs)
+        gap |= gap_d
+        novel |= novel_d
         for pair in sorted(topo.network.edges):
             birth = topo.network.edges[pair]
             kind = KIND_GAP if pair in topo.gap_pairs else KIND_NOVEL
             for pid in sorted(birth.introducers):
                 evidence[pid].append((discipline, pair, kind))
-    result: dict[str, PaperClassification] = {}
-    for rec in store.iter_papers():
-        entries = tuple(evidence.get(rec.paper_id, ()))
-        if any(kind == KIND_GAP for _, _, kind in entries):
-            category = Category.GAP_OPENER
-        elif entries:
-            category = Category.NOVEL_PAIR_NON_GAP
-        else:
-            category = Category.NO_NOVEL_PAIR
-        result[rec.paper_id] = PaperClassification(rec.paper_id, category, entries)
-    return result
+    categories = _categorize((rec.paper_id for rec in store.iter_papers()), gap, novel)
+    return {
+        pid: PaperClassification(pid, category, tuple(evidence.get(pid, ())))
+        for pid, category in categories.items()
+    }
 
 
 @dataclass(frozen=True)
@@ -127,38 +147,58 @@ class ShareRow:
 GROUPINGS = ("overall", "discipline", "year")
 
 
-def _group_keys(store: CorpusStore, paper_id: str, grouping: str) -> list[str]:
-    rec = store.papers[paper_id]
+def group_keys(store: CorpusStore, grouping: str) -> dict[str, tuple[str, ...]]:
+    """Each paper's groups under one grouping."""
     if grouping == "overall":
-        return [""]
+        return {pid: ("",) for pid in store.papers}
     if grouping == "year":
-        return [str(rec.year)]
+        return {pid: (str(rec.year),) for pid, rec in store.papers.items()}
     if grouping == "discipline":
         # Multi-discipline papers count once per discipline; the overall
         # grouping counts each paper once, so the double-counting is confined
         # here and reported by the pipeline.
-        return list(rec.level0_ids)
+        return {pid: rec.level0_ids for pid, rec in store.papers.items()}
     raise ValueError(f"unknown grouping {grouping!r}")
 
 
-def share_table(
-    classifications: Mapping[str, PaperClassification],
-    store: CorpusStore,
-    grouping: str,
-    *,
-    source: str = "real",
-) -> list[ShareRow]:
-    counts: dict[str, dict[Category, int]] = defaultdict(lambda: defaultdict(int))
-    for pid, cls in classifications.items():
-        for key in _group_keys(store, pid, grouping):
-            counts[key][cls.category] += 1
-    rows: list[ShareRow] = []
+def _shares(
+    categories: Mapping[str, Category], keys: Mapping[str, Sequence[str]]
+) -> list[tuple[str, Category, int, float]]:
+    """(group, category, count, fraction) for every group, in sorted order,
+    and every category: the one share count of real and null runs."""
+    counts: dict[str, dict[Category, int]] = {}
+    for pid, category in categories.items():
+        for key in keys[pid]:
+            tally = counts.get(key)
+            if tally is None:
+                tally = counts[key] = dict.fromkeys(CATEGORIES, 0)
+            tally[category] += 1
+    shares: list[tuple[str, Category, int, float]] = []
     for group in sorted(counts):
-        total = sum(counts[group].values())
-        for category in CATEGORIES:
-            n = counts[group][category]
-            rows.append(ShareRow(grouping, group, category, n, n / total, source))
-    return rows
+        tally = counts[group]
+        total = sum(tally.values())
+        shares.extend((group, category, n, n / total) for category, n in tally.items())
+    return shares
+
+
+def share_table(
+    categories: Mapping[str, Category], keys: Mapping[str, Sequence[str]], grouping: str
+) -> list[ShareRow]:
+    """The real run's category shares per group; `keys` is `group_keys` of
+    the grouping."""
+    return [
+        ShareRow(grouping, group, category, n, fraction, "real")
+        for group, category, n, fraction in _shares(categories, keys)
+    ]
+
+
+def _null_task(task: tuple[str, Sequence[PaperRow], int]) -> tuple[set[str], set[str]]:
+    """One discipline of one null replicate, from its labelled rows
+    (discipline, rows, min_persistence): the papers that introduced a gap
+    edge and those that introduced any edge. The null model's pool task."""
+    discipline, rows, min_persistence = task
+    network = build_network(discipline, rows)
+    return _introducers(network, network_gaps(network, min_persistence))
 
 
 def null_comparison(
@@ -172,36 +212,46 @@ def null_comparison(
 ) -> list[ShareRow]:
     """Mean category shares over label-randomized replicates.
 
-    Each replicate randomizes labels with a derived sub-seed, rebuilds every
-    discipline network, recomputes persistence, and classifies. One pool runs
-    the (replicate, discipline) tasks; randomization leaves years and
-    disciplines alone, so the real store classifies and groups every
-    replicate. Rows report the mean count and mean fraction with the standard
-    error of the fraction.
+    The label groups, the paper order and each paper's group keys are
+    computed once. Each replicate deals labels with a derived sub-seed,
+    rebuilds every discipline network and takes its gap edges straight from
+    the reduction; one pool runs the (replicate, discipline) tasks, each of
+    which returns only the introducer sets that classification reads.
+    Randomization leaves years and disciplines alone, so the real store's
+    papers and groups serve every replicate. Rows report the mean count and
+    mean fraction with the standard error of the fraction.
     """
     if replicates < 1:
         raise ValueError("replicates must be at least 1")
-    n_disciplines = len(store.disciplines())
+    pools = label_pools(store)
+    papers = [(rec.year, rec.paper_id, rec.level0_ids) for rec in store.iter_papers()]
+    disciplines = store.disciplines()
+    keys = {grouping: group_keys(store, grouping) for grouping in groupings}
 
     def tasks():
         for replicate in range(replicates):
-            labels = randomize_labels(store, derive_seed(seed, "null", replicate))
-            for discipline, rows in discipline_rows(store, labels).items():
-                yield discipline, rows, min_persistence
+            labels = randomize_labels(pools, derive_seed(seed, "null", replicate))
+            labelled: dict[str, list[PaperRow]] = {d: [] for d in disciplines}
+            for year, pid, memberships in papers:
+                row = (year, pid, labels[pid])
+                for discipline in memberships:
+                    labelled[discipline].append(row)
+            for discipline in disciplines:
+                yield discipline, labelled[discipline], min_persistence
 
     acc: dict[tuple[str, str, Category], list[tuple[float, float]]] = defaultdict(list)
-    topologies: dict[str, DisciplineTopology] = {}
-    for topology in parallel_map(discipline_topology, tasks(), threads):
-        topologies[topology.discipline] = topology
-        if len(topologies) < n_disciplines:
+    gap: set[str] = set()
+    novel: set[str] = set()
+    for done, (gap_d, novel_d) in enumerate(parallel_map(_null_task, tasks(), threads), 1):
+        gap |= gap_d
+        novel |= novel_d
+        if done % len(disciplines):
             continue  # the replicate's other disciplines are still to come
-        classifications = classify_all(store, topologies)
-        topologies = {}
+        categories = _categorize((pid for _, pid, _ in papers), gap, novel)
+        gap, novel = set(), set()
         for grouping in groupings:
-            for row in share_table(classifications, store, grouping):
-                acc[(row.grouping, row.group, row.category)].append(
-                    (row.count, row.fraction)
-                )
+            for group, category, n, fraction in _shares(categories, keys[grouping]):
+                acc[(grouping, group, category)].append((n, fraction))
     rows: list[ShareRow] = []
     for (grouping, group, category), samples in sorted(
         acc.items(), key=lambda kv: (kv[0][0], kv[0][1], CATEGORIES.index(kv[0][2]))

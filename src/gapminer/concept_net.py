@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations, groupby
 from operator import itemgetter
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .corpus import CorpusStore, PaperRecord
 from .errors import DataError, InfeasibleResamplingError, UnknownDisciplineError
@@ -32,8 +32,9 @@ NETWORK_HEADER = ("u", "v", "time", "introducers")
 
 @dataclass(frozen=True, slots=True)
 class EdgeBirth:
-    """First occurrence of a concept pair: the year, who introduced it, and a
-    deterministic ordinal among edges sharing the year."""
+    """First occurrence of a concept pair: the year, who introduced it, and
+    its tie rank, the edge's position in the (time, min introducer id, pair)
+    order of its network, which holds its edges in that order."""
 
     time: int
     introducers: frozenset[str]
@@ -48,20 +49,20 @@ class TemporalConceptNetwork:
     tau_max: int | None
 
 
-def _canonical(u: str, v: str) -> Pair:
-    return (u, v) if u < v else (v, u)
+def _network(discipline: str, edges: dict[Pair, EdgeBirth]) -> TemporalConceptNetwork:
+    """Freeze edges given in tie-rank order."""
+    nodes = {u for u, _ in edges} | {v for _, v in edges}
+    tau_max = max((eb.time for eb in edges.values()), default=None)
+    return TemporalConceptNetwork(discipline, nodes, edges, tau_max)
 
 
 def _finish_network(discipline: str, raw: dict[Pair, tuple[int, frozenset[str]]]) -> TemporalConceptNetwork:
     """Assign tie ranks (ascending time, min introducer id, pair) and freeze."""
     ordered = sorted(raw.items(), key=lambda kv: (kv[1][0], min(kv[1][1]), kv[0]))
-    edges = {
-        pair: EdgeBirth(time, intro, rank)
-        for rank, (pair, (time, intro)) in enumerate(ordered)
-    }
-    nodes = {u for u, _ in edges} | {v for _, v in edges}
-    tau_max = max((eb.time for eb in edges.values()), default=None)
-    return TemporalConceptNetwork(discipline, nodes, edges, tau_max)
+    return _network(
+        discipline,
+        {pair: EdgeBirth(time, intro, rank) for rank, (pair, (time, intro)) in enumerate(ordered)},
+    )
 
 
 def discipline_rows(
@@ -82,24 +83,33 @@ def discipline_rows(
 def build_network(discipline: str, rows: Sequence[PaperRow]) -> TemporalConceptNetwork:
     """Build the discipline's cumulative co-occurrence network from its rows.
 
-    Rows come in the deterministic (year, paper_id) order of discipline_rows;
-    an edge's introducers are all papers of its first year that contain the
-    pair. A discipline with no paper is unknown.
+    Rows come in the deterministic (year, paper_id) order of discipline_rows,
+    each with its concept ids sorted; an edge's introducers are all papers
+    of its first year that contain the pair. Within a year a pair is first
+    met at its smallest introducer, and one paper's pairs come in pair
+    order, so the order edges are first met in is the tie-rank order
+    (ascending time, min introducer id, pair) with no sort. A discipline
+    with no paper is unknown.
     """
     if not rows:
         raise UnknownDisciplineError(f"unknown discipline id {discipline!r}")
-    raw: dict[Pair, tuple[int, frozenset[str]]] = {}
+    edges: dict[Pair, EdgeBirth] = {}
     for year, papers in groupby(rows, key=itemgetter(0)):
-        batch: dict[Pair, set[str]] = {}
+        batch: dict[Pair, list[str]] = {}
         for _, pid, concepts in papers:
-            for u, v in combinations(concepts, 2):
-                pair = _canonical(u, v)
-                if pair in raw:
+            for pair in combinations(concepts, 2):
+                if pair in edges:
                     continue
-                batch.setdefault(pair, set()).add(pid)
-        for pair, intro in batch.items():
-            raw[pair] = (year, frozenset(intro))
-    return _finish_network(discipline, raw)
+                introducers = batch.get(pair)
+                if introducers is None:
+                    batch[pair] = [pid]
+                else:
+                    introducers.append(pid)
+        rank = len(edges)
+        for pair, introducers in batch.items():
+            edges[pair] = EdgeBirth(year, frozenset(introducers), rank)
+            rank += 1
+    return _network(discipline, edges)
 
 
 def save_network(network: TemporalConceptNetwork, path: str | Path) -> None:
@@ -134,18 +144,58 @@ def load_network(path: str | Path, discipline: str) -> TemporalConceptNetwork:
     return _finish_network(discipline, raw)
 
 
+class LabelPool(NamedTuple):
+    """One group of the label null model: the papers sharing one set of
+    discipline memberships, in (year, paper_id) order, with their level-3
+    labels concatenated in that order and each paper's label count."""
+
+    key: tuple[str, ...]
+    paper_ids: tuple[str, ...]
+    labels: tuple[str, ...]
+    sizes: tuple[int, ...]
+
+
+def label_pools(store: CorpusStore) -> list[LabelPool]:
+    """The store's label groups, by sorted membership key: the part of the
+    null model that no replicate changes. A paper needing more distinct
+    labels than its group holds makes every dealing infeasible."""
+    groups: dict[tuple[str, ...], list[PaperRecord]] = {}
+    for rec in store.iter_papers():
+        groups.setdefault(rec.level0_ids, []).append(rec)
+    pools: list[LabelPool] = []
+    for key in sorted(groups):
+        members = groups[key]
+        hands = [rec.level3_ids for rec in members]
+        labels = tuple(c for hand in hands for c in hand)
+        sizes = tuple(map(len, hands))
+        distinct = len(set(labels))
+        if max(sizes) > distinct:
+            raise InfeasibleResamplingError(
+                f"a paper needs {max(sizes)} distinct labels but the group has {distinct}"
+            )
+        pools.append(LabelPool(key, tuple(rec.paper_id for rec in members), labels, sizes))
+    return pools
+
+
 def _deal_hands(
-    pool: list[str], sizes: list[int], rng: random.Random, max_attempts: int = 50
+    pool: list[str], sizes: Sequence[int], rng: random.Random, max_attempts: int = 50
 ) -> list[list[str]]:
     """Deal the shuffled label pool into hands of the given sizes so that no
-    hand contains a duplicate label; collisions are repaired by swapping."""
-    distinct = len(set(pool))
-    if max(sizes) > distinct:
-        raise InfeasibleResamplingError(
-            f"a paper needs {max(sizes)} distinct labels but the group has {distinct}"
-        )
+    hand contains a duplicate label; collisions are repaired by swapping.
+
+    The shuffle is `rng.shuffle(pool)` inlined: each swap index is drawn as
+    getrandbits of (i + 1).bit_length() bits, redrawn while out of range, so
+    the random stream and every hand are those of `random.shuffle`.
+    """
+    getrandbits = rng.getrandbits
     for _ in range(max_attempts):
-        rng.shuffle(pool)
+        for i in range(len(pool) - 1, 0, -1):
+            n = i + 1
+            k = n.bit_length()
+            j = getrandbits(k)
+            while j >= n:
+                j = getrandbits(k)
+            pool[i], pool[j] = pool[j], pool[i]
         hands: list[list[str]] = []
         pos = 0
         for size in sizes:
@@ -161,9 +211,9 @@ def _repair_collisions(hands: list[list[str]], rng: random.Random) -> bool:
     for _ in range(200):
         dirty = False
         for i, hand in enumerate(hands):
-            counts = Counter(hand)
-            if len(counts) == len(hand):
+            if len(set(hand)) == len(hand):
                 continue
+            counts = Counter(hand)
             dirty = True
             dup = next(label for label, c in counts.items() if c > 1)
             slot = max(k for k, label in enumerate(hand) if label == dup)
@@ -191,26 +241,22 @@ def _repair_collisions(hands: list[list[str]], rng: random.Random) -> bool:
     return False
 
 
-def randomize_labels(store: CorpusStore, seed: int) -> dict[str, tuple[str, ...]]:
+def randomize_labels(pools: Sequence[LabelPool], seed: int) -> dict[str, tuple[str, ...]]:
     """Null model: permute level-3 labels across papers, per discipline.
 
-    Returns each paper's new sorted level-3 ids. Each paper keeps its label
+    Deals each group of `label_pools(store)` with its own sub-seed and
+    returns each paper's new sorted level-3 ids. Each paper keeps its label
     count; the label multiset of every discipline is preserved exactly.
     Papers sharing the same set of discipline memberships are shuffled
     together, which keeps the multiset invariant exact even for
     multi-discipline papers. Labels within a paper stay distinct (collisions
     are resampled).
     """
-    groups: dict[tuple[str, ...], list[PaperRecord]] = {}
-    for rec in store.iter_papers():
-        groups.setdefault(rec.level0_ids, []).append(rec)
     labels: dict[str, tuple[str, ...]] = {}
-    for key in sorted(groups):
-        members = groups[key]  # already in (year, paper_id) order
-        rng = random.Random(derive_seed(seed, "labels", *key))
-        pool = [c for rec in members for c in rec.level3_ids]
-        sizes = [len(rec.level3_ids) for rec in members]
-        hands = _deal_hands(pool, sizes, rng)
-        for rec, hand in zip(members, hands):
-            labels[rec.paper_id] = tuple(sorted(hand))
+    for pool in pools:
+        rng = random.Random(derive_seed(seed, "labels", *pool.key))
+        hands = _deal_hands(list(pool.labels), pool.sizes, rng)
+        for pid, hand in zip(pool.paper_ids, hands):
+            hand.sort()
+            labels[pid] = tuple(hand)
     return labels

@@ -339,9 +339,11 @@ class Pipeline:
         classify_mod.write_classification_csv(
             classifications, store, self.out / "classification.csv"
         )
+        categories = {pid: cls.category for pid, cls in classifications.items()}
         rows = []
         for grouping in classify_mod.GROUPINGS:
-            rows.extend(classify_mod.share_table(classifications, store, grouping))
+            keys = classify_mod.group_keys(store, grouping)
+            rows.extend(classify_mod.share_table(categories, keys, grouping))
         if cfg.null_replicates > 0:
             rows.extend(
                 classify_mod.null_comparison(
@@ -406,7 +408,7 @@ class Pipeline:
                 "networks use every positive-confidence discipline membership of a paper",
                 "top-k citation flags include all papers tied at the cohort threshold",
             ],
-            "config": {f: getattr(self.config, f) for stage in _TABLE for f in stage.config},
+            "config": {f: getattr(self.config, f) for f in _maker("report.json").config},
         }
         write_json(self.out / "report.json", report)
 
@@ -514,6 +516,11 @@ _TABLE = (
     Stage(
         "report", "run summary", Pipeline._run_report,
         makes=("report.json",),
+        # The config echo of report.json: the union of the other stages' fields.
+        config=(
+            "year_min", "year_max", "min_persistence", "null_replicates", "seed",
+            "n_rand", "rewire_factor", "cd_window", "sb_horizon",
+        ),
         reads=(
             "ingest.json", "corpus.norm.jsonl", "networks/index.json", "diagrams/index.json",
             "classification.csv", "shares.csv", "metrics.csv",

@@ -59,15 +59,16 @@ class FlagFiltration:
     with the (higher, lower) ranks of those triangles' other two edges in
     ascending order: since ranks ascend in time, that is the triangles'
     filtration order, (value, descending rank triple). dim0 holds the
-    dimension-0 features and cycle_edges the ranks of the edges that closed
-    a cycle, both found by the walk that built the complex.
+    dimension-0 features as (vertex, birth year, death year or None) and
+    cycle_edges the ranks of the edges that closed a cycle, both found by
+    the walk that built the complex.
     """
 
     vertex_year: dict[str, int]
     edges: list[tuple[str, str, int]]
     cofaces: list[tuple[int, list[tuple[int, int]]]]
     n_triangles: int
-    dim0: list[DiagramRecord]
+    dim0: list[tuple[str, int, int | None]]
     cycle_edges: list[int]
 
     def __len__(self) -> int:
@@ -93,17 +94,11 @@ class FlagFiltration:
         return [Simplex(vertices, t, i) for i, (vertices, t, _, _) in enumerate(entries)]
 
 
-def _find(parent: dict[str, str], x: str) -> str:
-    root = x
-    while parent[root] != root:
-        parent[root] = parent[parent[root]]
-        root = parent[root]
-    return root
-
-
 def build_flag_filtration(network: TemporalConceptNetwork) -> FlagFiltration:
     """Walk a temporal network's edges once in rank order into its flag complex.
 
+    The network's edges must be held in tie-rank order, as every network
+    constructor leaves them; an edge out of that order is an InternalError.
     A vertex enters with its first edge, and a simplex's value is the latest
     of its edges' birth years; isolated concepts never appear. Union-find
     over the vertices, ordered by (year, name), applies the elder rule: an
@@ -118,10 +113,14 @@ def build_flag_filtration(network: TemporalConceptNetwork) -> FlagFiltration:
     edges: list[tuple[str, str, int]] = []
     cofaces: list[tuple[int, list[tuple[int, int]]]] = []
     n_triangles = 0
-    dim0: list[DiagramRecord] = []
+    dim0: list[tuple[str, int, int | None]] = []
     cycle_edges: list[int] = []
-    ordered = sorted(network.edges.items(), key=lambda item: item[1].tie_rank)
-    for r, ((u, v), birth) in enumerate(ordered):
+    for r, ((u, v), birth) in enumerate(network.edges.items()):
+        if birth.tie_rank != r:
+            raise InternalError(
+                f"edge {(u, v)} of network {network.discipline!r} has tie rank "
+                f"{birth.tie_rank} at position {r}"
+            )
         year = birth.time
         edges.append((u, v, year))
         for x in (u, v):
@@ -130,7 +129,15 @@ def build_flag_filtration(network: TemporalConceptNetwork) -> FlagFiltration:
                 neighbours[x] = {}
                 parent[x] = x
                 oldest[x] = (year, x)
-        root_u, root_v = _find(parent, u), _find(parent, v)
+        # Find both roots, halving paths on the way.
+        root_u = u
+        while parent[root_u] != root_u:
+            parent[root_u] = parent[parent[root_u]]
+            root_u = parent[root_u]
+        root_v = v
+        while parent[root_v] != root_v:
+            parent[root_v] = parent[parent[root_v]]
+            root_v = parent[root_v]
         near_u, near_v = neighbours[u], neighbours[v]
         if root_u != root_v:
             old, young = oldest[root_u], oldest[root_v]
@@ -138,7 +145,7 @@ def build_flag_filtration(network: TemporalConceptNetwork) -> FlagFiltration:
                 old, young = young, old
             parent[root_v] = root_u
             oldest[root_u] = old
-            dim0.append(DiagramRecord(0, (young[1],), young[0], year))
+            dim0.append((young[1], young[0], year))
         else:
             cycle_edges.append(r)
             common = near_u.keys() & near_v.keys()
@@ -151,37 +158,18 @@ def build_flag_filtration(network: TemporalConceptNetwork) -> FlagFiltration:
                 cofaces.append((r, group))
         near_u[v] = r
         near_v[u] = r
-    dim0.extend(
-        DiagramRecord(0, (name,), t, None)
-        for x, (t, name) in oldest.items()
-        if parent[x] == x
-    )
+    dim0.extend((name, t, None) for x, (t, name) in oldest.items() if parent[x] == x)
     return FlagFiltration(vertex_year, edges, cofaces, n_triangles, dim0, cycle_edges)
 
 
-@dataclass
-class PersistenceDiagram:
-    """Features in dimensions 0 and 1: pairs die, essentials never do."""
+def _cycle_deaths(filtration: FlagFiltration) -> dict[int, int]:
+    """Each dimension-1 pair of the filtration as birth edge rank -> rank of
+    the youngest edge of the triangle that kills it, in death order.
 
-    pairs: tuple[DiagramRecord, ...]
-    essentials: tuple[DiagramRecord, ...]
-
-    def records(self) -> list[DiagramRecord]:
-        out = [*self.pairs, *self.essentials]
-        out.sort(key=lambda r: (r.dim, r.birth_year, r.birth_vertices))
-        return out
-
-
-def compute_persistence(filtration: FlagFiltration) -> PersistenceDiagram:
-    """Persistent homology of the 2-skeleton filtration over Z2, in
-    dimensions 0 and 1.
-
-    Dimension 0 and the cycle-closing edges come from the filtration's
-    union-find. The triangle columns are reduced in filtration order; each
-    edge's first triangle has that edge as its pivot and no older column can
-    share it, so it is stored as the pivot column as it stands.
+    The triangle columns are reduced in filtration order; each edge's first
+    triangle has that edge as its pivot and no older column can share it,
+    so it is stored as the pivot column as it stands (an apparent pair).
     """
-    edges = filtration.edges
     n_cycles = len(filtration.cycle_edges)
     # Columns are bitmask integers over edge ranks; XOR and bit_length run at
     # word speed, which is what makes 10^5-triangle disciplines tractable.
@@ -191,13 +179,13 @@ def compute_persistence(filtration: FlagFiltration) -> PersistenceDiagram:
     # cycle-closing edges; once reached, every remaining column provably
     # reduces to zero, so the pass stops.
     pivot_col: dict[int, int] = {}
-    deaths: list[tuple[int, int]] = []  # (killed edge rank, youngest edge rank of the killer)
+    deaths: dict[int, int] = {}
     for r, group in filtration.cofaces:
         if len(pivot_col) == n_cycles:
             break
         hi, lo = group[0]
         pivot_col[r] = (1 << r) | (1 << hi) | (1 << lo)
-        deaths.append((r, r))
+        deaths[r] = r
         for hi, lo in islice(group, 1, None):
             if len(pivot_col) == n_cycles:
                 break
@@ -221,28 +209,53 @@ def compute_persistence(filtration: FlagFiltration) -> PersistenceDiagram:
                     column ^= other
                     remainder = column & ((1 << row) - 1)
             pivot_col[low] = column
-            deaths.append((low, r))
+            deaths[low] = r
 
-    if not pivot_col.keys() <= set(filtration.cycle_edges):
+    if not deaths.keys() <= set(filtration.cycle_edges):
         raise InternalError(
             "reduction paired a component-merging edge as a cycle birth"
         )
-    pairs = [rec for rec in filtration.dim0 if rec.death_year is not None]
+    return deaths
+
+
+@dataclass
+class PersistenceDiagram:
+    """Features in dimensions 0 and 1: pairs die, essentials never do."""
+
+    pairs: tuple[DiagramRecord, ...]
+    essentials: tuple[DiagramRecord, ...]
+
+    def records(self) -> list[DiagramRecord]:
+        out = [*self.pairs, *self.essentials]
+        out.sort(key=lambda r: (r.dim, r.birth_year, r.birth_vertices))
+        return out
+
+
+def compute_persistence(filtration: FlagFiltration) -> PersistenceDiagram:
+    """Persistent homology of the 2-skeleton filtration over Z2, in
+    dimensions 0 and 1, as diagram records.
+
+    Dimension 0 and the cycle-closing edges come from the filtration's
+    union-find, the dimension-1 pairs from its triangle columns.
+    """
+    edges = filtration.edges
+    deaths = _cycle_deaths(filtration)
+    pairs = [DiagramRecord(0, (x,), t, d) for x, t, d in filtration.dim0 if d is not None]
     pairs.extend(
-        DiagramRecord(1, edges[b][:2], edges[b][2], edges[d][2]) for b, d in deaths
+        DiagramRecord(1, edges[b][:2], edges[b][2], edges[d][2]) for b, d in deaths.items()
     )
-    essentials = [rec for rec in filtration.dim0 if rec.death_year is None]
+    essentials = [DiagramRecord(0, (x,), t, None) for x, t, d in filtration.dim0 if d is None]
     essentials.extend(
         DiagramRecord(1, edges[b][:2], edges[b][2], None)
         for b in filtration.cycle_edges
-        if b not in pivot_col
+        if b not in deaths
     )
     return PersistenceDiagram(tuple(pairs), tuple(essentials))
 
 
 def network_diagram(network: TemporalConceptNetwork) -> tuple[list[DiagramRecord], int]:
     """The diagram rows of a network's flag complex, sorted as dumped, and
-    the complex's simplex count. The one topology path of real and null runs."""
+    the complex's simplex count: the persist stage's topology path."""
     filtration = build_flag_filtration(network)
     return compute_persistence(filtration).records(), len(filtration)
 
@@ -258,6 +271,24 @@ def gap_edges(records: Iterable[DiagramRecord], min_persistence: int = 1) -> set
             continue
         if rec.death_year is None or rec.death_year - rec.birth_year >= min_persistence:
             u, v = rec.birth_vertices
+            result.add((u, v))
+    return result
+
+
+def network_gaps(network: TemporalConceptNetwork, min_persistence: int = 1) -> set[Pair]:
+    """The gap edges of a network, as `gap_edges` finds them in its diagram,
+    straight from the reduction: no diagram record is built and none sorted.
+    The null model's topology path."""
+    if min_persistence < 0:
+        raise ValueError("min_persistence must be non-negative")
+    filtration = build_flag_filtration(network)
+    edges = filtration.edges
+    deaths = _cycle_deaths(filtration)
+    result: set[Pair] = set()
+    for b in filtration.cycle_edges:
+        u, v, year = edges[b]
+        d = deaths.get(b)
+        if d is None or edges[d][2] - year >= min_persistence:
             result.add((u, v))
     return result
 

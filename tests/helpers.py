@@ -1,5 +1,7 @@
 """Shared test fixtures: record builders, random temporal graphs, store-level
-wrappers over the null model's per-discipline task, label checks, the
+wrappers over the per-discipline topology, label checks, the pre-change null
+model the lean one is checked against (random.shuffle dealing, the
+sort-ranked network, diagram records, evidence-based categories), the
 reference machinery the implicit dimension-0/1 engine is checked against (a
 flag complex of any dimension listed as Simplex objects, the explicit
 triangle-column reduction that engine replaced, the naive full column
@@ -9,29 +11,41 @@ loop the novelty baseline's rewiring is checked against."""
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing
 import os
 import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, groupby
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from gapminer.classify import DisciplineTopology, discipline_topology
+from gapminer.classify import (
+    CATEGORIES,
+    KIND_GAP,
+    KIND_NOVEL,
+    Category,
+    DisciplineTopology,
+    Evidence,
+    PaperClassification,
+    ShareRow,
+)
 from gapminer.concept_net import (
     Pair,
+    PaperRow,
     TemporalConceptNetwork,
-    _canonical,
     _finish_network,
     build_network,
     discipline_rows,
 )
 from gapminer.corpus import SCHEMA_VERSION, CorpusStore, PaperRecord, validate_record
-from gapminer.errors import InternalError, UnknownDisciplineError
-from gapminer.topology import DiagramRecord, Simplex
+from gapminer.errors import InfeasibleResamplingError, InternalError, UnknownDisciplineError
+from gapminer.topology import DiagramRecord, Simplex, gap_edges, network_diagram
+from gapminer.util import derive_seed
 
 
 def raw_record(pid, year, l3, l0=("D",), refs=(), **extra):
@@ -65,6 +79,10 @@ def write_corpus(path: Path, raws, header=True) -> Path:
 
 
 # -- networks -------------------------------------------------------------------
+
+def _canonical(u: str, v: str) -> Pair:
+    return (u, v) if u < v else (v, u)
+
 
 def network_from_edge_times(
     discipline: str, edges: Iterable[tuple[str, str, int]]
@@ -114,6 +132,16 @@ def network_of(store: CorpusStore, discipline: str) -> TemporalConceptNetwork:
     return build_network(discipline, discipline_rows(store).get(discipline, []))
 
 
+def discipline_topology(task: tuple[str, Sequence[PaperRow], int]) -> DisciplineTopology:
+    """Network and gap pairs of one discipline from its labelled rows
+    (discipline, rows, min_persistence), through the diagram records as the
+    classify stage reads them: the pre-change null model's pool task."""
+    discipline, rows, min_persistence = task
+    network = build_network(discipline, rows)
+    records, _ = network_diagram(network)
+    return DisciplineTopology(discipline, network, frozenset(gap_edges(records, min_persistence)))
+
+
 def analyze_discipline(
     store: CorpusStore, discipline: str, *, min_persistence: int = 1
 ) -> DisciplineTopology:
@@ -125,11 +153,208 @@ def analyze_discipline(
 def analyze_store(
     store: CorpusStore, *, min_persistence: int = 1
 ) -> dict[str, DisciplineTopology]:
-    """Networks and gap pairs of every discipline, through the null model's task."""
+    """Networks and gap pairs of every discipline with the store's own labels."""
     return {
         d: discipline_topology((d, rows, min_persistence))
         for d, rows in discipline_rows(store).items()
     }
+
+
+def random_store(
+    rng: random.Random, papers: int, vocabulary: int, disciplines: int, years: int
+) -> CorpusStore:
+    """A store of 2-4 label papers over `disciplines` disciplines, about a
+    third of the papers in two of them. Every discipline draws its labels
+    from one shared vocabulary of `vocabulary` concepts, so a small
+    vocabulary makes label dealing collide often."""
+    names = [f"D{i}" for i in range(disciplines)]
+    vocab = [f"c{i:02d}" for i in range(vocabulary)]
+    raws = []
+    for i in range(papers):
+        l0 = rng.sample(names, 2 if disciplines > 1 and rng.random() < 0.3 else 1)
+        l3 = rng.sample(vocab, rng.randint(2, min(4, vocabulary)))
+        raws.append(raw_record(f"P{i:03d}", 2000 + rng.randrange(years), l3, l0=l0))
+    return build_store(raws)
+
+
+# -- the pre-change null model ----------------------------------------------------
+
+def reference_build_network(discipline: str, rows: Sequence[PaperRow]) -> TemporalConceptNetwork:
+    """The sort-ranked construction that build_network must equal, tie
+    ranks and dict order included."""
+    if not rows:
+        raise UnknownDisciplineError(f"unknown discipline id {discipline!r}")
+    raw: dict[Pair, tuple[int, frozenset[str]]] = {}
+    for year, papers in groupby(rows, key=itemgetter(0)):
+        batch: dict[Pair, set[str]] = {}
+        for _, pid, concepts in papers:
+            for u, v in combinations(concepts, 2):
+                pair = _canonical(u, v)
+                if pair in raw:
+                    continue
+                batch.setdefault(pair, set()).add(pid)
+        for pair, intro in batch.items():
+            raw[pair] = (year, frozenset(intro))
+    return _finish_network(discipline, raw)
+
+
+def _reference_deal_hands(
+    pool: list[str], sizes: list[int], rng: random.Random, max_attempts: int = 50
+) -> list[list[str]]:
+    distinct = len(set(pool))
+    if max(sizes) > distinct:
+        raise InfeasibleResamplingError(
+            f"a paper needs {max(sizes)} distinct labels but the group has {distinct}"
+        )
+    for _ in range(max_attempts):
+        rng.shuffle(pool)
+        hands: list[list[str]] = []
+        pos = 0
+        for size in sizes:
+            hands.append(pool[pos : pos + size])
+            pos += size
+        if _reference_repair_collisions(hands, rng):
+            return hands
+    raise InfeasibleResamplingError("could not resolve duplicate labels after resampling")
+
+
+def _reference_repair_collisions(hands: list[list[str]], rng: random.Random) -> bool:
+    n = len(hands)
+    for _ in range(200):
+        dirty = False
+        for i, hand in enumerate(hands):
+            counts = Counter(hand)
+            if len(counts) == len(hand):
+                continue
+            dirty = True
+            dup = next(label for label, c in counts.items() if c > 1)
+            slot = max(k for k, label in enumerate(hand) if label == dup)
+            start = rng.randrange(n)
+            done = False
+            for off in range(n):
+                j = (start + off) % n
+                if j == i:
+                    continue
+                other = hands[j]
+                if dup in other:
+                    continue
+                hand_set = set(hand)
+                for m, candidate in enumerate(other):
+                    if candidate not in hand_set:
+                        hand[slot], other[m] = candidate, dup
+                        done = True
+                        break
+                if done:
+                    break
+            if not done:
+                return False
+        if not dirty:
+            return True
+    return False
+
+
+def reference_randomize_labels(store: CorpusStore, seed: int) -> dict[str, tuple[str, ...]]:
+    """The store-regrouping, random.shuffle dealing that randomize_labels
+    must equal label for label."""
+    groups: dict[tuple[str, ...], list[PaperRecord]] = {}
+    for rec in store.iter_papers():
+        groups.setdefault(rec.level0_ids, []).append(rec)
+    labels: dict[str, tuple[str, ...]] = {}
+    for key in sorted(groups):
+        members = groups[key]
+        rng = random.Random(derive_seed(seed, "labels", *key))
+        pool = [c for rec in members for c in rec.level3_ids]
+        sizes = [len(rec.level3_ids) for rec in members]
+        hands = _reference_deal_hands(pool, sizes, rng)
+        for rec, hand in zip(members, hands):
+            labels[rec.paper_id] = tuple(sorted(hand))
+    return labels
+
+
+def reference_classify_all(
+    store: CorpusStore, topologies: Mapping[str, DisciplineTopology]
+) -> dict[str, PaperClassification]:
+    """Categories decided from each paper's evidence tuples."""
+    evidence: dict[str, list[Evidence]] = defaultdict(list)
+    for discipline in sorted(topologies):
+        topo = topologies[discipline]
+        for pair in sorted(topo.network.edges):
+            birth = topo.network.edges[pair]
+            kind = KIND_GAP if pair in topo.gap_pairs else KIND_NOVEL
+            for pid in sorted(birth.introducers):
+                evidence[pid].append((discipline, pair, kind))
+    result: dict[str, PaperClassification] = {}
+    for rec in store.iter_papers():
+        entries = tuple(evidence.get(rec.paper_id, ()))
+        if any(kind == KIND_GAP for _, _, kind in entries):
+            category = Category.GAP_OPENER
+        elif entries:
+            category = Category.NOVEL_PAIR_NON_GAP
+        else:
+            category = Category.NO_NOVEL_PAIR
+        result[rec.paper_id] = PaperClassification(rec.paper_id, category, entries)
+    return result
+
+
+def reference_share_table(
+    classifications: Mapping[str, PaperClassification],
+    store: CorpusStore,
+    grouping: str,
+) -> list[ShareRow]:
+    """Shares counted from the store's records, paper by paper."""
+    counts: dict[str, dict[Category, int]] = defaultdict(lambda: defaultdict(int))
+    for pid, cls in classifications.items():
+        rec = store.papers[pid]
+        keys = {"overall": [""], "year": [str(rec.year)], "discipline": list(rec.level0_ids)}
+        for key in keys[grouping]:
+            counts[key][cls.category] += 1
+    rows: list[ShareRow] = []
+    for group in sorted(counts):
+        total = sum(counts[group].values())
+        for category in CATEGORIES:
+            n = counts[group][category]
+            rows.append(ShareRow(grouping, group, category, n, n / total, "real"))
+    return rows
+
+
+def reference_null_comparison(
+    store: CorpusStore,
+    seed: int,
+    replicates: int,
+    *,
+    min_persistence: int = 1,
+    groupings: Sequence[str] = ("overall", "discipline", "year"),
+) -> list[ShareRow]:
+    """Every replicate rebuilt in full: labels dealt from the store, rows
+    regrouped, diagram records built and sorted, evidence collected, and
+    shares counted row by row; the same means and standard errors."""
+    acc: dict[tuple[str, str, Category], list[tuple[float, float]]] = defaultdict(list)
+    for replicate in range(replicates):
+        labels = reference_randomize_labels(store, derive_seed(seed, "null", replicate))
+        topologies = {
+            d: discipline_topology((d, rows, min_persistence))
+            for d, rows in discipline_rows(store, labels).items()
+        }
+        classifications = reference_classify_all(store, topologies)
+        for grouping in groupings:
+            for row in reference_share_table(classifications, store, grouping):
+                acc[(row.grouping, row.group, row.category)].append((row.count, row.fraction))
+    rows: list[ShareRow] = []
+    for (grouping, group, category), samples in sorted(
+        acc.items(), key=lambda kv: (kv[0][0], kv[0][1], CATEGORIES.index(kv[0][2]))
+    ):
+        fractions = [f for _, f in samples]
+        mean_count = sum(c for c, _ in samples) / len(samples)
+        mean_fraction = sum(fractions) / len(fractions)
+        if len(fractions) > 1:
+            var = sum((f - mean_fraction) ** 2 for f in fractions) / (len(fractions) - 1)
+            stderr = math.sqrt(var / len(fractions))
+        else:
+            stderr = 0.0
+        rows.append(
+            ShareRow(grouping, group, category, mean_count, mean_fraction, "random", stderr)
+        )
+    return rows
 
 
 def label_multiset(

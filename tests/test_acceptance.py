@@ -14,7 +14,7 @@ from collections import Counter
 from pathlib import Path
 
 from gapminer.classify import Category, classify_all
-from gapminer.concept_net import randomize_labels
+from gapminer.concept_net import label_pools, randomize_labels
 from gapminer.corpus import build_citation_index, load_corpus
 from gapminer.metrics import (
     CitationTrajectory,
@@ -166,8 +166,9 @@ def test_c6_null_model_conservation(tmp_path):
     )
     store = load_corpus(corpus)
     assert len(store) == 500
+    pools = label_pools(store)
     for replicate in range(50):
-        check_label_conservation(store, randomize_labels(store, replicate))
+        check_label_conservation(store, randomize_labels(pools, replicate))
 
     # Citation-switch rewiring: both degree sequences exact per swap batch.
     index = build_citation_index(store)

@@ -6,19 +6,37 @@ import multiprocessing
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gapminer.classify import (
     CATEGORIES,
     Category,
     classify_all,
+    group_keys,
     null_comparison,
     share_table,
 )
 from gapminer import util
-from gapminer.errors import MissingDependencyError
+from gapminer.errors import InfeasibleResamplingError, MissingDependencyError
 from gapminer.topology import build_flag_filtration
 
-from helpers import analyze_store, betti_oracle, build_store, raw_record
+from helpers import (
+    analyze_store,
+    betti_oracle,
+    build_store,
+    random_store,
+    raw_record,
+    reference_classify_all,
+    reference_null_comparison,
+    reference_share_table,
+)
+
+
+def real_shares(classifications, store, grouping):
+    """share_table over classify_all's verdicts, as the classify stage calls it."""
+    categories = {pid: cls.category for pid, cls in classifications.items()}
+    return share_table(categories, group_keys(store, grouping), grouping)
 
 
 def cycle_corpus(n=4, discipline="D", start=2000, prefix="P"):
@@ -110,7 +128,7 @@ def test_share_table_overall():
         raw_record(f"dup{i}", 2010, ("Dc0", "Dc1")) for i in range(6)
     ]
     store = build_store(raws)
-    rows = share_table(classify_all(store, analyze_store(store)), store, "overall")
+    rows = real_shares(classify_all(store, analyze_store(store)), store, "overall")
     shares = {r.category: r for r in rows}
     assert shares[Category.GAP_OPENER].count == 1
     assert shares[Category.GAP_OPENER].fraction == pytest.approx(0.10)
@@ -123,7 +141,7 @@ def test_share_table_all_no_novel():
     ]
     store = build_store(raws)
     classifications = classify_all(store, analyze_store(store))
-    rows = share_table(
+    rows = real_shares(
         {pid: c for pid, c in classifications.items() if pid != "p1"}, store, "overall"
     )
     shares = {r.category: r.fraction for r in rows}
@@ -142,7 +160,7 @@ def test_share_table_groupings_sum_to_one():
     store = build_store(raws)
     classifications = classify_all(store, analyze_store(store))
     for grouping in ("overall", "discipline", "year"):
-        rows = share_table(classifications, store, grouping)
+        rows = real_shares(classifications, store, grouping)
         groups = {r.group for r in rows}
         for group in groups:
             total = sum(r.fraction for r in rows if r.group == group)
@@ -192,7 +210,7 @@ def test_null_comparison_deterministic():
 
 def test_null_comparison_singleton_corpus_equals_real():
     store = build_store([raw_record("only", 2000, ("a", "b", "c"))])
-    real = share_table(classify_all(store, analyze_store(store)), store, "overall")
+    real = real_shares(classify_all(store, analyze_store(store)), store, "overall")
     rand = [r for r in null_comparison(store, seed=1, replicates=3) if r.grouping == "overall"]
     real_fracs = {r.category: r.fraction for r in real}
     rand_fracs = {r.category: r.fraction for r in rand}
@@ -224,7 +242,7 @@ def test_null_comparison_directional_on_planted_structure():
     classifications = classify_all(store, analyze_store(store))
     real = {
         r.category: r.fraction
-        for r in share_table(classifications, store, "overall")
+        for r in real_shares(classifications, store, "overall")
     }
     rand = {
         r.category: r.fraction
@@ -260,3 +278,56 @@ def test_null_comparison_one_spawn_pool_for_all_replicates(monkeypatch):
     parallel = null_comparison(store, seed=6, replicates=3, threads=2)
     assert len(pools) == 1
     assert parallel == serial
+
+
+def null_rows(compare, *args, **kwargs):
+    """The rows of a null comparison, or the message it gives up with."""
+    try:
+        return compare(*args, **kwargs)
+    except InfeasibleResamplingError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    store_seed=st.integers(0, 2**32),
+    papers=st.integers(1, 40),
+    vocabulary=st.integers(2, 12),
+    disciplines=st.integers(1, 3),
+    years=st.integers(1, 5),
+    replicates=st.integers(1, 3),
+    min_persistence=st.integers(0, 2),
+)
+def test_null_comparison_equals_reference(
+    seed, store_seed, papers, vocabulary, disciplines, years, replicates, min_persistence
+):
+    # Small vocabularies make dense networks with many cycles and send the
+    # dealing through its collision repair.
+    store = random_store(random.Random(store_seed), papers, vocabulary, disciplines, years)
+    assert null_rows(
+        null_comparison, store, seed, replicates, min_persistence=min_persistence
+    ) == null_rows(
+        reference_null_comparison, store, seed, replicates, min_persistence=min_persistence
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    store_seed=st.integers(0, 2**32),
+    papers=st.integers(1, 40),
+    vocabulary=st.integers(2, 12),
+    years=st.integers(1, 5),
+    min_persistence=st.integers(0, 2),
+)
+def test_real_classification_and_shares_equal_reference(
+    store_seed, papers, vocabulary, years, min_persistence
+):
+    store = random_store(random.Random(store_seed), papers, vocabulary, 3, years)
+    topologies = analyze_store(store, min_persistence=min_persistence)
+    classifications = classify_all(store, topologies)
+    assert classifications == reference_classify_all(store, topologies)
+    for grouping in ("overall", "discipline", "year"):
+        assert real_shares(classifications, store, grouping) == reference_share_table(
+            classifications, store, grouping
+        )

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gapminer.concept_net import (
+    build_network,
     discipline_rows,
+    label_pools,
     load_network,
     randomize_labels,
     save_network,
@@ -19,7 +24,10 @@ from helpers import (
     network_from_edge_times,
     network_of,
     novel_pairs,
+    random_store,
     raw_record,
+    reference_build_network,
+    reference_randomize_labels,
 )
 
 
@@ -147,7 +155,7 @@ def test_network_from_edge_times_keeps_earliest():
 
 def test_randomize_singleton_store_identical():
     store = build_store([raw_record("P1", 2000, ("a", "b", "c"))])
-    assert randomize_labels(store, 5) == {"P1": ("a", "b", "c")}
+    assert randomize_labels(label_pools(store), 5) == {"P1": ("a", "b", "c")}
 
 
 def test_randomize_preserves_counts_and_multiset():
@@ -157,7 +165,7 @@ def test_randomize_preserves_counts_and_multiset():
             raw_record("P2", 2001, ("c", "d")),
         ]
     )
-    check_label_conservation(store, randomize_labels(store, 123))
+    check_label_conservation(store, randomize_labels(label_pools(store), 123))
 
 
 def test_randomize_same_seed_identical():
@@ -167,7 +175,7 @@ def test_randomize_same_seed_identical():
         concepts = rng.sample("abcdefghijkl", rng.randrange(2, 5))
         raws.append(raw_record(f"P{i:03d}", 2000 + i % 5, concepts, l0=(f"D{i % 2}",)))
     store = build_store(raws)
-    assert randomize_labels(store, 42) == randomize_labels(store, 42)
+    assert randomize_labels(label_pools(store), 42) == randomize_labels(label_pools(store), 42)
 
 
 def test_randomize_respects_discipline_boundaries():
@@ -178,7 +186,7 @@ def test_randomize_respects_discipline_boundaries():
         concepts = rng.sample([f"{d}c{j}" for j in range(9)], rng.randrange(2, 5))
         raws.append(raw_record(f"P{i:03d}", 2000 + i % 4, concepts, l0=(d,)))
     store = build_store(raws)
-    check_label_conservation(store, randomize_labels(store, 7))
+    check_label_conservation(store, randomize_labels(label_pools(store), 7))
 
 
 def test_randomize_multi_discipline_papers_consistent():
@@ -188,7 +196,7 @@ def test_randomize_multi_discipline_papers_consistent():
         raw_record("P3", 2000, ("e", "f"), l0=("D",)),
     ]
     store = build_store(raws)
-    check_label_conservation(store, randomize_labels(store, 17))
+    check_label_conservation(store, randomize_labels(label_pools(store), 17))
 
 
 def test_randomized_rows_keep_everything_but_labels():
@@ -198,7 +206,7 @@ def test_randomized_rows_keep_everything_but_labels():
         raw_record("P3", 2000, ("e", "f"), l0=("E",)),
     ]
     store = build_store(raws)
-    labels = randomize_labels(store, 4)
+    labels = randomize_labels(label_pools(store), 4)
     real, shuffled = discipline_rows(store), discipline_rows(store, labels)
     assert list(real) == list(shuffled) == ["D", "E"]
     assert real["D"] == [(2000, "P1", ("a", "b")), (2001, "P2", ("c", "d", "g"))]
@@ -216,4 +224,60 @@ def test_randomize_infeasible_raises():
         [PaperRecord("P1", 2000, (("D", 1.0),), (("a", 1.0), ("a", 0.5)), ())]
     )
     with pytest.raises(InfeasibleResamplingError):
-        randomize_labels(degenerate, 3)
+        randomize_labels(label_pools(degenerate), 3)
+
+
+def dealt(deal, *args):
+    """The labels a dealing returns, or the message it gives up with."""
+    try:
+        return deal(*args)
+    except InfeasibleResamplingError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    store_seed=st.integers(0, 2**32),
+    papers=st.integers(1, 40),
+    vocabulary=st.integers(2, 12),
+    disciplines=st.integers(1, 3),
+)
+def test_randomize_labels_equals_reference_dealing(seed, store_seed, papers, vocabulary, disciplines):
+    # Small vocabularies deal hands with repeated labels, which sends the
+    # dealing through the collision repair and its randrange draws.
+    store = random_store(random.Random(store_seed), papers, vocabulary, disciplines, 4)
+    assert dealt(randomize_labels, label_pools(store), seed) == dealt(
+        reference_randomize_labels, store, seed
+    )
+
+
+def test_randomize_labels_equals_reference_on_a_benchmark_sized_corpus(tmp_path):
+    from gapminer.corpus import load_corpus
+    from gapminer.synth import make_synthetic
+
+    store = load_corpus(make_synthetic("random-pairs", tmp_path / "c.jsonl", 3, papers=500, concepts=500))
+    pools = label_pools(store)
+    for seed in range(5):
+        assert randomize_labels(pools, seed) == reference_randomize_labels(store, seed)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    papers=st.integers(1, 60),
+    vocabulary=st.integers(2, 15),
+    years=st.integers(1, 4),
+)
+def test_build_network_equals_sorted_construction(seed, papers, vocabulary, years):
+    # Tie ranks and the order of the edge dict, for the store's own labels
+    # and for dealt ones: every year holds several papers, so most ranks are
+    # decided by the min introducer and the pair.
+    store = random_store(random.Random(seed), papers, vocabulary, 2, years)
+    for labels in (None, randomize_labels(label_pools(store), seed)):
+        for discipline, rows in discipline_rows(store, labels).items():
+            net = build_network(discipline, rows)
+            ref = reference_build_network(discipline, rows)
+            assert list(net.edges.items()) == list(ref.edges.items())
+            assert [b.tie_rank for b in net.edges.values()] == list(range(len(net.edges)))
+            assert (net.discipline, net.nodes, net.tau_max) == (ref.discipline, ref.nodes, ref.tau_max)

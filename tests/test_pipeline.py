@@ -103,6 +103,32 @@ def test_config_edit_reruns_from_its_first_reader(tmp_path, finished_run, field,
     assert set(run(config).statuses.values()) == {"skipped"}
 
 
+def test_report_echoes_every_stage_config_field():
+    report = pipeline_mod._maker("report.json")
+    others = {f for stage in pipeline_mod._TABLE if stage is not report for f in stage.config}
+    assert set(report.config) == others
+    assert len(report.config) == len(others)
+
+
+@pytest.mark.parametrize("field, value, first", [("year_min", 1800, "ingest"), ("sb_horizon", 10, "metrics")])
+def test_config_edit_with_unchanged_artifacts_updates_the_report(
+    tmp_path, finished_run, field, value, first
+):
+    # The edited stage rewrites its artifacts byte for byte, so nothing
+    # between it and the report reruns; the report reruns for its echo.
+    shutil.copytree(finished_run.output_dir, tmp_path / "out")
+    before = files_under(tmp_path / "out")
+    config = replace(finished_run, output_dir=tmp_path / "out", **{field: value})
+    statuses = run(config).statuses
+    assert {s for s in STAGES if statuses[s] == "ok"} == {first, "report"}
+    after = files_under(tmp_path / "out")
+    assert {name for name in after if after[name] != before[name]} == {"report.json", "manifest.json"}
+    echo = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))["config"]
+    assert echo[field] == value
+    assert echo == {f: getattr(config, f) for f in pipeline_mod._maker("report.json").config}
+    assert set(run(config).statuses.values()) == {"skipped"}
+
+
 @pytest.mark.parametrize("stage", STAGES)
 def test_interrupted_manifest_write_reruns_the_stage(tmp_path, finished_run, monkeypatch, stage):
     """The run stops after `stage` wrote its artifacts but before the manifest

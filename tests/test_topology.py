@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gapminer.concept_net import EdgeBirth, TemporalConceptNetwork
+from gapminer.errors import InternalError
 from gapminer.topology import (
     DiagramRecord,
     build_flag_filtration,
@@ -18,6 +20,7 @@ from gapminer.topology import (
     gap_edges,
     load_diagram_records,
     network_diagram,
+    network_gaps,
     save_diagram_records,
 )
 
@@ -279,6 +282,36 @@ def test_engine_matches_references_on_dense_years(data):
     check_against_references(
         network_from_edge_times("T", [(u, v, t) for (u, v), t in zip(chosen, years)])
     )
+
+
+def test_network_gaps_equal_gap_edges_of_the_diagram():
+    rng = random.Random(909)
+    networks = list(c1_instances())
+    networks += [random_temporal_network(rng, max_nodes=14, max_edges=50) for _ in range(300)]
+    networks += [
+        random_temporal_network(rng, max_nodes=10, max_edges=40, year_hi=2001) for _ in range(200)
+    ]
+    for net in networks:
+        records = network_diagram(net)[0]
+        for min_persistence in (0, 1, 2, 3):
+            assert network_gaps(net, min_persistence) == gap_edges(records, min_persistence)
+    with pytest.raises(ValueError):
+        network_gaps(cycle_network(4), -1)
+
+
+def test_edges_out_of_rank_order_are_internal_error():
+    net = cycle_network(4)
+    swapped = list(net.edges.items())
+    swapped[1], swapped[2] = swapped[2], swapped[1]
+    with pytest.raises(InternalError, match="tie rank 2 at position 1"):
+        build_flag_filtration(TemporalConceptNetwork("T", net.nodes, dict(swapped), net.tau_max))
+    # A rank missing from the sequence is out of order too.
+    gapped = {
+        pair: EdgeBirth(birth.time, birth.introducers, birth.tie_rank + (birth.tie_rank > 0))
+        for pair, birth in net.edges.items()
+    }
+    with pytest.raises(InternalError):
+        network_gaps(TemporalConceptNetwork("T", net.nodes, gapped, net.tau_max))
 
 
 def test_non_apparent_column_reduces_past_an_apparent_pivot():
