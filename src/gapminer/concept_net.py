@@ -30,8 +30,7 @@ PaperRow = tuple[int, str, tuple[str, ...]]  # (year, paper_id, level-3 ids)
 NETWORK_HEADER = ("u", "v", "time", "introducers")
 
 
-@dataclass(frozen=True, slots=True)
-class EdgeBirth:
+class EdgeBirth(NamedTuple):
     """First occurrence of a concept pair: the year, who introduced it, and
     its tie rank, the edge's position in the (time, min introducer id, pair)
     order of its network, which holds its edges in that order."""

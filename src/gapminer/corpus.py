@@ -94,8 +94,10 @@ class ConceptInfo(NamedTuple):
 class CorpusStore:
     """Immutable-by-convention container for validated records plus indices.
 
-    by_year ordering is deterministic: ascending (year, paper_id), with ids
-    compared as strings (equivalent to UTF-8 byte order).
+    papers and by_year are in the deterministic ascending (year, paper_id)
+    order, with ids compared as strings (equivalent to UTF-8 byte order), so
+    a store equals, in dict order too, the one that load_corpus reads back
+    from its save_corpus file.
     """
 
     papers: dict[str, PaperRecord]
@@ -114,6 +116,7 @@ class CorpusStore:
         for pid in sorted(papers):
             by_year.setdefault(papers[pid].year, []).append(pid)
         by_year = {year: by_year[year] for year in sorted(by_year)}
+        papers = {pid: papers[pid] for pids in by_year.values() for pid in pids}
         registry: dict[str, ConceptInfo] = {}
 
         def register(concept: str, level: int, year: int) -> None:

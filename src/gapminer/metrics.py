@@ -17,8 +17,8 @@ import re
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from itertools import accumulate, combinations
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .concept_net import Pair
 from .corpus import CitationIndex, CorpusStore, PaperRecord
@@ -35,8 +35,7 @@ TOP_K_LEVELS = (1, 5, 10, 15, 20)
 # Disruption
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DisruptionCounts:
+class DisruptionCounts(NamedTuple):
     cites_focal_only: int
     cites_both: int
     cites_refs_only: int
@@ -52,23 +51,17 @@ def disruption_counts(
     cites_refs_only: papers citing a reference but not the paper itself.
     With a window, only citers published within `window` years count.
     """
-
-    def in_window(pid: str) -> bool:
-        if window is None:
-            return True
-        return paper.year <= index.year_of[pid] <= paper.year + window
-
-    citers = {c for c in index.citers(paper.paper_id) if in_window(c)}
-    ref_citers: set[str] = set()
-    for ref in paper.references:
-        ref_citers.update(c for c in index.citers(ref) if in_window(c))
+    forward = index.forward
+    citers = forward.get(paper.paper_id, frozenset())
+    ref_citers = set().union(*[forward.get(ref, ()) for ref in paper.references])
     ref_citers.discard(paper.paper_id)
-    both = citers & ref_citers
-    return DisruptionCounts(
-        cites_focal_only=len(citers - ref_citers),
-        cites_both=len(both),
-        cites_refs_only=len(ref_citers - citers),
-    )
+    if window is not None:
+        year_of = index.year_of
+        first, last = paper.year, paper.year + window
+        citers = {c for c in citers if first <= year_of[c] <= last}
+        ref_citers = {c for c in ref_citers if first <= year_of[c] <= last}
+    both = len(citers & ref_citers)
+    return DisruptionCounts(len(citers) - both, both, len(ref_citers) - both)
 
 
 def cd_index(
@@ -129,6 +122,23 @@ class CitationTrajectory:
         return self.counts.index(best)
 
 
+def citation_ages(
+    paper: PaperRecord, index: CitationIndex, *, horizon_year: int, max_age: int
+) -> list[int]:
+    """Citations per year of age, from publication (age 0) through
+    min(max_age, horizon_year - paper.year), from one pass over the citers.
+    Citers dated before the paper have no age and are not counted."""
+    year = paper.year
+    last_age = min(max_age, horizon_year - year)
+    counts = [0] * (last_age + 1)
+    year_of = index.year_of
+    for citer in index.citers(paper.paper_id):
+        age = year_of[citer] - year
+        if 0 <= age <= last_age:
+            counts[age] += 1
+    return counts
+
+
 def citation_trajectory(
     paper: PaperRecord,
     index: CitationIndex,
@@ -136,13 +146,8 @@ def citation_trajectory(
     horizon_year: int,
     max_age: int = 20,
 ) -> CitationTrajectory:
-    last_age = min(max_age, horizon_year - paper.year)
-    counts = [0] * (last_age + 1)
-    for citer in index.citers(paper.paper_id):
-        age = index.year_of[citer] - paper.year
-        if 0 <= age <= last_age:
-            counts[age] += 1
-    return CitationTrajectory(paper.paper_id, tuple(counts))
+    ages = citation_ages(paper, index, horizon_year=horizon_year, max_age=max_age)
+    return CitationTrajectory(paper.paper_id, tuple(ages))
 
 
 def sleeping_beauty(trajectory: CitationTrajectory) -> float:
@@ -166,26 +171,27 @@ def sleeping_beauty(trajectory: CitationTrajectory) -> float:
 # Citation windows and top-cited flags
 # --------------------------------------------------------------------------
 
+def _windows(ages: Sequence[int], observable: int) -> list[int | None]:
+    """Each CITATION_WINDOWS count as a prefix sum of an age histogram that
+    reaches age min(20, observable); a window ending after `observable`
+    years is None."""
+    cumulative = list(accumulate(ages))
+    return [cumulative[k] if k <= observable else None for k in CITATION_WINDOWS]
+
+
 def citation_windows(
-    paper: PaperRecord,
-    index: CitationIndex,
-    *,
-    horizon_year: int,
-    windows: Sequence[int] = CITATION_WINDOWS,
+    paper: PaperRecord, index: CitationIndex, *, horizon_year: int
 ) -> dict[int, int | None]:
-    """Citations received within `k` years of publication, for each k.
+    """Citations received within `k` years of publication, for each k in
+    CITATION_WINDOWS.
 
     A window whose end lies beyond the observable horizon is missing rather
     than zero (right-censoring).
     """
-    citer_years = [index.year_of[c] for c in index.citers(paper.paper_id)]
-    out: dict[int, int | None] = {}
-    for k in windows:
-        if paper.year + k > horizon_year:
-            out[k] = None
-        else:
-            out[k] = sum(1 for y in citer_years if paper.year <= y <= paper.year + k)
-    return out
+    ages = citation_ages(
+        paper, index, horizon_year=horizon_year, max_age=CITATION_WINDOWS[-1]
+    )
+    return dict(zip(CITATION_WINDOWS, _windows(ages, horizon_year - paper.year)))
 
 
 def top_k_flag(
@@ -232,32 +238,25 @@ class NoveltyProfile:
     yearly_percentile: float | None = None
 
 
-def _pair_counts(
-    edges: Sequence[tuple[str, str]], venue_of: Mapping[str, str]
-) -> Counter:
-    """Journal co-citation counts: number of citing papers whose reference
-    list contains each unordered venue pair (same-venue pairs need two
-    references into that venue). Each paper counts a pair at most once."""
-    per_paper: dict[str, list[str]] = defaultdict(list)
-    for citing, cited in edges:
-        per_paper[citing].append(venue_of[cited])
-    counts: Counter = Counter()
-    for venues in per_paper.values():
-        pairs = set()
-        n = len(venues)
-        for i in range(n):
-            vi = venues[i]
-            for j in range(i + 1, n):
-                vj = venues[j]
-                pairs.add((vi, vj) if vi <= vj else (vj, vi))
-        counts.update(pairs)
-    return counts
-
-
 def _rewire(
     edges: list[tuple[str, str]], rng: random.Random, factor: int
 ) -> list[tuple[str, str]]:
-    """Citation switching: swap the cited endpoints of random edge pairs.
+    """Citation switching on named edges: `_switch_citations` over the
+    edges' integer ids, mapped back to names."""
+    ids: dict[str, int] = {}
+    citing = [ids.setdefault(p, len(ids)) for p, _ in edges]
+    cited = [ids.setdefault(r, len(ids)) for _, r in edges]
+    _switch_citations(citing, cited, len(ids), rng, factor)
+    names = list(ids)
+    return [(names[p], names[r]) for p, r in zip(citing, cited)]
+
+
+def _switch_citations(
+    citing: Sequence[int], cited: list[int], n: int, rng: random.Random, factor: int
+) -> None:
+    """Citation switching: swap the cited endpoints of random edge pairs, in
+    place in `cited`. Edge e is (citing[e], cited[e]), over paper ids in
+    range(n) that citing and cited papers share.
 
     Preserves each paper's reference count and each cited paper's (hence each
     journal's) citation count exactly; swaps creating duplicate references or
@@ -268,13 +267,9 @@ def _rewire(
     so the random stream, every accepted swap and the final `rng` state are
     those of the randrange loop kept in tests/helpers.py.
     """
-    total = len(edges)
+    total = len(cited)
     if total < 2:
-        return list(edges)
-    ids: dict[str, int] = {}
-    citing = [ids.setdefault(p, len(ids)) for p, _ in edges]
-    cited = [ids.setdefault(r, len(ids)) for _, r in edges]
-    n = len(ids)
+        return
     # A (citing, cited) pair is the key citing * n + cited; row[e] is the
     # citing part of edge e's key, which swaps never change.
     row = [p * n for p in citing]
@@ -306,8 +301,6 @@ def _rewire(
         present.add(key21)
         cited[a] = r2
         cited[b] = r1
-    names = list(ids)
-    return [(names[p], names[r]) for p, r in zip(citing, cited)]
 
 
 def _percentile(values: Iterable[float], q: float) -> float:
@@ -333,7 +326,14 @@ def _percentile(values: Iterable[float], q: float) -> float:
 
 class YearCocitationBaseline:
     """Observed journal-pair counts for one publication year plus the
-    randomized baseline from citation-switched replicates."""
+    randomized baseline from citation-switched replicates.
+
+    A journal pair's count is the number of citing papers whose resolvable
+    references include it (a same-journal pair needs two references into
+    that journal); each paper counts a pair at most once. Pairs are (venue,
+    venue) tuples in name order, and the baseline keeps sums and squares for
+    the observed pairs, the only ones a paper of the year can ask `z` for.
+    """
 
     def __init__(
         self,
@@ -351,27 +351,57 @@ class YearCocitationBaseline:
         self.std_floor = std_floor
         self.n_rand = n_rand
         venue_of: dict[str, str] = {}
-        edges: list[tuple[str, str]] = []
+        ids: dict[str, int] = {}  # citing and cited papers share one id space
+        citing: list[int] = []
+        cited: list[int] = []
+        spans: list[tuple[int, int]] = []  # edge ranges of papers with two or more
         for pid in store.by_year.get(year, ()):
+            start = len(cited)
+            own = ids.setdefault(pid, len(ids))
             for ref in store.papers[pid].references:
-                cited = store.papers.get(ref)
-                if cited is None or cited.venue_id is None:
+                rec = store.papers.get(ref)
+                if rec is None or rec.venue_id is None:
                     continue
-                venue_of[ref] = cited.venue_id
-                edges.append((pid, ref))
+                venue_of[ref] = rec.venue_id
+                citing.append(own)
+                cited.append(ids.setdefault(ref, len(ids)))
+            if len(cited) - start >= 2:
+                spans.append((start, len(cited)))
         self._venue_of = venue_of
-        self._edges = edges
-        self.observed = _pair_counts(edges, venue_of)
-        sums: dict[tuple[str, str], float] = defaultdict(float)
-        squares: dict[tuple[str, str], float] = defaultdict(float)
+        # Venue codes in name order, so a code pair (a, b) with a <= b is the
+        # name pair in order; the pair's key is a * n_venues + b.
+        venues = sorted(set(venue_of.values()))
+        n_venues = len(venues)
+        code = {v: i for i, v in enumerate(venues)}
+        venue_code = [0] * len(ids)
+        for ref, venue in venue_of.items():
+            venue_code[ids[ref]] = code[venue]
+
+        def pair_counts(cited: list[int]) -> Counter:
+            keys: list[int] = []
+            for start, end in spans:
+                codes = [venue_code[r] for r in cited[start:end]]
+                codes.sort()
+                keys.extend({a * n_venues + b for a, b in combinations(codes, 2)})
+            return Counter(keys)
+
+        observed = pair_counts(cited)
+        sums = dict.fromkeys(observed, 0.0)
+        squares = dict.fromkeys(observed, 0.0)
         for replicate in range(n_rand):
             rng = random.Random(derive_seed(seed, "rewire", year, replicate))
-            counts = _pair_counts(_rewire(edges, rng, rewire_factor), venue_of)
-            for pair, c in counts.items():
-                sums[pair] += c
-                squares[pair] += c * c
-        self._sums = sums
-        self._squares = squares
+            switched = list(cited)
+            _switch_citations(citing, switched, len(ids), rng, rewire_factor)
+            counts = pair_counts(switched)
+            for key in sums:
+                c = counts.get(key, 0)
+                sums[key] += c
+                squares[key] += c * c
+
+        pair = {key: (venues[key // n_venues], venues[key % n_venues]) for key in observed}
+        self.observed = {pair[key]: c for key, c in observed.items()}
+        self._sums = {pair[key]: total for key, total in sums.items()}
+        self._squares = {pair[key]: total for key, total in squares.items()}
 
     def resolvable_refs(self, paper: PaperRecord) -> list[str]:
         return [r for r in paper.references if r in self._venue_of]
@@ -533,10 +563,16 @@ class AuthorIndex:
     def first_year(self, author: str) -> int | None:
         return self._first.get(author)
 
-    def collaborated_before(self, a: str, b: str, year: int) -> bool:
-        key = (a, b) if a < b else (b, a)
-        joint = self._joint.get(key)
-        return joint is not None and joint < year
+    def repeat_collaborators(self, team: Iterable[str], year: int) -> set[str]:
+        """Members of `team` who published with another member before `year`,
+        from one look-up per distinct pair."""
+        joint = self._joint
+        found: set[str] = set()
+        for pair in combinations(sorted(set(team)), 2):
+            first = joint.get(pair)
+            if first is not None and first < year:
+                found.update(pair)
+        return found
 
 
 @dataclass(frozen=True)
@@ -579,12 +615,8 @@ def team_stats(
         career = sum(paper.year - (fy if fy is not None else paper.year) for fy in first_years) / size
     freshness: float | None = None
     if freshness_min_size <= size <= freshness_max_size:
-        fresh = 0
-        for a in paper.authors:
-            teammates = [b for b in paper.authors if b != a]
-            if not any(authors.collaborated_before(a, b, paper.year) for b in teammates):
-                fresh += 1
-        freshness = fresh / size
+        repeat = authors.repeat_collaborators(paper.authors, paper.year)
+        freshness = sum(1 for a in paper.authors if a not in repeat) / size
     geo: float | None = None
     located = [(lat, lon) for _, lat, lon in paper.affiliations]
     if len(located) >= 2:
@@ -720,11 +752,16 @@ def compute_metrics_rows(
     }
     top_flags = {k: top_k_flag(citation_counts, k, cohort_of) for k in TOP_K_LEVELS}
 
+    # One age histogram per paper serves its windows and its trajectory.
+    max_age = max(sb_horizon, CITATION_WINDOWS[-1])
     rows: list[tuple] = []
     for rec in store.iter_papers():
         pid = rec.paper_id
-        trajectory = citation_trajectory(rec, index, horizon_year=horizon, max_age=sb_horizon)
-        windows = citation_windows(rec, index, horizon_year=horizon)
+        ages = citation_ages(rec, index, horizon_year=horizon, max_age=max_age)
+        observable = horizon - rec.year
+        trajectory = CitationTrajectory(
+            pid, tuple(ages[: max(min(sb_horizon, observable) + 1, 0)])
+        )
         profile = novelty_profiles.get(pid)
         pair_stats = concept_pair_stats(
             rec, novel_pairs_by_paper.get(pid, ()), store, occurrences
@@ -737,7 +774,7 @@ def compute_metrics_rows(
             cd_percentiles.get(pid),
             sleeping_beauty(trajectory),
             profile.yearly_percentile if profile else None,
-            *(windows[k] for k in CITATION_WINDOWS),
+            *_windows(ages, observable),
             *(top_flags[k][pid] for k in TOP_K_LEVELS),
             pair_stats.concept_age if pair_stats else None,
             pair_stats.concept_popularity if pair_stats else None,

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import logging
 import re
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable
@@ -255,7 +255,8 @@ class Pipeline:
         return {"config": {f: getattr(self.config, f) for f in stage.config}, "files": files}
 
     def _load_store(self):
-        """Load the normalized corpus, cached across stages of one run."""
+        """Load the normalized corpus, cached across stages of one run under
+        the file's digest; ingest seeds the cache with the store it wrote."""
         path = self.out / "corpus.norm.jsonl"
         digest = sha256_file(path)
         if self._store_cache is None or self._store_cache[0] != digest:
@@ -270,7 +271,10 @@ class Pipeline:
     def _run_ingest(self) -> None:
         cfg = self.config
         store = load_corpus(cfg.corpus_path, year_min=cfg.year_min, year_max=cfg.year_max)
-        save_corpus(store, self.out / "corpus.norm.jsonl")
+        normalized = self.out / "corpus.norm.jsonl"
+        save_corpus(store, normalized)
+        # Equal to load_corpus(normalized), so later stages need not parse it.
+        self._store_cache = (sha256_file(normalized), store)
         write_rejection_report(store, self.out / "rejections.csv")
         index = build_citation_index(store)
         report = store.ingest_report
@@ -467,7 +471,7 @@ class Pipeline:
                 self.manifest["stages"][stage.name] = {"inputs": inputs_digest, "invalid": True}
                 write_json(self.manifest_path, self.manifest)
                 logger.exception("stage %s failed", stage.name)
-                if isinstance(exc, BrokenProcessPool):
+                if isinstance(exc, BrokenExecutor):
                     raise InternalError(
                         f"stage {stage.name}: a worker process died ({exc})"
                     ) from exc

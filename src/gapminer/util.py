@@ -8,7 +8,6 @@ import hashlib
 import json
 import os
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, suppress
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO, TypeVar
@@ -47,15 +46,6 @@ def json_digest(obj: Any) -> str:
     return sha256_text(json.dumps(obj, sort_keys=True, separators=(",", ":")))
 
 
-def fmt_cell(value: object) -> str:
-    """Render one CSV cell; None becomes the empty field."""
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 @contextmanager
 def output_file(path: str | Path) -> Iterator[TextIO]:
     """A UTF-8 text file for writing that replaces `path` only when the block
@@ -79,12 +69,12 @@ def output_file(path: str | Path) -> Iterator[TextIO]:
 
 
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
-    """Write a CSV file with '\\n' line endings regardless of platform."""
+    """Write a CSV file with '\\n' line endings regardless of platform. None
+    is the empty field and a float is written as its repr."""
     with output_file(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([fmt_cell(v) for v in row])
+        writer.writerows(rows)
 
 
 def write_json(path: Path, payload: Any) -> None:
@@ -105,6 +95,8 @@ def parallel_map(fn: Callable[[T], R], tasks: Iterable[T], threads: int) -> Iter
         for task in tasks:
             yield fn(task)
         return
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
     with ProcessPoolExecutor(max_workers=threads) as pool:
         pending: deque = deque()
         for task in tasks:

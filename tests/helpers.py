@@ -5,8 +5,10 @@ sort-ranked network, diagram records, evidence-based categories), the
 reference machinery the implicit dimension-0/1 engine is checked against (a
 flag complex of any dimension listed as Simplex objects, the explicit
 triangle-column reduction that engine replaced, the naive full column
-reduction, and the dense Betti oracle), and the randrange citation-switching
-loop the novelty baseline's rewiring is checked against."""
+reduction, and the dense Betti oracle), the randrange citation-switching
+loop the novelty baseline's rewiring is checked against, and the pre-change
+metrics table (per-window citer scans, the windowed CD index, per-pair
+freshness, the name-keyed novelty baseline) with its store generator."""
 
 from __future__ import annotations
 
@@ -42,8 +44,28 @@ from gapminer.concept_net import (
     build_network,
     discipline_rows,
 )
-from gapminer.corpus import SCHEMA_VERSION, CorpusStore, PaperRecord, validate_record
+from gapminer.corpus import (
+    SCHEMA_VERSION,
+    CitationIndex,
+    CorpusStore,
+    PaperRecord,
+    validate_record,
+)
 from gapminer.errors import InfeasibleResamplingError, InternalError, UnknownDisciplineError
+from gapminer.metrics import (
+    CITATION_WINDOWS,
+    TOP_K_LEVELS,
+    AuthorIndex,
+    CitationTrajectory,
+    ConceptOccurrences,
+    TeamStats,
+    _percentile,
+    concept_pair_stats,
+    haversine_km,
+    percentile_rank,
+    sleeping_beauty,
+    top_k_flag,
+)
 from gapminer.topology import DiagramRecord, Simplex, gap_edges, network_diagram
 from gapminer.util import derive_seed
 
@@ -443,6 +465,256 @@ def reference_rewire(
         edges[a] = (p1, r2)
         edges[b] = (p2, r1)
     return edges
+
+
+# -- the pre-change metrics table -------------------------------------------------
+
+def reference_disruption_counts(
+    paper: PaperRecord, index: CitationIndex, *, window: int | None = None
+) -> tuple[int, int, int]:
+    """(focal only, both, references only), through a window test per citer."""
+
+    def in_window(pid: str) -> bool:
+        if window is None:
+            return True
+        return paper.year <= index.year_of[pid] <= paper.year + window
+
+    citers = {c for c in index.citers(paper.paper_id) if in_window(c)}
+    ref_citers: set[str] = set()
+    for ref in paper.references:
+        ref_citers.update(c for c in index.citers(ref) if in_window(c))
+    ref_citers.discard(paper.paper_id)
+    return len(citers - ref_citers), len(citers & ref_citers), len(ref_citers - citers)
+
+
+def reference_cd_index(
+    paper: PaperRecord, index: CitationIndex, *, window: int | None = None
+) -> float | None:
+    if not paper.references:
+        return None
+    focal, both, refs = reference_disruption_counts(paper, index, window=window)
+    if focal + both + refs == 0:
+        return None
+    return (focal - both) / (focal + both + refs)
+
+
+def reference_citation_windows(
+    paper: PaperRecord, index: CitationIndex, *, horizon_year: int
+) -> dict[int, int | None]:
+    """Each window counted by its own scan of the citers."""
+    citer_years = [index.year_of[c] for c in index.citers(paper.paper_id)]
+    out: dict[int, int | None] = {}
+    for k in CITATION_WINDOWS:
+        if paper.year + k > horizon_year:
+            out[k] = None
+        else:
+            out[k] = sum(1 for y in citer_years if paper.year <= y <= paper.year + k)
+    return out
+
+
+def reference_citation_trajectory(
+    paper: PaperRecord, index: CitationIndex, *, horizon_year: int, max_age: int
+) -> CitationTrajectory:
+    last_age = min(max_age, horizon_year - paper.year)
+    counts = [0] * (last_age + 1)
+    for citer in index.citers(paper.paper_id):
+        age = index.year_of[citer] - paper.year
+        if 0 <= age <= last_age:
+            counts[age] += 1
+    return CitationTrajectory(paper.paper_id, tuple(counts))
+
+
+def reference_team_stats(paper: PaperRecord, authors: AuthorIndex) -> TeamStats:
+    """Team statistics with freshness tested per ordered author pair."""
+
+    def collaborated_before(a: str, b: str, year: int) -> bool:
+        joint = authors._joint.get((a, b) if a < b else (b, a))
+        return joint is not None and joint < year
+
+    size = len(paper.authors)
+    career = None
+    if size:
+        first_years = [authors.first_year(a) for a in paper.authors]
+        career = sum(paper.year - (fy if fy is not None else paper.year) for fy in first_years) / size
+    freshness = None
+    if 2 <= size <= 20:
+        fresh = 0
+        for a in paper.authors:
+            teammates = [b for b in paper.authors if b != a]
+            if not any(collaborated_before(a, b, paper.year) for b in teammates):
+                fresh += 1
+        freshness = fresh / size
+    geo = None
+    located = [(lat, lon) for _, lat, lon in paper.affiliations]
+    if len(located) >= 2:
+        distances = [
+            haversine_km(lat1, lon1, lat2, lon2)
+            for (lat1, lon1), (lat2, lon2) in combinations(located, 2)
+        ]
+        geo = sum(distances) / len(distances)
+    return TeamStats(size, career, freshness, geo)
+
+
+def reference_pair_counts(
+    edges: Sequence[tuple[str, str]], venue_of: Mapping[str, str]
+) -> Counter:
+    """Journal co-citation counts over named edges: per citing paper, the set
+    of its unordered venue pairs."""
+    per_paper: dict[str, list[str]] = defaultdict(list)
+    for citing, cited in edges:
+        per_paper[citing].append(venue_of[cited])
+    counts: Counter = Counter()
+    for venues in per_paper.values():
+        pairs = set()
+        for i in range(len(venues)):
+            for j in range(i + 1, len(venues)):
+                vi, vj = venues[i], venues[j]
+                pairs.add((vi, vj) if vi <= vj else (vj, vi))
+        counts.update(pairs)
+    return counts
+
+
+class ReferenceCocitationBaseline:
+    """The name-keyed baseline: named edges rewired by the randrange loop,
+    sums and squares kept for every pair any replicate produces."""
+
+    def __init__(self, store: CorpusStore, year: int, *, n_rand: int, seed: int, rewire_factor: int):
+        self.n_rand = n_rand
+        venue_of: dict[str, str] = {}
+        edges: list[tuple[str, str]] = []
+        for pid in store.by_year.get(year, ()):
+            for ref in store.papers[pid].references:
+                cited = store.papers.get(ref)
+                if cited is None or cited.venue_id is None:
+                    continue
+                venue_of[ref] = cited.venue_id
+                edges.append((pid, ref))
+        self.venue_of = venue_of
+        self.observed = reference_pair_counts(edges, venue_of)
+        self.sums: dict[tuple[str, str], float] = defaultdict(float)
+        self.squares: dict[tuple[str, str], float] = defaultdict(float)
+        for replicate in range(n_rand):
+            rng = random.Random(derive_seed(seed, "rewire", year, replicate))
+            counts = reference_pair_counts(reference_rewire(edges, rng, rewire_factor), venue_of)
+            for pair, c in counts.items():
+                self.sums[pair] += c
+                self.squares[pair] += c * c
+
+    def z(self, pair: tuple[str, str]) -> float:
+        observed = self.observed.get(pair, 0)
+        mean = self.sums.get(pair, 0.0) / self.n_rand
+        variance = max(self.squares.get(pair, 0.0) / self.n_rand - mean * mean, 0.0)
+        return (observed - mean) / max(math.sqrt(variance), 1e-6)
+
+
+def reference_novelty_percentiles(
+    store: CorpusStore, *, n_rand: int, seed: int, rewire_factor: int
+) -> dict[str, float]:
+    """Each eligible paper's yearly percentile of its 10th-percentile z."""
+    tenths: dict[str, float] = {}
+    for year in store.years():
+        baseline = ReferenceCocitationBaseline(
+            store, year, n_rand=n_rand, seed=seed, rewire_factor=rewire_factor
+        )
+        for pid in store.by_year[year]:
+            refs = [r for r in store.papers[pid].references if r in baseline.venue_of]
+            venues = [baseline.venue_of[r] for r in refs]
+            if len(refs) < 2 or len(set(venues)) < 2:
+                continue
+            z_scores = [
+                baseline.z((vi, vj) if vi <= vj else (vj, vi))
+                for vi, vj in combinations(venues, 2)
+            ]
+            tenths[pid] = _percentile(z_scores, 10)
+    return percentile_rank(tenths, {pid: store.papers[pid].year for pid in tenths})
+
+
+def reference_metrics_rows(
+    store: CorpusStore,
+    index: CitationIndex,
+    categories: Mapping[str, str],
+    novel_pairs_by_paper: Mapping[str, Iterable[Pair]],
+    *,
+    seed: int,
+    n_rand: int,
+    rewire_factor: int,
+    cd_window: int | None,
+    sb_horizon: int,
+) -> list[tuple]:
+    """The metrics table as compute_metrics_rows built it from the per-paper
+    loops above: one scan of the citers per window, a window test per citer
+    for the CD index, a look-up per ordered author pair, and the name-keyed
+    novelty baseline."""
+    horizon = store.year_max()
+    if horizon is None:
+        return []
+    occurrences = ConceptOccurrences(store)
+    authors = AuthorIndex(store)
+    novelty_pct = reference_novelty_percentiles(
+        store, n_rand=n_rand, seed=seed, rewire_factor=rewire_factor
+    )
+    cd_values = {}
+    for rec in store.iter_papers():
+        value = reference_cd_index(rec, index, window=cd_window)
+        if value is not None:
+            cd_values[rec.paper_id] = value
+    year_of = {pid: rec.year for pid, rec in store.papers.items()}
+    cd_percentiles = percentile_rank(cd_values, year_of)
+    citation_counts = {pid: index.citation_count(pid) for pid in store.papers}
+    cohort_of = {pid: [(rec.year, d) for d in rec.level0_ids] for pid, rec in store.papers.items()}
+    top_flags = {k: top_k_flag(citation_counts, k, cohort_of) for k in TOP_K_LEVELS}
+    rows = []
+    for rec in store.iter_papers():
+        pid = rec.paper_id
+        trajectory = reference_citation_trajectory(
+            rec, index, horizon_year=horizon, max_age=sb_horizon
+        )
+        windows = reference_citation_windows(rec, index, horizon_year=horizon)
+        pair_stats = concept_pair_stats(rec, novel_pairs_by_paper.get(pid, ()), store, occurrences)
+        team = reference_team_stats(rec, authors)
+        rows.append((
+            pid,
+            categories[pid],
+            cd_values.get(pid),
+            cd_percentiles.get(pid),
+            sleeping_beauty(trajectory),
+            novelty_pct.get(pid),
+            *(windows[k] for k in CITATION_WINDOWS),
+            *(top_flags[k][pid] for k in TOP_K_LEVELS),
+            pair_stats.concept_age if pair_stats else None,
+            pair_stats.concept_popularity if pair_stats else None,
+            team.team_size if rec.authors else None,
+            team.mean_career_age,
+            team.freshness,
+            team.mean_geo_distance_km,
+        ))
+    return rows
+
+
+def random_metrics_store(rng: random.Random, papers: int, years: int) -> CorpusStore:
+    """A store for the metrics table: references to any paper, earlier or
+    later (so some citers predate what they cite), and to ids outside the
+    store; papers with and without a venue out of three; teams drawn with
+    repeats from a pool of five authors, some empty or of one author, some
+    located; level-3 concepts from a vocabulary of six."""
+    ids = [f"P{i:03d}" for i in range(papers)]
+    raws = []
+    for pid in ids:
+        extra: dict = {}
+        if rng.random() < 0.8:
+            extra["venue"] = f"V{rng.randrange(3)}"
+        team = [f"a{rng.randrange(5)}" for _ in range(rng.choice((0, 1, 1, 2, 3, 4)))]
+        if team:
+            extra["authors"] = team
+            extra["affil"] = [
+                [a, rng.uniform(-60, 60), rng.uniform(-180, 180)] for a in team if rng.random() < 0.5
+            ]
+        refs = rng.sample(ids, rng.randint(0, min(5, papers)))
+        refs += [f"X{rng.randrange(3)}" for _ in range(rng.randint(0, 2))]
+        l3 = rng.sample([f"c{i}" for i in range(6)], rng.randint(2, 4))
+        l0 = rng.sample(("D0", "D1"), rng.randint(1, 2))
+        raws.append(raw_record(pid, 1980 + rng.randrange(years), l3, l0=l0, refs=refs, **extra))
+    return build_store(raws)
 
 
 # -- simplicial complexes of any dimension --------------------------------------

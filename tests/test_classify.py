@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import multiprocessing
 import random
 
@@ -17,7 +18,6 @@ from gapminer.classify import (
     null_comparison,
     share_table,
 )
-from gapminer import util
 from gapminer.errors import InfeasibleResamplingError, MissingDependencyError
 from gapminer.topology import build_flag_filtration
 
@@ -266,13 +266,15 @@ def test_null_comparison_one_spawn_pool_for_all_replicates(monkeypatch):
     raws.append(raw_record("both", 2003, ("D0c0", "D1c2"), l0=("D0", "D1")))
     store = build_store(raws)
     pools = []
-    real_executor = util.ProcessPoolExecutor
+    real_executor = concurrent.futures.ProcessPoolExecutor
 
     def spawn_executor(*args, **kwargs):
         pools.append(kwargs)
         return real_executor(*args, mp_context=multiprocessing.get_context("spawn"), **kwargs)
 
-    monkeypatch.setattr(util, "ProcessPoolExecutor", spawn_executor)
+    # parallel_map imports the pool class from concurrent.futures when it
+    # first needs one, so the spy replaces it there.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spawn_executor)
     serial = null_comparison(store, seed=6, replicates=3)
     assert pools == []
     parallel = null_comparison(store, seed=6, replicates=3, threads=2)

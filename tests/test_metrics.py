@@ -23,6 +23,7 @@ from gapminer.metrics import (
     cd_index,
     citation_trajectory,
     citation_windows,
+    compute_metrics_rows,
     compute_novelty_profiles,
     concept_pair_stats,
     disruption_counts,
@@ -35,7 +36,13 @@ from gapminer.metrics import (
     verb_ratio,
 )
 
-from helpers import build_store, raw_record, reference_rewire
+from helpers import (
+    build_store,
+    random_metrics_store,
+    raw_record,
+    reference_metrics_rows,
+    reference_rewire,
+)
 
 
 # -- disruption ----------------------------------------------------------------
@@ -422,6 +429,83 @@ _FLOATS = st.floats(min_value=-1e7, max_value=1e7, allow_nan=False)
 )
 def test_percentile_equals_numpy_linear(values, q):
     assert _percentile(values, q) == float(numpy.percentile(values, q))
+
+
+# -- the assembled table -------------------------------------------------------------
+
+def metrics_inputs(store_seed, papers, years):
+    """A random store, its index, categories and novel pairs."""
+    rng = random.Random(store_seed)
+    store = random_metrics_store(rng, papers, years)
+    categories = {
+        pid: rng.choice(("GapOpener", "NovelPairNonGap", "NoNovelPair")) for pid in store.papers
+    }
+    novel_pairs = {
+        pid: {pair for pair in combinations(rec.level3_ids, 2) if rng.random() < 0.5}
+        for pid, rec in store.papers.items()
+    }
+    return store, build_citation_index(store), categories, novel_pairs
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    store_seed=st.integers(0, 2**32),
+    papers=st.integers(1, 40),
+    years=st.integers(1, 35),
+    seed=st.integers(0, 2**16),
+    n_rand=st.integers(1, 3),
+    rewire_factor=st.integers(1, 10),
+    cd_window=st.sampled_from((None, 2, 10)),
+    sb_horizon=st.sampled_from((5, 20, 30)),
+)
+def test_metrics_rows_equal_reference(
+    store_seed, papers, years, seed, n_rand, rewire_factor, cd_window, sb_horizon
+):
+    store, index, categories, novel_pairs = metrics_inputs(store_seed, papers, years)
+    options = dict(
+        seed=seed, n_rand=n_rand, rewire_factor=rewire_factor,
+        cd_window=cd_window, sb_horizon=sb_horizon,
+    )
+    assert compute_metrics_rows(store, index, categories, novel_pairs, **options) == (
+        reference_metrics_rows(store, index, categories, novel_pairs, **options)
+    )
+
+
+def test_random_metrics_stores_cover_the_edge_cases():
+    """The differential test's stores hold every case the rewritten loops
+    must get right, over its first 50 seeds."""
+    seen = Counter()
+    for store_seed in range(50):
+        store, index, _, _ = metrics_inputs(store_seed, 30, 25)
+        seen["early citers"] += index.year_anomalies
+        seen["outside refs"] += index.external_references
+        for year in store.years():
+            edges = sum(
+                1
+                for pid in store.by_year[year]
+                for ref in store.papers[pid].references
+                if ref in store.papers and store.papers[ref].venue_id is not None
+            )
+            seen["years under two edges"] += edges < 2
+        for rec in store.papers.values():
+            seen["no venue"] += rec.venue_id is None
+            seen["no authors"] += not rec.authors
+            seen["one author"] += len(rec.authors) == 1
+            seen["repeated author"] += len(set(rec.authors)) < len(rec.authors)
+            seen["repeat collaboration"] += any(
+                other.year < rec.year and len(set(other.authors) & set(rec.authors)) >= 2
+                for other in store.papers.values()
+            )
+            seen["located team"] += len(rec.affiliations) >= 2
+            seen["references without venue"] += any(
+                ref in store.papers and store.papers[ref].venue_id is None
+                for ref in rec.references
+            )
+    assert all(seen[case] >= 20 for case in (
+        "early citers", "outside refs", "years under two edges", "no venue", "no authors",
+        "one author", "repeated author", "repeat collaboration", "located team",
+        "references without venue",
+    )), seen
 
 
 # -- concept pair stats ------------------------------------------------------------------

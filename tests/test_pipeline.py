@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import errno
 import json
+import math
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -17,9 +19,11 @@ import pytest
 import gapminer.pipeline as pipeline_mod
 from gapminer import metrics as metrics_mod
 from gapminer.cli import main
+from gapminer.corpus import load_corpus
 from gapminer.errors import ConfigError, MissingDependencyError
 from gapminer.pipeline import STAGES, PipelineConfig, run, verify_manifest
 from gapminer.synth import make_synthetic
+from gapminer.util import sha256_file, write_csv
 
 from helpers import exit_in_worker
 
@@ -531,3 +535,116 @@ def test_runtime_needs_standard_library_only(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "out" / "metrics.csv").exists()
+
+
+def test_threads_1_run_never_loads_multiprocessing(tmp_path):
+    """A one-thread run leaves the process pool, and with it multiprocessing,
+    unimported. A child process, because pytest and the test helpers import
+    multiprocessing into this one."""
+    script = textwrap.dedent(
+        """
+        import sys
+        from gapminer.cli import main
+        corpus, out = sys.argv[1], sys.argv[2]
+        assert main([
+            "synth", "--generator", "planted-cycle", "--out", corpus, "--seed", "5",
+            "--cycle-len", "4", "--disciplines", "2", "--filler-fresh", "6", "--filler-dup", "2",
+        ]) == 0
+        assert main([
+            "run", "--corpus", corpus, "--out", out, "--threads", "1",
+            "--null-replicates", "2", "--n-rand", "2",
+        ]) == 0
+        loaded = [name for name in sys.modules if name.split(".")[0] == "multiprocessing"]
+        assert not loaded, loaded
+        assert "concurrent.futures.process" not in sys.modules
+        """
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "corpus.jsonl"), str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "out" / "report.json").exists()
+
+
+def shuffled_corpus_with_rejects(path: Path) -> Path:
+    """A random-pairs corpus whose data lines are shuffled, with records the
+    year and concept filters reject, two duplicate ids (a copy and a changed
+    record) and a malformed line mixed in."""
+    make_synthetic("random-pairs", path, 3, papers=120, concepts=40, venues=6)
+    header, *lines = path.read_text(encoding="utf-8").splitlines()
+    records = [json.loads(line) for line in lines]
+    old = dict(records[0], id="old", year=1850)
+    thin = dict(records[1], id="thin", l3=records[1]["l3"][:1])
+    changed = dict(records[2], year=records[2]["year"] - 1, refs=[records[3]["id"]])
+    data = lines + [json.dumps(r) for r in (old, thin, records[4], changed)] + ["{not json"]
+    random.Random(0).shuffle(data)
+    path.write_text("\n".join([header, *data]) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("corpus", ["planted", "shuffled"])
+def test_ingest_store_is_the_reloaded_store(tmp_path, corpus):
+    """Ingest hands later stages the store it validated, which must equal
+    load_corpus of the corpus.norm.jsonl it wrote, in dict order too."""
+    config = small_config(tmp_path, stages=("ingest",))
+    if corpus == "shuffled":
+        config = replace(config, corpus_path=shuffled_corpus_with_rejects(tmp_path / "raw.jsonl"))
+    pipeline = pipeline_mod.Pipeline(config)
+    pipeline.execute()
+    digest, store = pipeline._store_cache
+    normalized = config.output_dir / "corpus.norm.jsonl"
+    assert digest == sha256_file(normalized)
+    reloaded = load_corpus(normalized)
+    assert list(store.papers) == list(reloaded.papers)
+    assert store.papers == reloaded.papers
+    assert list(store.by_year.items()) == list(reloaded.by_year.items())
+    assert list(store.concept_registry.items()) == list(reloaded.concept_registry.items())
+    if corpus == "shuffled":
+        assert store.ingest_report.duplicate_ids == 2
+        assert len(store.ingest_report.rejections) == 2
+
+
+def test_cold_run_parses_the_corpus_once(tmp_path, monkeypatch):
+    calls = []
+    real_load = pipeline_mod.load_corpus
+
+    def counting_load(path, **kwargs):
+        calls.append(Path(path).name)
+        return real_load(path, **kwargs)
+
+    monkeypatch.setattr(pipeline_mod, "load_corpus", counting_load)
+    config = small_config(tmp_path)
+    run(config)
+    assert calls == ["corpus.jsonl"]
+    run(replace(config, seed=config.seed + 1))  # ingest skipped: its output is parsed once
+    assert calls == ["corpus.jsonl", "corpus.norm.jsonl"]
+
+
+def test_write_csv_bytes(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(
+        path,
+        ("a", "b", "c"),
+        [
+            (None, -0.0, math.inf),
+            (math.nan, 1e-07, 1e22),
+            (True, "x,y", 'say "hi"'),
+            ("",),
+            (None,),
+            (0.1, 3, "plain"),
+        ],
+    )
+    assert path.read_bytes() == (
+        b"a,b,c\n"
+        b",-0.0,inf\n"
+        b"nan,1e-07,1e+22\n"
+        b'True,"x,y","say ""hi"""\n'
+        b'""\n'
+        b'""\n'
+        b"0.1,3,plain\n"
+    )
