@@ -21,7 +21,9 @@ from .concept_net import (
     PaperRow,
     TemporalConceptNetwork,
     build_network,
+    discipline_rows,
     label_pools,
+    memberships,
     randomize_labels,
 )
 from .corpus import CorpusStore
@@ -207,7 +209,6 @@ def null_comparison(
     replicates: int,
     *,
     min_persistence: int = 1,
-    groupings: Sequence[str] = GROUPINGS,
     threads: int = 1,
 ) -> list[ShareRow]:
     """Mean category shares over label-randomized replicates.
@@ -224,20 +225,15 @@ def null_comparison(
     if replicates < 1:
         raise ValueError("replicates must be at least 1")
     pools = label_pools(store)
-    papers = [(rec.year, rec.paper_id, rec.level0_ids) for rec in store.iter_papers()]
-    disciplines = store.disciplines()
-    keys = {grouping: group_keys(store, grouping) for grouping in groupings}
+    papers = memberships(store)
+    n_disciplines = len(store.disciplines())
+    keys = {grouping: group_keys(store, grouping) for grouping in GROUPINGS}
 
     def tasks():
         for replicate in range(replicates):
             labels = randomize_labels(pools, derive_seed(seed, "null", replicate))
-            labelled: dict[str, list[PaperRow]] = {d: [] for d in disciplines}
-            for year, pid, memberships in papers:
-                row = (year, pid, labels[pid])
-                for discipline in memberships:
-                    labelled[discipline].append(row)
-            for discipline in disciplines:
-                yield discipline, labelled[discipline], min_persistence
+            for discipline, rows in discipline_rows(papers, labels).items():
+                yield discipline, rows, min_persistence
 
     acc: dict[tuple[str, str, Category], list[tuple[float, float]]] = defaultdict(list)
     gap: set[str] = set()
@@ -245,11 +241,11 @@ def null_comparison(
     for done, (gap_d, novel_d) in enumerate(parallel_map(_null_task, tasks(), threads), 1):
         gap |= gap_d
         novel |= novel_d
-        if done % len(disciplines):
+        if done % n_disciplines:
             continue  # the replicate's other disciplines are still to come
         categories = _categorize((pid for _, pid, _ in papers), gap, novel)
         gap, novel = set(), set()
-        for grouping in groupings:
+        for grouping in GROUPINGS:
             for group, category, n, fraction in _shares(categories, keys[grouping]):
                 acc[(grouping, group, category)].append((n, fraction))
     rows: list[ShareRow] = []

@@ -13,6 +13,7 @@ import argparse
 import logging
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import ConfigError, DataError, GapminerError, InternalError
@@ -34,10 +35,13 @@ _GENERATOR_PARAMS = {
 }
 
 
-def _add_pipeline_flags(parser: argparse.ArgumentParser, with_stage: bool) -> None:
+def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
+    """The pipeline flags; each one's dest is the PipelineConfig field it sets."""
     parser.add_argument("--config", type=Path, help="declarative JSON config file")
-    parser.add_argument("--corpus", type=Path, help="line-delimited corpus file")
-    parser.add_argument("--out", type=Path, help="output directory")
+    parser.add_argument(
+        "--corpus", dest="corpus_path", type=Path, help="line-delimited corpus file"
+    )
+    parser.add_argument("--out", dest="output_dir", type=Path, help="output directory")
     parser.add_argument("--seed", type=int, help="base random seed")
     parser.add_argument("--min-persistence", type=int, help="minimum gap persistence in years")
     parser.add_argument("--null-replicates", type=int, help="label-randomization replicates")
@@ -49,41 +53,23 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser, with_stage: bool) -> No
     parser.add_argument(
         "--threads", type=int, help="worker threads (falls back to GAPMINER_THREADS)"
     )
-    if with_stage:
-        parser.add_argument("--stage", choices=STAGES, help="run only this stage")
 
 
-def _pipeline_config(args: argparse.Namespace, stage: str | None) -> PipelineConfig:
-    threads = args.threads
-    if threads is None:
-        env = os.environ.get("GAPMINER_THREADS")
-        if env is not None:
-            try:
-                threads = int(env)
-            except ValueError as exc:
-                raise ConfigError(f"GAPMINER_THREADS must be an integer, got {env!r}") from exc
-    overrides = {
-        "corpus_path": args.corpus,
-        "output_dir": args.out,
-        "seed": args.seed,
-        "min_persistence": args.min_persistence,
-        "null_replicates": args.null_replicates,
-        "n_rand": args.n_rand,
-        "year_min": args.year_min,
-        "year_max": args.year_max,
-        "cd_window": args.cd_window,
-        "sb_horizon": args.sb_horizon,
-        "threads": threads,
-    }
-    if stage is not None:
-        overrides["stages"] = (stage,)
+def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
+    """The config file, overridden by every PipelineConfig field that a flag
+    (or a single-stage subcommand) set."""
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(PipelineConfig)}
+    env = os.environ.get("GAPMINER_THREADS")
+    if overrides["threads"] is None and env is not None:
+        try:
+            overrides["threads"] = int(env)
+        except ValueError as exc:
+            raise ConfigError(f"GAPMINER_THREADS must be an integer, got {env!r}") from exc
     return PipelineConfig.from_sources(args.config, overrides)
 
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
-    stage = getattr(args, "stage", None) or getattr(args, "single_stage", None)
-    config = _pipeline_config(args, stage)
-    result = run(config)
+    result = run(_pipeline_config(args))
     for name in STAGES:
         if name in result.statuses:
             print(f"stage {name}: {result.statuses[name]}")
@@ -111,13 +97,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_parser = sub.add_parser("run", help="run all pipeline stages")
-    _add_pipeline_flags(run_parser, with_stage=True)
+    _add_pipeline_flags(run_parser)
     run_parser.set_defaults(func=_cmd_pipeline)
 
     for stage in STAGES:
         stage_parser = sub.add_parser(stage, help=f"run only the {stage} stage")
-        _add_pipeline_flags(stage_parser, with_stage=False)
-        stage_parser.set_defaults(func=_cmd_pipeline, single_stage=stage)
+        _add_pipeline_flags(stage_parser)
+        stage_parser.set_defaults(func=_cmd_pipeline, stages=(stage,))
 
     synth = sub.add_parser("synth", help="generate a synthetic corpus")
     synth.add_argument("--generator", required=True, choices=GENERATORS)

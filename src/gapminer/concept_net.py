@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import logging
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import combinations, groupby
 from operator import itemgetter
@@ -26,6 +26,7 @@ logger = logging.getLogger(__name__)
 
 Pair = tuple[str, str]
 PaperRow = tuple[int, str, tuple[str, ...]]  # (year, paper_id, level-3 ids)
+Membership = tuple[int, str, tuple[str, ...]]  # (year, paper_id, level-0 ids)
 
 NETWORK_HEADER = ("u", "v", "time", "introducers")
 
@@ -64,19 +65,25 @@ def _finish_network(discipline: str, raw: dict[Pair, tuple[int, frozenset[str]]]
     )
 
 
+def memberships(store: CorpusStore) -> list[Membership]:
+    """Every paper's disciplines, in (year, paper_id) order: the part of
+    discipline_rows that relabelling leaves alone."""
+    return [(rec.year, rec.paper_id, rec.level0_ids) for rec in store.iter_papers()]
+
+
 def discipline_rows(
-    store: CorpusStore, labels: Mapping[str, tuple[str, ...]] | None = None
+    papers: Sequence[Membership], labels: Mapping[str, tuple[str, ...]]
 ) -> dict[str, list[PaperRow]]:
     """Every discipline's papers as (year, paper_id, level-3 ids) rows, in
-    (year, paper_id) order and by sorted discipline id, from one pass over
-    the store. Labels from randomize_labels replace the level-3 ids when given.
-    """
-    rows: dict[str, list[PaperRow]] = {d: [] for d in store.disciplines()}
-    for rec in store.iter_papers():
-        row = (rec.year, rec.paper_id, rec.level3_ids if labels is None else labels[rec.paper_id])
-        for discipline in rec.level0_ids:
+    the order of `papers` and by sorted discipline id, with each paper's
+    level-3 ids from `labels`: the store's own for the real networks, those
+    of randomize_labels for a null replicate."""
+    rows: defaultdict[str, list[PaperRow]] = defaultdict(list)
+    for year, pid, disciplines in papers:
+        row = (year, pid, labels[pid])
+        for discipline in disciplines:
             rows[discipline].append(row)
-    return rows
+    return {d: rows[d] for d in sorted(rows)}
 
 
 def build_network(discipline: str, rows: Sequence[PaperRow]) -> TemporalConceptNetwork:
@@ -176,18 +183,17 @@ def label_pools(store: CorpusStore) -> list[LabelPool]:
     return pools
 
 
-def _deal_hands(
-    pool: list[str], sizes: Sequence[int], rng: random.Random, max_attempts: int = 50
-) -> list[list[str]]:
+def _deal_hands(pool: list[str], sizes: Sequence[int], rng: random.Random) -> list[list[str]]:
     """Deal the shuffled label pool into hands of the given sizes so that no
-    hand contains a duplicate label; collisions are repaired by swapping.
+    hand contains a duplicate label; collisions are repaired by swapping, and
+    a dealing beyond repair is shuffled again, up to 50 times.
 
     The shuffle is `rng.shuffle(pool)` inlined: each swap index is drawn as
     getrandbits of (i + 1).bit_length() bits, redrawn while out of range, so
     the random stream and every hand are those of `random.shuffle`.
     """
     getrandbits = rng.getrandbits
-    for _ in range(max_attempts):
+    for _ in range(50):
         for i in range(len(pool) - 1, 0, -1):
             n = i + 1
             k = n.bit_length()

@@ -76,7 +76,6 @@ class IngestReport:
     malformed: int = 0
     duplicate_ids: int = 0
     rejections: list[Rejection] = field(default_factory=list)
-    schema_version: int | None = None
 
     def rejection_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
@@ -140,9 +139,6 @@ class CorpusStore:
 
     def __len__(self) -> int:
         return len(self.papers)
-
-    def __contains__(self, paper_id: str) -> bool:
-        return paper_id in self.papers
 
     def years(self) -> list[int]:
         return list(self.by_year)
@@ -271,12 +267,11 @@ def load_corpus(
     *,
     year_min: int = DEFAULT_YEAR_MIN,
     year_max: int = DEFAULT_YEAR_MAX,
-    schema_version: int = SCHEMA_VERSION,
 ) -> CorpusStore:
     """Stream a line-delimited corpus file into a validated store.
 
-    The first non-blank line must be a header object with a matching
-    "schema_version". Malformed lines are counted, logged at debug level, and
+    The first non-blank line must be a header object whose "schema_version"
+    is SCHEMA_VERSION. Malformed lines are counted, logged at debug level, and
     skipped; if they exceed half of all data lines the load aborts.
     """
     path = Path(path)
@@ -302,12 +297,11 @@ def load_corpus(
                     raise DataError(
                         f"{path}: first line must be a schema header object"
                     ) from exc
-                if version != schema_version:
+                if version != SCHEMA_VERSION:
                     raise DataError(
                         f"{path}: schema version {version!r} unsupported "
-                        f"(expected {schema_version})"
+                        f"(expected {SCHEMA_VERSION})"
                     )
-                report.schema_version = version
                 continue
             report.lines += 1
             try:

@@ -27,6 +27,8 @@ from .util import derive_seed
 logger = logging.getLogger(__name__)
 
 EARTH_RADIUS_KM = 6371.0088
+Z_STD_FLOOR = 1e-6  # the least standard deviation a novelty z-score divides by
+FRESHNESS_TEAM_SIZES = range(2, 21)  # team sizes whose freshness is defined
 CITATION_WINDOWS = tuple(range(1, 21))
 TOP_K_LEVELS = (1, 5, 10, 15, 20)
 
@@ -107,21 +109,6 @@ def percentile_rank(
 # Sleeping Beauty
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CitationTrajectory:
-    """Citations per year of age, from publication (age 0) through the
-    observable horizon (at most the configured maximum age)."""
-
-    paper_id: str
-    counts: tuple[int, ...]
-
-    @property
-    def peak_age(self) -> int:
-        """Age of the citation peak; earliest year wins ties."""
-        best = max(self.counts)
-        return self.counts.index(best)
-
-
 def citation_ages(
     paper: PaperRecord, index: CitationIndex, *, horizon_year: int, max_age: int
 ) -> list[int]:
@@ -139,25 +126,14 @@ def citation_ages(
     return counts
 
 
-def citation_trajectory(
-    paper: PaperRecord,
-    index: CitationIndex,
-    *,
-    horizon_year: int,
-    max_age: int = 20,
-) -> CitationTrajectory:
-    ages = citation_ages(paper, index, horizon_year=horizon_year, max_age=max_age)
-    return CitationTrajectory(paper.paper_id, tuple(ages))
-
-
-def sleeping_beauty(trajectory: CitationTrajectory) -> float:
+def sleeping_beauty(counts: Sequence[int]) -> float:
     """Cumulative normalized deviation below the line from the publication-year
-    citation count to the peak; zero when the peak is at age zero or the
+    citation count to the peak, over citations per year of age (age 0 first);
+    the earliest peak wins ties. Zero when the peak is at age zero or the
     trajectory is exactly linear."""
-    peak_age = trajectory.peak_age
+    peak_age = counts.index(max(counts))
     if peak_age == 0:
         return 0.0
-    counts = trajectory.counts
     first = counts[0]
     slope = (counts[peak_age] - first) / peak_age
     total = 0.0
@@ -177,21 +153,6 @@ def _windows(ages: Sequence[int], observable: int) -> list[int | None]:
     years is None."""
     cumulative = list(accumulate(ages))
     return [cumulative[k] if k <= observable else None for k in CITATION_WINDOWS]
-
-
-def citation_windows(
-    paper: PaperRecord, index: CitationIndex, *, horizon_year: int
-) -> dict[int, int | None]:
-    """Citations received within `k` years of publication, for each k in
-    CITATION_WINDOWS.
-
-    A window whose end lies beyond the observable horizon is missing rather
-    than zero (right-censoring).
-    """
-    ages = citation_ages(
-        paper, index, horizon_year=horizon_year, max_age=CITATION_WINDOWS[-1]
-    )
-    return dict(zip(CITATION_WINDOWS, _windows(ages, horizon_year - paper.year)))
 
 
 def top_k_flag(
@@ -230,26 +191,6 @@ def top_k_flag(
 # --------------------------------------------------------------------------
 # Novelty (reference-journal pairing z-scores)
 # --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class NoveltyProfile:
-    paper_id: str
-    tenth_percentile: float
-    yearly_percentile: float | None = None
-
-
-def _rewire(
-    edges: list[tuple[str, str]], rng: random.Random, factor: int
-) -> list[tuple[str, str]]:
-    """Citation switching on named edges: `_switch_citations` over the
-    edges' integer ids, mapped back to names."""
-    ids: dict[str, int] = {}
-    citing = [ids.setdefault(p, len(ids)) for p, _ in edges]
-    cited = [ids.setdefault(r, len(ids)) for _, r in edges]
-    _switch_citations(citing, cited, len(ids), rng, factor)
-    names = list(ids)
-    return [(names[p], names[r]) for p, r in zip(citing, cited)]
-
 
 def _switch_citations(
     citing: Sequence[int], cited: list[int], n: int, rng: random.Random, factor: int
@@ -343,12 +284,9 @@ class YearCocitationBaseline:
         n_rand: int = 10,
         seed: int = 0,
         rewire_factor: int = 10,
-        std_floor: float = 1e-6,
     ) -> None:
         if n_rand < 1:
             raise ValueError("n_rand must be at least 1")
-        self.year = year
-        self.std_floor = std_floor
         self.n_rand = n_rand
         venue_of: dict[str, str] = {}
         ids: dict[str, int] = {}  # citing and cited papers share one id space
@@ -413,30 +351,15 @@ class YearCocitationBaseline:
         observed = self.observed.get(pair, 0)
         mean = self._sums.get(pair, 0.0) / self.n_rand
         variance = max(self._squares.get(pair, 0.0) / self.n_rand - mean * mean, 0.0)
-        return (observed - mean) / max(math.sqrt(variance), self.std_floor)
+        return (observed - mean) / max(math.sqrt(variance), Z_STD_FLOOR)
 
 
-def novelty(
-    paper: PaperRecord,
-    store: CorpusStore,
-    index: CitationIndex,
-    n_rand: int = 10,
-    seed: int = 0,
-    *,
-    baseline: YearCocitationBaseline | None = None,
-    rewire_factor: int = 10,
-) -> NoveltyProfile | None:
-    """Z-score profile of the paper's referenced-journal pairs.
-
-    The 10th percentile of the distribution (linear interpolation) is the
-    novelty proxy; lower means more atypical pairings. Requires references
-    resolving to at least two distinct venues, else None. The yearly
-    percentile is filled by compute_novelty_profiles.
+def novelty(paper: PaperRecord, baseline: YearCocitationBaseline) -> float | None:
+    """The 10th percentile (linear interpolation) of the z-scores of the
+    paper's referenced-journal pairs against its year's baseline: the novelty
+    proxy, lower meaning more atypical pairings. None unless the references
+    resolve to at least two distinct venues.
     """
-    if baseline is None:
-        baseline = YearCocitationBaseline(
-            store, paper.year, n_rand=n_rand, seed=seed, rewire_factor=rewire_factor
-        )
     refs = baseline.resolvable_refs(paper)
     if len(refs) < 2:
         return None
@@ -447,36 +370,23 @@ def novelty(
     for i, j in combinations(range(len(refs)), 2):
         vi, vj = venues[i], venues[j]
         z_scores.append(baseline.z((vi, vj) if vi <= vj else (vj, vi)))
-    return NoveltyProfile(paper.paper_id, _percentile(z_scores, 10))
+    return _percentile(z_scores, 10)
 
 
 def compute_novelty_profiles(
-    store: CorpusStore,
-    index: CitationIndex,
-    *,
-    n_rand: int = 10,
-    seed: int = 0,
-    rewire_factor: int = 10,
-) -> dict[str, NoveltyProfile]:
-    """Novelty for every eligible paper, with yearly percentiles filled in."""
-    profiles: dict[str, NoveltyProfile] = {}
+    store: CorpusStore, *, n_rand: int = 10, seed: int = 0, rewire_factor: int = 10
+) -> dict[str, float]:
+    """Each eligible paper's novelty as a percentile within its year."""
+    tenths: dict[str, float] = {}
     for year in store.years():
         baseline = YearCocitationBaseline(
             store, year, n_rand=n_rand, seed=seed, rewire_factor=rewire_factor
         )
         for pid in store.by_year[year]:
-            profile = novelty(
-                store.papers[pid], store, index, n_rand, seed, baseline=baseline
-            )
-            if profile is not None:
-                profiles[pid] = profile
-    tenths = {pid: p.tenth_percentile for pid, p in profiles.items()}
-    year_of = {pid: store.papers[pid].year for pid in profiles}
-    percentiles = percentile_rank(tenths, year_of)
-    return {
-        pid: NoveltyProfile(pid, p.tenth_percentile, percentiles[pid])
-        for pid, p in profiles.items()
-    }
+            tenth = novelty(store.papers[pid], baseline)
+            if tenth is not None:
+                tenths[pid] = tenth
+    return percentile_rank(tenths, {pid: store.papers[pid].year for pid in tenths})
 
 
 # --------------------------------------------------------------------------
@@ -507,15 +417,13 @@ def concept_pair_stats(
     paper: PaperRecord,
     pairs: Iterable[Pair],
     store: CorpusStore,
-    occurrences: ConceptOccurrences | None = None,
+    occurrences: ConceptOccurrences,
 ) -> ConceptPairStats | None:
     """Average endpoint age and prior-occurrence count over the paper's novel
     pairs."""
     pairs = sorted(pairs)
     if not pairs:
         return None
-    if occurrences is None:
-        occurrences = ConceptOccurrences(store)
     registry = store.concept_registry
     ages = []
     prior = []
@@ -583,28 +491,20 @@ class TeamStats:
     mean_geo_distance_km: float | None
 
 
-def haversine_km(
-    lat1: float, lon1: float, lat2: float, lon2: float, radius: float = EARTH_RADIUS_KM
-) -> float:
+def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     """Great-circle distance on a spherical Earth."""
     phi1, phi2 = math.radians(lat1), math.radians(lat2)
     dphi = phi2 - phi1
     dlam = math.radians(lon2 - lon1)
     a = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
-    return 2.0 * radius * math.asin(min(1.0, math.sqrt(a)))
+    return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(a)))
 
 
-def team_stats(
-    paper: PaperRecord,
-    authors: AuthorIndex,
-    *,
-    freshness_min_size: int = 2,
-    freshness_max_size: int = 20,
-) -> TeamStats:
+def team_stats(paper: PaperRecord, authors: AuthorIndex) -> TeamStats:
     """Team size, mean career age, freshness, and mean pairwise distance.
 
     Freshness (share of members with no prior collaboration with any current
-    teammate) is only defined for team sizes within the configured range;
+    teammate) is only defined for team sizes in FRESHNESS_TEAM_SIZES;
     distance needs at least two located affiliations. Out-of-range inputs
     yield per-field missing values.
     """
@@ -614,7 +514,7 @@ def team_stats(
         first_years = [authors.first_year(a) for a in paper.authors]
         career = sum(paper.year - (fy if fy is not None else paper.year) for fy in first_years) / size
     freshness: float | None = None
-    if freshness_min_size <= size <= freshness_max_size:
+    if size in FRESHNESS_TEAM_SIZES:
         repeat = authors.repeat_collaborators(paper.authors, paper.year)
         freshness = sum(1 for a in paper.authors if a not in repeat) / size
     geo: float | None = None
@@ -733,8 +633,8 @@ def compute_metrics_rows(
         return []
     occurrences = ConceptOccurrences(store)
     authors = AuthorIndex(store)
-    novelty_profiles = compute_novelty_profiles(
-        store, index, n_rand=n_rand, seed=seed, rewire_factor=rewire_factor
+    novelty_percentiles = compute_novelty_profiles(
+        store, n_rand=n_rand, seed=seed, rewire_factor=rewire_factor
     )
 
     cd_values: dict[str, float] = {}
@@ -742,8 +642,7 @@ def compute_metrics_rows(
         value = cd_index(rec, index, window=cd_window)
         if value is not None:
             cd_values[rec.paper_id] = value
-    year_of = {pid: rec.year for pid, rec in store.papers.items()}
-    cd_percentiles = percentile_rank(cd_values, year_of)
+    cd_percentiles = percentile_rank(cd_values, index.year_of)
 
     citation_counts = {pid: index.citation_count(pid) for pid in store.papers}
     cohort_of = {
@@ -759,10 +658,6 @@ def compute_metrics_rows(
         pid = rec.paper_id
         ages = citation_ages(rec, index, horizon_year=horizon, max_age=max_age)
         observable = horizon - rec.year
-        trajectory = CitationTrajectory(
-            pid, tuple(ages[: max(min(sb_horizon, observable) + 1, 0)])
-        )
-        profile = novelty_profiles.get(pid)
         pair_stats = concept_pair_stats(
             rec, novel_pairs_by_paper.get(pid, ()), store, occurrences
         )
@@ -772,8 +667,8 @@ def compute_metrics_rows(
             categories[pid],
             cd_values.get(pid),
             cd_percentiles.get(pid),
-            sleeping_beauty(trajectory),
-            profile.yearly_percentile if profile else None,
+            sleeping_beauty(ages[: min(sb_horizon, observable) + 1]),
+            novelty_percentiles.get(pid),
             *_windows(ages, observable),
             *(top_flags[k][pid] for k in TOP_K_LEVELS),
             pair_stats.concept_age if pair_stats else None,

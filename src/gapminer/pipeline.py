@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import re
 from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, fields
@@ -20,8 +21,22 @@ from typing import Callable
 
 from . import classify as classify_mod
 from . import metrics as metrics_mod
-from .concept_net import Pair, build_network, discipline_rows, load_network, save_network
-from .corpus import build_citation_index, load_corpus, save_corpus, write_rejection_report
+from .concept_net import (
+    Pair,
+    build_network,
+    discipline_rows,
+    load_network,
+    memberships,
+    save_network,
+)
+from .corpus import (
+    CitationIndex,
+    CorpusStore,
+    build_citation_index,
+    load_corpus,
+    save_corpus,
+    write_rejection_report,
+)
 from .errors import ConfigError, DataError, InternalError, MissingDependencyError
 from .topology import (
     DiagramRecord,
@@ -96,22 +111,40 @@ class PipelineConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         config = cls(**values)
+        config.validate()
         if config.corpus_path is not None:
             config.corpus_path = Path(config.corpus_path)
         if config.verb_lexicon_path is not None:
             config.verb_lexicon_path = Path(config.verb_lexicon_path)
         config.output_dir = Path(config.output_dir)
         config.stages = tuple(config.stages)
-        config.validate()
         return config
 
     def validate(self) -> None:
+        """Types first, so that no stage meets a value of the wrong kind: an
+        int field holds an int (cd_window may be None), a path field a path
+        or string (an optional one may be None), and stages a list of
+        names. Then ranges and the outside files."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name.endswith(("_path", "_dir")):
+                ok = isinstance(value, (str, os.PathLike)) or (value is None and f.default is None)
+                kind = "a path string"
+            elif f.name == "stages":
+                ok = isinstance(value, (list, tuple)) and all(isinstance(s, str) for s in value)
+                kind = "a list of stage names"
+            else:
+                ok = type(value) is int or (value is None and f.name == "cd_window")
+                kind = "an integer"
+            if not ok:
+                raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
+        nonnegative = ("min_persistence", "null_replicates", "rewire_factor", "cd_window", "sb_horizon")
+        for name in nonnegative:
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ConfigError(f"{name} must be non-negative")
         if self.year_min > self.year_max:
             raise ConfigError("year_min must not exceed year_max")
-        if self.min_persistence < 0:
-            raise ConfigError("min_persistence must be non-negative")
-        if self.null_replicates < 0:
-            raise ConfigError("null_replicates must be non-negative")
         if self.n_rand < 1:
             raise ConfigError("n_rand must be at least 1")
         if self.threads < 1:
@@ -185,7 +218,7 @@ class Pipeline:
         self.out = config.output_dir
         self.out.mkdir(parents=True, exist_ok=True)
         self.manifest_path = self.out / "manifest.json"
-        self._store_cache: tuple[str, object] | None = None
+        self._store_cache: tuple[str, CorpusStore, CitationIndex | None] | None = None
         self.manifest = {"schema": 1, "stages": {}}
         if self.manifest_path.exists():
             manifest = _read_manifest(self.manifest_path)
@@ -254,16 +287,17 @@ class Pipeline:
             files[key] = sha256_file(Path(source))
         return {"config": {f: getattr(self.config, f) for f in stage.config}, "files": files}
 
-    def _load_store(self):
+    def _load_store(self) -> CorpusStore:
         """Load the normalized corpus, cached across stages of one run under
-        the file's digest; ingest seeds the cache with the store it wrote."""
+        the file's digest; ingest seeds the cache with the store it wrote and
+        that store's citation index."""
         path = self.out / "corpus.norm.jsonl"
         digest = sha256_file(path)
         if self._store_cache is None or self._store_cache[0] != digest:
             store = load_corpus(
                 path, year_min=self.config.year_min, year_max=self.config.year_max
             )
-            self._store_cache = (digest, store)
+            self._store_cache = (digest, store, None)
         return self._store_cache[1]
 
     # ---- stage runners: each writes every artifact its Stage entry makes -------
@@ -273,10 +307,11 @@ class Pipeline:
         store = load_corpus(cfg.corpus_path, year_min=cfg.year_min, year_max=cfg.year_max)
         normalized = self.out / "corpus.norm.jsonl"
         save_corpus(store, normalized)
-        # Equal to load_corpus(normalized), so later stages need not parse it.
-        self._store_cache = (sha256_file(normalized), store)
-        write_rejection_report(store, self.out / "rejections.csv")
         index = build_citation_index(store)
+        # Equal to load_corpus(normalized), so later stages need not parse it,
+        # and metrics reuses its index.
+        self._store_cache = (sha256_file(normalized), store, index)
+        write_rejection_report(store, self.out / "rejections.csv")
         report = store.ingest_report
         write_json(
             self.out / "ingest.json",
@@ -297,8 +332,10 @@ class Pipeline:
         )
 
     def _run_network(self) -> None:
+        store = self._load_store()
+        labels = {pid: rec.level3_ids for pid, rec in store.papers.items()}
         index: dict[str, dict] = {}
-        for discipline, rows in discipline_rows(self._load_store()).items():
+        for discipline, rows in discipline_rows(memberships(store), labels).items():
             network = build_network(discipline, rows)
             path = self.out / "networks" / f"{_slug(discipline)}.csv"
             save_network(network, path)
@@ -363,7 +400,7 @@ class Pipeline:
     def _run_metrics(self) -> None:
         cfg = self.config
         store = self._load_store()
-        index = build_citation_index(store)
+        index = self._store_cache[2] or build_citation_index(store)
         categories = {
             pid: cat.value
             for pid, cat in classify_mod.load_classification_csv(

@@ -1,14 +1,15 @@
 """Shared test fixtures: record builders, random temporal graphs, store-level
-wrappers over the per-discipline topology, label checks, the pre-change null
-model the lean one is checked against (random.shuffle dealing, the
-sort-ranked network, diagram records, evidence-based categories), the
-reference machinery the implicit dimension-0/1 engine is checked against (a
-flag complex of any dimension listed as Simplex objects, the explicit
+wrappers over the per-discipline topology and the labelled-row builder,
+label checks, the pre-change null model the lean one is checked against
+(the store-iterating row loop, random.shuffle dealing, the sort-ranked
+network, diagram records, evidence-based categories), the reference
+machinery the implicit dimension-0/1 engine is checked against (a flag
+complex of any dimension listed as Simplex objects, the explicit
 triangle-column reduction that engine replaced, the naive full column
-reduction, and the dense Betti oracle), the randrange citation-switching
-loop the novelty baseline's rewiring is checked against, and the pre-change
-metrics table (per-window citer scans, the windowed CD index, per-pair
-freshness, the name-keyed novelty baseline) with its store generator."""
+reduction, and the dense Betti oracle), citation switching over named edges
+with the randrange loop it is checked against, and the pre-change metrics
+table (per-window citer scans, the windowed CD index, per-pair freshness,
+the name-keyed novelty baseline) with its store generator."""
 
 from __future__ import annotations
 
@@ -43,6 +44,7 @@ from gapminer.concept_net import (
     _finish_network,
     build_network,
     discipline_rows,
+    memberships,
 )
 from gapminer.corpus import (
     SCHEMA_VERSION,
@@ -56,10 +58,10 @@ from gapminer.metrics import (
     CITATION_WINDOWS,
     TOP_K_LEVELS,
     AuthorIndex,
-    CitationTrajectory,
     ConceptOccurrences,
     TeamStats,
     _percentile,
+    _switch_citations,
     concept_pair_stats,
     haversine_km,
     percentile_rank,
@@ -149,9 +151,19 @@ def exit_in_worker(task) -> None:
 
 # -- store-level views of the per-discipline functions ---------------------------
 
+def store_rows(
+    store: CorpusStore, labels: Mapping[str, tuple[str, ...]] | None = None
+) -> dict[str, list[PaperRow]]:
+    """discipline_rows over the store's papers, with the store's own level-3
+    ids unless `labels` (from randomize_labels) is given."""
+    if labels is None:
+        labels = {pid: rec.level3_ids for pid, rec in store.papers.items()}
+    return discipline_rows(memberships(store), labels)
+
+
 def network_of(store: CorpusStore, discipline: str) -> TemporalConceptNetwork:
     """The discipline's network, built from its rows as the pipeline does."""
-    return build_network(discipline, discipline_rows(store).get(discipline, []))
+    return build_network(discipline, store_rows(store).get(discipline, []))
 
 
 def discipline_topology(task: tuple[str, Sequence[PaperRow], int]) -> DisciplineTopology:
@@ -168,7 +180,7 @@ def analyze_discipline(
     store: CorpusStore, discipline: str, *, min_persistence: int = 1
 ) -> DisciplineTopology:
     """Network and gap pairs of one discipline with the store's own labels."""
-    rows = discipline_rows(store)[discipline]
+    rows = store_rows(store)[discipline]
     return discipline_topology((discipline, rows, min_persistence))
 
 
@@ -178,7 +190,7 @@ def analyze_store(
     """Networks and gap pairs of every discipline with the store's own labels."""
     return {
         d: discipline_topology((d, rows, min_persistence))
-        for d, rows in discipline_rows(store).items()
+        for d, rows in store_rows(store).items()
     }
 
 
@@ -200,6 +212,19 @@ def random_store(
 
 
 # -- the pre-change null model ----------------------------------------------------
+
+def reference_discipline_rows(
+    store: CorpusStore, labels: Mapping[str, tuple[str, ...]] | None = None
+) -> dict[str, list[PaperRow]]:
+    """The store-iterating row loop that discipline_rows over memberships
+    must equal, dict order included: one pass over the store's records."""
+    rows: dict[str, list[PaperRow]] = {d: [] for d in store.disciplines()}
+    for rec in store.iter_papers():
+        row = (rec.year, rec.paper_id, rec.level3_ids if labels is None else labels[rec.paper_id])
+        for discipline in rec.level0_ids:
+            rows[discipline].append(row)
+    return rows
+
 
 def reference_build_network(discipline: str, rows: Sequence[PaperRow]) -> TemporalConceptNetwork:
     """The sort-ranked construction that build_network must equal, tie
@@ -345,7 +370,6 @@ def reference_null_comparison(
     replicates: int,
     *,
     min_persistence: int = 1,
-    groupings: Sequence[str] = ("overall", "discipline", "year"),
 ) -> list[ShareRow]:
     """Every replicate rebuilt in full: labels dealt from the store, rows
     regrouped, diagram records built and sorted, evidence collected, and
@@ -355,10 +379,10 @@ def reference_null_comparison(
         labels = reference_randomize_labels(store, derive_seed(seed, "null", replicate))
         topologies = {
             d: discipline_topology((d, rows, min_persistence))
-            for d, rows in discipline_rows(store, labels).items()
+            for d, rows in reference_discipline_rows(store, labels).items()
         }
         classifications = reference_classify_all(store, topologies)
-        for grouping in groupings:
+        for grouping in ("overall", "discipline", "year"):
             for row in reference_share_table(classifications, store, grouping):
                 acc[(row.grouping, row.group, row.category)].append((row.count, row.fraction))
     rows: list[ShareRow] = []
@@ -431,13 +455,26 @@ def random_temporal_network(
     return network_from_edge_times("T", edges)
 
 
-# -- reference citation switching -------------------------------------------------
+# -- citation switching over named edges -------------------------------------------
+
+def switch_named_citations(
+    edges: list[tuple[str, str]], rng: random.Random, factor: int
+) -> list[tuple[str, str]]:
+    """Citation switching on named edges: _switch_citations over the edges'
+    integer ids, mapped back to names."""
+    ids: dict[str, int] = {}
+    citing = [ids.setdefault(p, len(ids)) for p, _ in edges]
+    cited = [ids.setdefault(r, len(ids)) for _, r in edges]
+    _switch_citations(citing, cited, len(ids), rng, factor)
+    names = list(ids)
+    return [(names[p], names[r]) for p, r in zip(citing, cited)]
+
 
 def reference_rewire(
     edges: Sequence[tuple[str, str]], rng: random.Random, factor: int
 ) -> list[tuple[str, str]]:
-    """The per-paper-set randrange loop that metrics._rewire must equal: same
-    output list and same final rng state."""
+    """The per-paper-set randrange loop that switch_named_citations must
+    equal: same output list and same final rng state."""
     edges = list(edges)
     total = len(edges)
     if total < 2:
@@ -514,14 +551,14 @@ def reference_citation_windows(
 
 def reference_citation_trajectory(
     paper: PaperRecord, index: CitationIndex, *, horizon_year: int, max_age: int
-) -> CitationTrajectory:
+) -> tuple[int, ...]:
     last_age = min(max_age, horizon_year - paper.year)
     counts = [0] * (last_age + 1)
     for citer in index.citers(paper.paper_id):
         age = index.year_of[citer] - paper.year
         if 0 <= age <= last_age:
             counts[age] += 1
-    return CitationTrajectory(paper.paper_id, tuple(counts))
+    return tuple(counts)
 
 
 def reference_team_stats(paper: PaperRecord, authors: AuthorIndex) -> TeamStats:

@@ -16,12 +16,7 @@ from pathlib import Path
 from gapminer.classify import Category, classify_all
 from gapminer.concept_net import label_pools, randomize_labels
 from gapminer.corpus import build_citation_index, load_corpus
-from gapminer.metrics import (
-    CitationTrajectory,
-    _rewire,
-    cd_index,
-    sleeping_beauty,
-)
+from gapminer.metrics import cd_index, sleeping_beauty
 from gapminer.pipeline import PipelineConfig, run, verify_manifest
 from gapminer.synth import make_synthetic
 from gapminer.topology import build_flag_filtration, compute_persistence
@@ -39,6 +34,7 @@ from helpers import (
     full_reduction,
     raw_record,
     step_boundaries,
+    switch_named_citations,
 )
 
 GOLDEN_DIR = Path(__file__).parent / "golden" / "planted"
@@ -150,10 +146,10 @@ def test_c5_formula_fidelity():
         focal, index = disruption_fixture(*partition)
         assert cd_index(focal, index) == expected
 
-    assert sleeping_beauty(CitationTrajectory("p", (7, 1))) == 0.0  # peak at age 0
-    assert sleeping_beauty(CitationTrajectory("p", (0, 5, 10))) == 0.0  # exactly linear
-    assert sleeping_beauty(CitationTrajectory("p", (2, 3, 4, 5))) == 0.0
-    assert abs(sleeping_beauty(CitationTrajectory("p", (0, 0, 0, 9))) - 9.0) <= 1e-12
+    assert sleeping_beauty((7, 1)) == 0.0  # peak at age 0
+    assert sleeping_beauty((0, 5, 10)) == 0.0  # exactly linear
+    assert sleeping_beauty((2, 3, 4, 5)) == 0.0
+    assert abs(sleeping_beauty((0, 0, 0, 9)) - 9.0) <= 1e-12
     print(
         "\n[acceptance] criterion 5 PASS: disruption values (0.4, 1, -1) and "
         "beauty coefficients (0, 0, 9.0) exact"
@@ -185,7 +181,7 @@ def test_c6_null_model_conservation(tmp_path):
             continue
         out_degree = Counter(p for p, _ in edges)
         in_degree = Counter(r for _, r in edges)
-        rewired = _rewire(edges, random.Random(year), factor=10)
+        rewired = switch_named_citations(edges, random.Random(year), factor=10)
         assert Counter(p for p, _ in rewired) == out_degree
         assert Counter(r for _, r in rewired) == in_degree
         batches += 1

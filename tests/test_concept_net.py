@@ -13,6 +13,7 @@ from gapminer.concept_net import (
     discipline_rows,
     label_pools,
     load_network,
+    memberships,
     randomize_labels,
     save_network,
 )
@@ -27,7 +28,9 @@ from helpers import (
     random_store,
     raw_record,
     reference_build_network,
+    reference_discipline_rows,
     reference_randomize_labels,
+    store_rows,
 )
 
 
@@ -207,7 +210,7 @@ def test_randomized_rows_keep_everything_but_labels():
     ]
     store = build_store(raws)
     labels = randomize_labels(label_pools(store), 4)
-    real, shuffled = discipline_rows(store), discipline_rows(store, labels)
+    real, shuffled = store_rows(store), store_rows(store, labels)
     assert list(real) == list(shuffled) == ["D", "E"]
     assert real["D"] == [(2000, "P1", ("a", "b")), (2001, "P2", ("c", "d", "g"))]
     for d in real:
@@ -275,9 +278,27 @@ def test_build_network_equals_sorted_construction(seed, papers, vocabulary, year
     # decided by the min introducer and the pair.
     store = random_store(random.Random(seed), papers, vocabulary, 2, years)
     for labels in (None, randomize_labels(label_pools(store), seed)):
-        for discipline, rows in discipline_rows(store, labels).items():
+        for discipline, rows in store_rows(store, labels).items():
             net = build_network(discipline, rows)
             ref = reference_build_network(discipline, rows)
             assert list(net.edges.items()) == list(ref.edges.items())
             assert [b.tie_rank for b in net.edges.values()] == list(range(len(net.edges)))
             assert (net.discipline, net.nodes, net.tau_max) == (ref.discipline, ref.nodes, ref.tau_max)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    papers=st.integers(1, 60),
+    disciplines=st.integers(1, 4),
+    years=st.integers(1, 4),
+)
+def test_discipline_rows_equal_store_loop(seed, papers, disciplines, years):
+    # One builder serves the network stage (the store's own labels) and each
+    # null replicate (dealt labels): rows, their order and the dict order.
+    store = random_store(random.Random(seed), papers, 8, disciplines, years)
+    own = {pid: rec.level3_ids for pid, rec in store.papers.items()}
+    dealt_labels = randomize_labels(label_pools(store), seed)
+    for labels, reference_labels in ((own, None), (dealt_labels, dealt_labels)):
+        rows = discipline_rows(memberships(store), labels)
+        assert list(rows.items()) == list(reference_discipline_rows(store, reference_labels).items())

@@ -14,15 +14,14 @@ from hypothesis import strategies as st
 
 from gapminer.corpus import build_citation_index
 from gapminer.metrics import (
+    CITATION_WINDOWS,
     AuthorIndex,
-    CitationTrajectory,
     ConceptOccurrences,
     YearCocitationBaseline,
     _percentile,
-    _rewire,
+    _windows,
     cd_index,
-    citation_trajectory,
-    citation_windows,
+    citation_ages,
     compute_metrics_rows,
     compute_novelty_profiles,
     concept_pair_stats,
@@ -42,6 +41,7 @@ from helpers import (
     raw_record,
     reference_metrics_rows,
     reference_rewire,
+    switch_named_citations,
 )
 
 
@@ -131,15 +131,15 @@ def test_percentile_rank_monotone_and_missing():
 # -- sleeping beauty --------------------------------------------------------------
 
 def test_sleeping_beauty_peak_at_zero():
-    assert sleeping_beauty(CitationTrajectory("p", (5, 1, 0))) == 0.0
+    assert sleeping_beauty((5, 1, 0)) == 0.0
 
 
 def test_sleeping_beauty_linear_trajectory():
-    assert sleeping_beauty(CitationTrajectory("p", (0, 5, 10))) == 0.0
+    assert sleeping_beauty((0, 5, 10)) == 0.0
 
 
 def test_sleeping_beauty_literal_example():
-    value = sleeping_beauty(CitationTrajectory("p", (0, 0, 0, 9)))
+    value = sleeping_beauty((0, 0, 0, 9))
     assert value == pytest.approx(9.0, abs=1e-12)
 
 
@@ -147,7 +147,6 @@ def test_sleeping_beauty_formula_oracle():
     rng = random.Random(17)
     for _ in range(100):
         counts = tuple(rng.randrange(0, 30) for _ in range(rng.randrange(1, 22)))
-        trajectory = CitationTrajectory("p", counts)
         peak = counts.index(max(counts))
         if peak == 0:
             expected = 0.0
@@ -157,15 +156,18 @@ def test_sleeping_beauty_formula_oracle():
                 (slope * t + counts[0] - counts[t]) / max(1, counts[t])
                 for t in range(peak + 1)
             )
-        assert sleeping_beauty(trajectory) == pytest.approx(expected, abs=1e-12)
+        assert sleeping_beauty(counts) == pytest.approx(expected, abs=1e-12)
 
 
 def test_sleeping_beauty_concave_below_line_positive():
-    assert sleeping_beauty(CitationTrajectory("p", (0, 0, 8))) > 0.0
+    assert sleeping_beauty((0, 0, 8)) > 0.0
 
 
 def test_trajectory_peak_ties_break_earliest():
-    assert CitationTrajectory("p", (0, 4, 4)).peak_age == 1
+    # The line to the peak at age 1 fits exactly; measured to the tied later
+    # peak instead, the two trajectories would give -0.5 and 1.0.
+    assert sleeping_beauty((0, 4, 4)) == 0.0
+    assert sleeping_beauty((0, 4, 1, 4)) == 0.0
 
 
 def test_citation_trajectory_censors_at_horizon():
@@ -177,11 +179,17 @@ def test_citation_trajectory_censors_at_horizon():
         ]
     )
     index = build_citation_index(store)
-    trajectory = citation_trajectory(store.papers["F"], index, horizon_year=2003)
-    assert trajectory.counts == (0, 1, 0, 1)
+    assert citation_ages(store.papers["F"], index, horizon_year=2003, max_age=20) == [0, 1, 0, 1]
 
 
 # -- citation windows --------------------------------------------------------------
+
+def citation_windows(paper, index, *, horizon_year):
+    """Each window's count from the paper's age histogram, keyed by window
+    length, as compute_metrics_rows takes them."""
+    ages = citation_ages(paper, index, horizon_year=horizon_year, max_age=CITATION_WINDOWS[-1])
+    return dict(zip(CITATION_WINDOWS, _windows(ages, horizon_year - paper.year)))
+
 
 def test_citation_windows_examples():
     store = build_store(
@@ -221,8 +229,7 @@ def test_anomalous_early_citers_ignored_by_age_metrics():
     )
     index = build_citation_index(store)
     assert index.year_anomalies == 1
-    trajectory = citation_trajectory(store.papers["F"], index, horizon_year=2001)
-    assert trajectory.counts == (0, 1)
+    assert citation_ages(store.papers["F"], index, horizon_year=2001, max_age=20) == [0, 1]
     windows = citation_windows(store.papers["F"], index, horizon_year=2001)
     assert windows[1] == 1
 
@@ -294,7 +301,7 @@ def test_rewire_preserves_both_degree_sequences():
     out_degree = Counter(p for p, _ in edges)
     in_degree = Counter(r for _, r in edges)
     for run in range(100):
-        rewired = _rewire(edges, random.Random(run), factor=10)
+        rewired = switch_named_citations(edges, random.Random(run), factor=10)
         assert Counter(p for p, _ in rewired) == out_degree
         assert Counter(r for _, r in rewired) == in_degree
         per_paper = Counter(p for p, _ in rewired)
@@ -318,7 +325,7 @@ def _edge_set(total, pool, rng):
 
 def _assert_rewire_matches_reference(edges, seed, factor=10):
     ours, reference = random.Random(seed), random.Random(seed)
-    assert _rewire(edges, ours, factor) == reference_rewire(edges, reference, factor)
+    assert switch_named_citations(edges, ours, factor) == reference_rewire(edges, reference, factor)
     assert ours.getstate() == reference.getstate()
 
 
@@ -336,7 +343,7 @@ def test_rewire_rejects_self_citations_and_duplicates_like_reference():
     duplicating = [("A", "X"), ("A", "Y"), ("B", "X")]
     for seed in range(50):
         _assert_rewire_matches_reference(self_citing, seed)
-        assert _rewire(self_citing, random.Random(seed), 10) == self_citing
+        assert switch_named_citations(self_citing, random.Random(seed), 10) == self_citing
         _assert_rewire_matches_reference(duplicating, seed)
     for seed in range(20):
         store = novelty_corpus(seed)
@@ -349,7 +356,7 @@ def test_rewire_rejects_self_citations_and_duplicates_like_reference():
 
 
 def test_inline_draw_is_randrange():
-    """_rewire draws an edge position as getrandbits(total.bit_length()),
+    """_switch_citations draws an edge position as getrandbits(total.bit_length()),
     redrawn while out of range. That must be what randrange(total) does, or
     a change to the interpreter's sampler would silently change metrics.csv."""
     for total in _REWIRE_TOTALS + (1000, 4096, 70001):
@@ -392,25 +399,28 @@ def test_novelty_requires_two_distinct_venues():
         raw_record("P", 2000, ("a", "b"), refs=("R1", "R2")),
     ]
     store = build_store(raws)
-    index = build_citation_index(store)
-    assert novelty(store.papers["P"], store, index, n_rand=2, seed=0) is None
+    baseline = YearCocitationBaseline(store, 2000, n_rand=2, seed=0)
+    assert novelty(store.papers["P"], baseline) is None
 
 
 def test_novelty_profiles_have_percentiles():
     store = novelty_corpus()
-    index = build_citation_index(store)
-    profiles = compute_novelty_profiles(store, index, n_rand=3, seed=2)
-    assert profiles
+    percentiles = compute_novelty_profiles(store, n_rand=3, seed=2)
+    assert percentiles
     baselines = {
         year: YearCocitationBaseline(store, year, n_rand=3, seed=2) for year in store.years()
     }
-    for pid, profile in profiles.items():
-        assert 0.0 <= profile.yearly_percentile <= 100.0
+    tenths = {}
+    for pid, percentile in percentiles.items():
+        assert 0.0 <= percentile <= 100.0
         baseline = baselines[store.papers[pid].year]
         venues = [baseline.venue(r) for r in baseline.resolvable_refs(store.papers[pid])]
         z_scores = [baseline.z(tuple(sorted(pair))) for pair in combinations(venues, 2)]
-        assert profile.tenth_percentile <= max(z_scores)
-        assert profile.tenth_percentile == float(numpy.percentile(z_scores, 10))
+        tenths[pid] = novelty(store.papers[pid], baseline)
+        assert tenths[pid] <= max(z_scores)
+        assert tenths[pid] == float(numpy.percentile(z_scores, 10))
+    year_of = {pid: store.papers[pid].year for pid in tenths}
+    assert percentiles == percentile_rank(tenths, year_of)
 
 
 _FLOATS = st.floats(min_value=-1e7, max_value=1e7, allow_nan=False)
@@ -534,7 +544,7 @@ def test_concept_popularity_ten_priors():
     raws += [raw_record(f"g{i}", 1990 + i, ("v", "w"), l0=("D",)) for i in range(10)]
     raws.append(raw_record("new", 2005, ("u", "v")))
     store = build_store(raws)
-    stats = concept_pair_stats(store.papers["new"], [("u", "v")], store)
+    stats = concept_pair_stats(store.papers["new"], [("u", "v")], store, ConceptOccurrences(store))
     assert stats.concept_popularity == 10.0
 
 

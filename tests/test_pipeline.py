@@ -268,19 +268,22 @@ def test_determinism_byte_identical_outputs(tmp_path):
 def test_cli_run_and_exit_codes(tmp_path, capsys):
     corpus = tmp_path / "c.jsonl"
     make_synthetic("planted-cycle", corpus, 5, cycle_len=4)
-    code = main(
-        [
-            "run",
-            "--corpus", str(corpus),
-            "--out", str(tmp_path / "out"),
-            "--seed", "3",
-            "--null-replicates", "1",
-            "--n-rand", "1",
-        ]
-    )
+    flags = [
+        "--corpus", str(corpus),
+        "--out", str(tmp_path / "out"),
+        "--seed", "3",
+        "--null-replicates", "1",
+        "--n-rand", "1",
+    ]
+    code = main(["run", *flags])
     assert code == 0
     out = capsys.readouterr().out
     assert "stage report: ok" in out
+    # a single-stage subcommand runs that stage alone
+    assert main(["report", *flags]) == 0
+    assert [line for line in capsys.readouterr().out.splitlines() if line.startswith("stage ")] == [
+        "stage report: skipped"
+    ]
     # config error: unknown key in config file
     bad = tmp_path / "bad.json"
     bad.write_text('{"no_such_option": 1}')
@@ -596,7 +599,7 @@ def test_ingest_store_is_the_reloaded_store(tmp_path, corpus):
         config = replace(config, corpus_path=shuffled_corpus_with_rejects(tmp_path / "raw.jsonl"))
     pipeline = pipeline_mod.Pipeline(config)
     pipeline.execute()
-    digest, store = pipeline._store_cache
+    digest, store, _ = pipeline._store_cache
     normalized = config.output_dir / "corpus.norm.jsonl"
     assert digest == sha256_file(normalized)
     reloaded = load_corpus(normalized)
@@ -623,6 +626,64 @@ def test_cold_run_parses_the_corpus_once(tmp_path, monkeypatch):
     assert calls == ["corpus.jsonl"]
     run(replace(config, seed=config.seed + 1))  # ingest skipped: its output is parsed once
     assert calls == ["corpus.jsonl", "corpus.norm.jsonl"]
+
+
+def test_cold_run_builds_the_citation_index_once(tmp_path, monkeypatch):
+    calls = []
+    real_build = pipeline_mod.build_citation_index
+
+    def counting_build(store):
+        calls.append(len(store))
+        return real_build(store)
+
+    monkeypatch.setattr(pipeline_mod, "build_citation_index", counting_build)
+    config = small_config(tmp_path)
+    run(config)
+    assert len(calls) == 1  # ingest's index serves metrics
+    run(replace(config, seed=config.seed + 1))  # ingest skipped: metrics builds it once
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "flags, values, field",
+    [
+        (["--sb-horizon", "-1"], {}, "sb_horizon"),
+        (["--cd-window", "-3"], {}, "cd_window"),
+        ([], {"rewire_factor": -1}, "rewire_factor"),
+        ([], {"threads": "2"}, "threads"),
+        ([], {"cd_window": "3"}, "cd_window"),
+        ([], {"null_replicates": 2.5}, "null_replicates"),
+        ([], {"year_min": None}, "year_min"),
+        ([], {"seed": True}, "seed"),
+        ([], {"output_dir": 5}, "output_dir"),
+        ([], {"corpus_path": ["corpus.jsonl"]}, "corpus_path"),
+        ([], {"verb_lexicon_path": 1}, "verb_lexicon_path"),
+        ([], {"stages": "ingest"}, "stages"),
+        ([], {"stages": ["ingest", 3]}, "stages"),
+    ],
+    ids=[
+        "negative-sb-horizon-flag", "negative-cd-window-flag", "negative-rewire-factor",
+        "string-threads", "string-cd-window", "float-null-replicates", "null-year-min",
+        "bool-seed", "int-output-dir", "list-corpus-path", "int-verb-lexicon-path",
+        "string-stages", "int-stage-name",
+    ],
+)
+def test_bad_config_value_is_config_error_before_any_stage(tmp_path, capsys, flags, values, field):
+    config = small_config(tmp_path)
+    document = {"corpus_path": str(config.corpus_path), "output_dir": str(config.output_dir)}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**document, **values}))
+    assert main(["run", "--config", str(cfg), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field} must be ")
+    assert not config.output_dir.exists()  # no stage started
+
+
+def test_null_cd_window_is_the_default(tmp_path):
+    config = small_config(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"corpus_path": str(config.corpus_path), "cd_window": None}))
+    assert PipelineConfig.from_sources(cfg).cd_window is None
 
 
 def test_write_csv_bytes(tmp_path):
