@@ -7,7 +7,6 @@ concept pair anywhere; otherwise it made no novel pairing.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from collections import defaultdict
@@ -27,9 +26,9 @@ from .concept_net import (
     randomize_labels,
 )
 from .corpus import CorpusStore
-from .errors import DataError, MissingDependencyError
+from .errors import MissingDependencyError
 from .topology import network_gaps
-from .util import derive_seed, parallel_map, write_csv
+from .util import derive_seed, parallel_map, read_csv, write_csv
 
 logger = logging.getLogger(__name__)
 
@@ -278,24 +277,14 @@ def write_classification_csv(
     write_csv(path, CLASSIFICATION_HEADER, rows)
 
 
+def _category_row(row: list[str]) -> tuple[str, Category]:
+    paper_id, category, _, _ = row
+    return paper_id, Category(category)
+
+
 def load_classification_csv(path: Path) -> dict[str, Category]:
-    """Read the per-paper categories; a malformed row raises DataError naming
-    the file, the line and the stage that writes the file."""
-    categories: dict[str, Category] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != list(CLASSIFICATION_HEADER):
-            raise DataError(f"{path}: missing classification header; rerun stage classify")
-        for row in reader:
-            try:
-                paper_id, category, _, _ = row
-                categories[paper_id] = Category(category)
-            except ValueError as exc:
-                raise DataError(
-                    f"{path}, line {reader.line_num}: malformed classification row {row!r} "
-                    f"({exc}); rerun stage classify"
-                ) from exc
-    return categories
+    """Read the per-paper categories; a malformed row raises DataError."""
+    return dict(read_csv(path, CLASSIFICATION_HEADER, _category_row, "classify"))
 
 
 def write_shares_csv(rows: Iterable[ShareRow], path: Path) -> None:

@@ -18,21 +18,9 @@ from pathlib import Path
 
 from .errors import ConfigError, DataError, GapminerError, InternalError
 from .pipeline import STAGES, PipelineConfig, run
-from .synth import GENERATORS, make_synthetic
+from .synth import GENERATORS, generator_params, make_synthetic
 
 logger = logging.getLogger(__name__)
-
-_GENERATOR_PARAMS = {
-    "planted-cycle": (
-        "cycle_len", "cycles", "disciplines", "filler_fresh", "filler_dup", "start_year",
-    ),
-    "planted-clique": ("clique_size", "disciplines", "start_year"),
-    "random-pairs": (
-        "papers", "concepts", "disciplines", "min_concepts", "max_concepts",
-        "year_min", "year_max", "venues", "author_pool", "max_refs", "affil_prob",
-        "dual_discipline_prob",
-    ),
-}
 
 
 def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
@@ -78,11 +66,8 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    params = {}
-    for name in _GENERATOR_PARAMS[args.generator]:
-        value = getattr(args, name, None)
-        if value is not None:
-            params[name] = value
+    # Generator flags default to SUPPRESS, so args holds only those given.
+    params = {name: getattr(args, name) for name in args.generator_flags if name in args}
     path = make_synthetic(args.generator, args.out, args.seed, **params)
     print(f"wrote {path}")
     return 0
@@ -109,25 +94,12 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--generator", required=True, choices=GENERATORS)
     synth.add_argument("--out", type=Path, required=True)
     synth.add_argument("--seed", type=int, default=0)
-    synth.add_argument("--cycle-len", dest="cycle_len", type=int)
-    synth.add_argument("--cycles", type=int)
-    synth.add_argument("--disciplines", type=int)
-    synth.add_argument("--filler-fresh", dest="filler_fresh", type=int)
-    synth.add_argument("--filler-dup", dest="filler_dup", type=int)
-    synth.add_argument("--start-year", dest="start_year", type=int)
-    synth.add_argument("--clique-size", dest="clique_size", type=int)
-    synth.add_argument("--papers", type=int)
-    synth.add_argument("--concepts", type=int)
-    synth.add_argument("--min-concepts", dest="min_concepts", type=int)
-    synth.add_argument("--max-concepts", dest="max_concepts", type=int)
-    synth.add_argument("--year-min", dest="year_min", type=int)
-    synth.add_argument("--year-max", dest="year_max", type=int)
-    synth.add_argument("--venues", type=int)
-    synth.add_argument("--author-pool", dest="author_pool", type=int)
-    synth.add_argument("--max-refs", dest="max_refs", type=int)
-    synth.add_argument("--affil-prob", dest="affil_prob", type=float)
-    synth.add_argument("--dual-prob", dest="dual_discipline_prob", type=float)
-    synth.set_defaults(func=_cmd_synth)
+    # One flag per generator keyword parameter, named and typed after it.
+    params = {p.name: p for generator in GENERATORS for p in generator_params(generator)}
+    for name, param in params.items():
+        flag = "--" + name.replace("_", "-")
+        synth.add_argument(flag, type=type(param.default), default=argparse.SUPPRESS)
+    synth.set_defaults(func=_cmd_synth, generator_flags=tuple(params))
     return parser
 
 

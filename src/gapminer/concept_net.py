@@ -3,14 +3,15 @@
 A network's nodes are fine-grained (level-3) concepts; an undirected edge
 appears the first year any paper of the discipline co-assigns the two
 concepts, and never leaves. All papers of that earliest year containing the
-pair are recorded as introducers.
+pair are recorded as introducers. In a network file they are one field,
+joined by ';', with each '\\' and ';' inside an id escaped by a '\\'.
 """
 
 from __future__ import annotations
 
-import csv
 import logging
 import random
+import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import combinations, groupby
@@ -19,8 +20,8 @@ from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
 from .corpus import CorpusStore, PaperRecord
-from .errors import DataError, InfeasibleResamplingError, UnknownDisciplineError
-from .util import derive_seed, output_file
+from .errors import InfeasibleResamplingError, UnknownDisciplineError
+from .util import derive_seed, read_csv, write_csv
 
 logger = logging.getLogger(__name__)
 
@@ -29,6 +30,8 @@ PaperRow = tuple[int, str, tuple[str, ...]]  # (year, paper_id, level-3 ids)
 Membership = tuple[int, str, tuple[str, ...]]  # (year, paper_id, level-0 ids)
 
 NETWORK_HEADER = ("u", "v", "time", "introducers")
+_INTRODUCER = re.compile(r"(?:[^\\;]|\\.)+", re.S)  # one escaped id
+_ESCAPED = re.compile(r"\\(.)", re.S)
 
 
 class EdgeBirth(NamedTuple):
@@ -43,23 +46,16 @@ class EdgeBirth(NamedTuple):
 
 @dataclass
 class TemporalConceptNetwork:
+    """A discipline's edges, held in tie-rank order."""
+
     discipline: str
-    nodes: set[str]
     edges: dict[Pair, EdgeBirth]
-    tau_max: int | None
-
-
-def _network(discipline: str, edges: dict[Pair, EdgeBirth]) -> TemporalConceptNetwork:
-    """Freeze edges given in tie-rank order."""
-    nodes = {u for u, _ in edges} | {v for _, v in edges}
-    tau_max = max((eb.time for eb in edges.values()), default=None)
-    return TemporalConceptNetwork(discipline, nodes, edges, tau_max)
 
 
 def _finish_network(discipline: str, raw: dict[Pair, tuple[int, frozenset[str]]]) -> TemporalConceptNetwork:
     """Assign tie ranks (ascending time, min introducer id, pair) and freeze."""
     ordered = sorted(raw.items(), key=lambda kv: (kv[1][0], min(kv[1][1]), kv[0]))
-    return _network(
+    return TemporalConceptNetwork(
         discipline,
         {pair: EdgeBirth(time, intro, rank) for rank, (pair, (time, intro)) in enumerate(ordered)},
     )
@@ -115,39 +111,36 @@ def build_network(discipline: str, rows: Sequence[PaperRow]) -> TemporalConceptN
         for pair, introducers in batch.items():
             edges[pair] = EdgeBirth(year, frozenset(introducers), rank)
             rank += 1
-    return _network(discipline, edges)
+    return TemporalConceptNetwork(discipline, edges)
+
+
+def _join_ids(ids: frozenset[str]) -> str:
+    """The introducers field: sorted ids, escaped, ';'-joined."""
+    return ";".join(pid.replace("\\", "\\\\").replace(";", "\\;") for pid in sorted(ids))
+
+
+def _split_ids(field: str) -> frozenset[str]:
+    """The ids of an introducers field; one _join_ids would not write is a ValueError."""
+    ids = frozenset(_ESCAPED.sub(itemgetter(1), pid) for pid in _INTRODUCER.findall(field))
+    if not ids or _join_ids(ids) != field:
+        raise ValueError(f"malformed introducers {field!r}")
+    return ids
+
+
+def _edge_row(row: list[str]) -> tuple[Pair, tuple[int, frozenset[str]]]:
+    u, v, time, introducers = row
+    return (u, v), (int(time), _split_ids(introducers))
 
 
 def save_network(network: TemporalConceptNetwork, path: str | Path) -> None:
-    """Dump edges as delimited text: u, v, time, introducers (';'-joined)."""
-    with output_file(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(NETWORK_HEADER)
-        for pair in sorted(network.edges):
-            birth = network.edges[pair]
-            writer.writerow(
-                (pair[0], pair[1], birth.time, ";".join(sorted(birth.introducers)))
-            )
+    """Dump edges as delimited text: u, v, time, introducers."""
+    rows = ((u, v, b.time, _join_ids(b.introducers)) for (u, v), b in sorted(network.edges.items()))
+    write_csv(path, NETWORK_HEADER, rows)
 
 
 def load_network(path: str | Path, discipline: str) -> TemporalConceptNetwork:
-    """Read an edge dump; a malformed row raises DataError naming the file,
-    the line and the stage that writes the file."""
-    raw: dict[Pair, tuple[int, frozenset[str]]] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != list(NETWORK_HEADER):
-            raise DataError(f"{path}: missing network header; rerun stage network")
-        for row in reader:
-            try:
-                u, v, time, introducers = row
-                raw[(u, v)] = (int(time), frozenset(introducers.split(";")))
-            except ValueError as exc:
-                raise DataError(
-                    f"{path}, line {reader.line_num}: malformed network row {row!r} "
-                    f"({exc}); rerun stage network"
-                ) from exc
-    return _finish_network(discipline, raw)
+    """Read an edge dump; a malformed row raises DataError (see read_csv)."""
+    return _finish_network(discipline, dict(read_csv(path, NETWORK_HEADER, _edge_row, "network")))
 
 
 class LabelPool(NamedTuple):

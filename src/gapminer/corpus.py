@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Union
@@ -28,6 +29,8 @@ DEFAULT_YEAR_MAX = 2020
 REASON_YEAR = "out-of-range-year"
 REASON_LEVEL0 = "no-positive-level0"
 REASON_LEVEL3 = "insufficient-level3"
+
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 class _MalformedRecord(ValueError):
@@ -165,8 +168,7 @@ def _coerce_concepts(raw: object, key: str) -> tuple[tuple[str, float], ...]:
         if (
             not isinstance(entry, (list, tuple))
             or len(entry) != 2
-            or not isinstance(entry[0], str)
-            or not entry[0]
+            or not _is_text(entry[0])
             or isinstance(entry[1], bool)
             or not isinstance(entry[1], (int, float))
         ):
@@ -181,9 +183,15 @@ def _coerce_concepts(raw: object, key: str) -> tuple[tuple[str, float], ...]:
     return tuple(sorted(best.items()))
 
 
+def _is_text(raw: object) -> bool:
+    """A non-empty string that UTF-8 can encode: one without a lone surrogate,
+    which JSON can spell but no artifact could hold."""
+    return isinstance(raw, str) and raw != "" and not _SURROGATE.search(raw)
+
+
 def _coerce_str(raw: object, key: str) -> str:
-    if not isinstance(raw, str) or not raw:
-        raise _MalformedRecord(f"{key} must be a non-empty string")
+    if not _is_text(raw):
+        raise _MalformedRecord(f"{key} must be a non-empty UTF-8 string")
     return raw
 
 
@@ -211,7 +219,7 @@ def validate_record(
     level0 = _coerce_concepts(raw["l0"], "l0")
     level3 = _coerce_concepts(raw["l3"], "l3")
     refs_raw = raw["refs"]
-    if not isinstance(refs_raw, list) or any(not isinstance(r, str) or not r for r in refs_raw):
+    if not isinstance(refs_raw, list) or not all(map(_is_text, refs_raw)):
         raise _MalformedRecord("refs must be a list of non-empty strings")
     references = tuple(sorted(set(refs_raw) - {paper_id}))
 
@@ -222,9 +230,7 @@ def validate_record(
     if venue is not None:
         venue = _coerce_str(venue, "venue")
     authors_raw = raw.get("authors", [])
-    if not isinstance(authors_raw, list) or any(
-        not isinstance(a, str) or not a for a in authors_raw
-    ):
+    if not isinstance(authors_raw, list) or not all(map(_is_text, authors_raw)):
         raise _MalformedRecord("authors must be a list of non-empty strings")
     affil_raw = raw.get("affil", [])
     if not isinstance(affil_raw, list):
@@ -234,7 +240,7 @@ def validate_record(
         if (
             not isinstance(entry, (list, tuple))
             or len(entry) != 3
-            or not isinstance(entry[0], str)
+            or not (entry[0] == "" or _is_text(entry[0]))
             or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in entry[1:])
         ):
             raise _MalformedRecord("affil entries must be [author, lat, lon] triples")
@@ -279,7 +285,8 @@ def load_corpus(
     records: list[PaperRecord] = []
     seen: set[str] = set()
     try:
-        fh = open(path, "r", encoding="utf-8")
+        # A byte that is not UTF-8 decodes to a lone surrogate: its line is malformed.
+        fh = open(path, "r", encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise DataError(f"cannot read corpus file {path}: {exc}") from exc
     with fh:
@@ -356,12 +363,18 @@ def record_to_json(rec: PaperRecord) -> dict:
     return obj
 
 
-def save_corpus(store: CorpusStore, path: str | Path) -> None:
-    """Write the canonical line-delimited form; load_corpus round-trips it."""
+def write_corpus(records: Iterable[dict], path: str | Path) -> Path:
+    """Write a corpus file: the schema header line, then one compact JSON line per record."""
     with output_file(path) as fh:
         fh.write(json.dumps({"schema_version": SCHEMA_VERSION}) + "\n")
-        for rec in store.iter_papers():
-            fh.write(json.dumps(record_to_json(rec), separators=(",", ":")) + "\n")
+        for record in records:
+            fh.write(json.dumps(record, separators=(",", ":")) + "\n")
+    return Path(path)
+
+
+def save_corpus(store: CorpusStore, path: str | Path) -> None:
+    """Write the canonical line-delimited form; load_corpus round-trips it."""
+    write_corpus(map(record_to_json, store.iter_papers()), path)
 
 
 def write_rejection_report(store: CorpusStore, path: str | Path) -> None:

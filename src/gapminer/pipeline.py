@@ -164,7 +164,6 @@ class PipelineConfig:
 class PipelineResult:
     output_dir: Path
     statuses: dict[str, str]
-    manifest: dict
 
 
 def _slug(name: str) -> str:
@@ -341,7 +340,7 @@ class Pipeline:
             save_network(network, path)
             index[discipline] = {
                 "file": self._rel(path),
-                "nodes": len(network.nodes),
+                "nodes": len({concept for pair in network.edges for concept in pair}),
                 "edges": len(network.edges),
             }
         write_json(self.out / "networks" / "index.json", {"disciplines": index})
@@ -520,7 +519,7 @@ class Pipeline:
             }
             write_json(self.manifest_path, self.manifest)
             statuses[stage.name] = "ok"
-        return PipelineResult(self.out, statuses, self.manifest)
+        return PipelineResult(self.out, statuses)
 
 
 # The stages in run order. Artifact names are relative to the output

@@ -13,21 +13,20 @@ Three generators are built in:
 * random-pairs: a large random corpus with reference lists, venues, authors,
   and coordinates, used for scale runs.
 
-Given the same parameters and seed, output files are byte-identical.
+GENERATORS maps each name to its function, whose keyword-only parameters
+are the generator's settings and the `gapminer synth` flags. Given the same
+parameters and seed, output files are byte-identical.
 """
 
 from __future__ import annotations
 
-import json
 import random
+from inspect import Parameter, signature
 from itertools import combinations
 from pathlib import Path
 
-from .corpus import SCHEMA_VERSION
+from .corpus import write_corpus
 from .errors import ConfigError
-from .util import output_file
-
-GENERATORS = ("planted-cycle", "planted-clique", "random-pairs")
 
 _TITLE_VERBS = (
     "producing", "generating", "developing", "constructing", "confirming",
@@ -92,15 +91,6 @@ class _Emitter:
         self.records.append(record)
 
 
-def _write(records: list[dict], out_path: Path) -> Path:
-    out_path = Path(out_path)
-    with output_file(out_path) as fh:
-        fh.write(json.dumps({"schema_version": SCHEMA_VERSION}) + "\n")
-        for record in records:
-            fh.write(json.dumps(record, separators=(",", ":")) + "\n")
-    return out_path
-
-
 def planted_cycle(
     out_path: Path,
     seed: int,
@@ -157,7 +147,7 @@ def planted_cycle(
             [f"D{d}K{k}C0", f"D{d}K{k}C1"],
             author_pool=[f"A{d}_{i}" for i in range(8)],
         )
-    return _write(emit.records, out_path)
+    return write_corpus(emit.records, out_path)
 
 
 def planted_clique(
@@ -181,7 +171,7 @@ def planted_clique(
             emit.add(
                 f"D{d}Q{i:03d}", start_year + i, discipline, [u, v], author_pool=authors
             )
-    return _write(emit.records, out_path)
+    return write_corpus(emit.records, out_path)
 
 
 def random_pairs(
@@ -199,7 +189,7 @@ def random_pairs(
     author_pool: int = 500,
     max_refs: int = 6,
     affil_prob: float = 0.5,
-    dual_discipline_prob: float = 0.1,
+    dual_prob: float = 0.1,
 ) -> Path:
     """Uniform random corpus; concepts are partitioned across disciplines."""
     if papers < 0:
@@ -217,7 +207,7 @@ def random_pairs(
         while len(chosen) < k:
             chosen.add(base + rng.randrange(per_discipline))
         l0 = [[f"D{d}", 1.0]]
-        if disciplines > 1 and rng.random() < dual_discipline_prob:
+        if disciplines > 1 and rng.random() < dual_prob:
             d2 = rng.randrange(disciplines - 1)
             if d2 >= d:
                 d2 += 1
@@ -249,17 +239,27 @@ def random_pairs(
             f"{_TITLE_VERBS[rng.randrange(len(_TITLE_VERBS))]} topic {j % 97}"
         )
         lines.append(record)
-    return _write(lines, out_path)
+    return write_corpus(lines, out_path)
+
+
+GENERATORS = {
+    "planted-cycle": planted_cycle, "planted-clique": planted_clique, "random-pairs": random_pairs,
+}
+
+
+def generator_params(generator: str) -> list[Parameter]:
+    """The named generator's settings: its keyword-only parameters."""
+    parameters = signature(GENERATORS[generator]).parameters.values()
+    return [p for p in parameters if p.kind is Parameter.KEYWORD_ONLY]
 
 
 def make_synthetic(generator: str, out_path: Path, seed: int, **params) -> Path:
-    """Dispatch to a named generator; unknown names are a config error."""
-    if generator == "planted-cycle":
-        return planted_cycle(out_path, seed, **params)
-    if generator == "planted-clique":
-        return planted_clique(out_path, seed, **params)
-    if generator == "random-pairs":
-        return random_pairs(out_path, seed, **params)
-    raise ConfigError(
-        f"unknown generator {generator!r}; available: {', '.join(GENERATORS)}"
-    )
+    """Run a named generator. An unknown name, or a parameter the generator
+    does not take, is a config error, raised before anything is written."""
+    if generator not in GENERATORS:
+        raise ConfigError(f"unknown generator {generator!r}; available: {', '.join(GENERATORS)}")
+    unknown = sorted(set(params) - {p.name for p in generator_params(generator)})
+    if unknown:
+        flags = ", ".join("--" + name.replace("_", "-") for name in unknown)
+        raise ConfigError(f"generator {generator} does not take {flags}")
+    return GENERATORS[generator](out_path, seed, **params)

@@ -13,7 +13,6 @@ remaining cycle deaths.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
@@ -21,8 +20,8 @@ from pathlib import Path
 from typing import Iterable
 
 from .concept_net import TemporalConceptNetwork
-from .errors import DataError, InternalError
-from .util import output_file
+from .errors import InternalError
+from .util import read_csv, write_csv
 
 Pair = tuple[str, str]
 
@@ -299,37 +298,24 @@ def save_diagram_records(records: Iterable[DiagramRecord], path: str | Path) -> 
     Dimension-0 births are vertices (birth_v empty); dimension-1 births are
     edges.
     """
-    with output_file(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(DIAGRAM_HEADER)
-        for rec in records:
-            death = "inf" if rec.death_year is None else rec.death_year
-            birth_u, birth_v = (*rec.birth_vertices, "")[:2]
-            writer.writerow((rec.dim, birth_u, birth_v, rec.birth_year, death))
+    rows = (
+        (r.dim, *(*r.birth_vertices, "")[:2], r.birth_year,
+         "inf" if r.death_year is None else r.death_year)
+        for r in records
+    )
+    write_csv(path, DIAGRAM_HEADER, rows)
+
+
+def _diagram_row(row: list[str]) -> DiagramRecord:
+    dim, birth_u, birth_v, birth_year, death_year = row
+    return DiagramRecord(
+        int(dim),
+        (birth_u, birth_v) if birth_v else (birth_u,),
+        int(birth_year),
+        None if death_year == "inf" else int(death_year),
+    )
 
 
 def load_diagram_records(path: str | Path) -> list[DiagramRecord]:
-    """Read a diagram dump; a malformed row raises DataError naming the file,
-    the line and the stage that writes the file."""
-    records: list[DiagramRecord] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != list(DIAGRAM_HEADER):
-            raise DataError(f"{path}: missing diagram header; rerun stage persist")
-        for row in reader:
-            try:
-                dim, birth_u, birth_v, birth_year, death_year = row
-                records.append(
-                    DiagramRecord(
-                        int(dim),
-                        (birth_u, birth_v) if birth_v else (birth_u,),
-                        int(birth_year),
-                        None if death_year == "inf" else int(death_year),
-                    )
-                )
-            except ValueError as exc:
-                raise DataError(
-                    f"{path}, line {reader.line_num}: malformed diagram row {row!r} "
-                    f"({exc}); rerun stage persist"
-                ) from exc
-    return records
+    """Read a diagram dump; a malformed row raises DataError (see read_csv)."""
+    return read_csv(path, DIAGRAM_HEADER, _diagram_row, "persist")

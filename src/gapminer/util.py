@@ -1,5 +1,5 @@
 """Small shared helpers: seed derivation, hashing, deterministic and atomic
-file output, and the process pool."""
+file output, the CSV artifact reader, and the process pool."""
 
 from __future__ import annotations
 
@@ -68,13 +68,37 @@ def output_file(path: str | Path) -> Iterator[TextIO]:
             tmp.unlink()  # still there only if the block or the rename failed
 
 
-def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
     """Write a CSV file with '\\n' line endings regardless of platform. None
     is the empty field and a float is written as its repr."""
     with output_file(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def read_csv(
+    path: str | Path, header: Sequence[str], parse: Callable[[list[str]], T], stage: str
+) -> list[T]:
+    """`parse` of every row of a CSV artifact that `stage` wrote under `header`.
+    A wrong header, or a row that `parse` rejects with ValueError, raises
+    DataError naming the file, the line, the row and the stage to rerun."""
+    parsed: list[T] = []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        row = None
+        try:
+            row = next(reader, None)
+            if row != list(header):
+                raise ValueError(f"expected the header {','.join(header)}")
+            for row in reader:
+                parsed.append(parse(row))
+        except (ValueError, csv.Error) as exc:  # UnicodeDecodeError is a ValueError
+            raise DataError(
+                f"{path}, line {reader.line_num}: malformed row {row!r} ({exc}); "
+                f"rerun stage {stage}"
+            ) from exc
+    return parsed
 
 
 def write_json(path: Path, payload: Any) -> None:

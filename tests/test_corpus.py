@@ -231,3 +231,40 @@ def test_registry_levels_and_first_year():
     assert store.concept_registry["D"].level == 0
     assert store.concept_registry["a"].level == 3
     assert store.disciplines() == ["D"]
+
+
+@pytest.mark.parametrize("field", ["id", "l0", "l3", "refs", "title", "venue", "authors", "affil"])
+def test_lone_surrogate_makes_the_line_malformed(tmp_path, field):
+    bad = raw_record("p2", 2000, ("a", "b"), refs=("p1",), title="t", venue="v",
+                     authors=["x"], affil=[["x", 1.0, 2.0]])
+    lone = "\ud800"
+    if field in ("id", "title", "venue"):
+        bad[field] = lone
+    elif field in ("refs", "authors"):
+        bad[field].append(lone)
+    else:
+        bad[field][0][0] = lone
+    raws = [raw_record("p1", 2000, ("a", "b")), json.dumps(bad)]
+    assert "\\ud800" in raws[1]  # JSON spells it as an escape
+    store = load_corpus(write_corpus(tmp_path / "c.jsonl", raws))
+    assert list(store.papers) == ["p1"]
+    assert store.ingest_report.malformed == 1
+
+
+def test_surrogate_pair_is_one_character_and_accepted(tmp_path):
+    raws = [raw_record("p\U0001F600", 2000, ("a", "b"), title="t")]
+    line = json.dumps(raws[0])
+    assert "\\ud83d\\ude00" in line
+    store = load_corpus(write_corpus(tmp_path / "c.jsonl", [line]))
+    assert list(store.papers) == ["p\U0001F600"]
+    assert store.ingest_report.malformed == 0
+
+
+def test_bytes_that_are_not_utf8_make_the_line_malformed(tmp_path):
+    path = write_corpus(
+        tmp_path / "c.jsonl", [raw_record("p1", 2000, ("a", "b")), raw_record("p2", 2000, ("a", "b"))]
+    )
+    path.write_bytes(path.read_bytes().replace(b'"p2"', b'"p\xff2"'))
+    store = load_corpus(path)
+    assert list(store.papers) == ["p1"]
+    assert store.ingest_report.malformed == 1

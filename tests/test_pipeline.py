@@ -2,22 +2,28 @@
 
 from __future__ import annotations
 
+import csv
 import errno
 import json
 import math
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
+import tempfile
 import textwrap
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gapminer.pipeline as pipeline_mod
 from gapminer import metrics as metrics_mod
+from gapminer.classify import classify_all
 from gapminer.cli import main
 from gapminer.corpus import load_corpus
 from gapminer.errors import ConfigError, MissingDependencyError
@@ -25,7 +31,7 @@ from gapminer.pipeline import STAGES, PipelineConfig, run, verify_manifest
 from gapminer.synth import make_synthetic
 from gapminer.util import sha256_file, write_csv
 
-from helpers import exit_in_worker
+from helpers import analyze_store, exit_in_worker
 
 OUTPUTS = ("classification.csv", "shares.csv", "metrics.csv")
 
@@ -298,6 +304,44 @@ def test_cli_synth_unknown_generator_is_config_error(tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["synth", "--generator", "bogus", "--out", str(tmp_path / "x.jsonl")])
     assert err.value.code == 2  # argparse rejects the choice
+
+
+@pytest.mark.parametrize("generator, flag", [
+    ("planted-cycle", "--papers"),
+    ("planted-clique", "--cycle-len"),
+    ("random-pairs", "--clique-size"),
+])
+def test_cli_synth_flag_the_generator_does_not_take_is_config_error(
+    tmp_path, capsys, generator, flag
+):
+    out = tmp_path / "bad.jsonl"
+    assert main(["synth", "--generator", generator, "--out", str(out), flag, "10"]) == 2
+    assert flag in capsys.readouterr().err.removeprefix("config error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_synth_flags_are_the_generator_parameters(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["synth", "--help"])
+    assert err.value.code == 0
+    flags = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+    assert sorted(flags - {"--help", "--generator", "--out"}) == [
+        "--affil-prob", "--author-pool", "--clique-size", "--concepts", "--cycle-len",
+        "--cycles", "--disciplines", "--dual-prob", "--filler-dup", "--filler-fresh",
+        "--max-concepts", "--max-refs", "--min-concepts", "--papers", "--seed",
+        "--start-year", "--venues", "--year-max", "--year-min",
+    ]
+
+
+def test_cli_synth_passes_each_flag_typed(tmp_path):
+    args = ["synth", "--generator", "random-pairs", "--seed", "3", "--papers", "40",
+            "--concepts", "30", "--dual-prob", "0.5", "--affil-prob", "0.25"]
+    assert main([*args, "--out", str(tmp_path / "cli.jsonl")]) == 0
+    expected = make_synthetic(
+        "random-pairs", tmp_path / "api.jsonl", 3, papers=40, concepts=30, dual_prob=0.5,
+        affil_prob=0.25,
+    )
+    assert (tmp_path / "cli.jsonl").read_bytes() == expected.read_bytes()
 
 
 def test_cli_threads_env_fallback(tmp_path, monkeypatch):
@@ -709,3 +753,109 @@ def test_write_csv_bytes(tmp_path):
         b'""\n'
         b"0.1,3,plain\n"
     )
+
+
+def suffixed_ids(path: Path, suffix: str) -> Path:
+    """The corpus at `path` with `suffix` appended to every paper id and
+    reference."""
+    header, *lines = path.read_text(encoding="utf-8").splitlines()
+    records = [json.loads(line) for line in lines]
+    for record in records:
+        record["id"] += suffix
+        record["refs"] = [ref + suffix for ref in record["refs"]]
+    out = path.with_name(f"suffixed-{path.name}")
+    out.write_text("\n".join([header, *map(json.dumps, records)]) + "\n", encoding="utf-8")
+    return out
+
+
+def category_counts(out: Path) -> dict[str, int]:
+    with open(out / "classification.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    return {c: sum(row["category"] == c for row in rows) for c in {r["category"] for r in rows}}
+
+
+def test_paper_ids_holding_separators_survive_the_network_files(tmp_path):
+    """A semicolon inside a paper id used to split it apart in the network
+    file, and every paper lost its novel pairs."""
+    plain = small_config(tmp_path)
+    run(plain)
+    assert category_counts(plain.output_dir) == {
+        "GapOpener": 2, "NovelPairNonGap": 18, "NoNovelPair": 4,
+    }
+    for suffix in (";x", "\\;x", ";"):
+        config = replace(
+            plain, corpus_path=suffixed_ids(plain.corpus_path, suffix), output_dir=tmp_path / suffix
+        )
+        run(config)
+        assert category_counts(config.output_dir) == category_counts(plain.output_dir)
+        assert verify_manifest(config.output_dir)
+
+
+# Pieces of ids: the network file's separators and escape, CSV's comma,
+# quote and line breaks, spaces, the diagram file's "inf", and text beyond
+# ASCII. Joined from one to three at a time, they give ids that prefix one
+# another.
+_ID_PIECES = (
+    ";", "\\", ",", '"', "'", "\n", "\r\n", " ", "inf", "é", "漢", "\U0001F600", "P", "1",
+)
+_IDS = st.lists(st.sampled_from(_ID_PIECES), min_size=1, max_size=3).map("".join)
+
+
+@st.composite
+def odd_corpora(draw):
+    """Records of a few papers whose ids (paper, discipline, concept,
+    reference, author) are drawn from _IDS, and one otherwise valid record
+    holding a lone surrogate in one of its string fields."""
+    papers = draw(st.lists(_IDS, min_size=1, max_size=10, unique=True))
+    disciplines = draw(st.lists(_IDS, min_size=1, max_size=2, unique=True))
+    concepts = draw(st.lists(_IDS, min_size=2, max_size=6, unique=True))
+
+    def subset(pool, low, high):
+        return draw(st.lists(st.sampled_from(pool), min_size=low, max_size=high, unique=True))
+
+    records = [
+        {
+            "id": pid,
+            "year": draw(st.integers(2000, 2003)),
+            "l0": [[d, 1.0] for d in subset(disciplines, 1, 2)],
+            "l3": [[c, 1.0] for c in subset(concepts, 2, 4)],
+            "refs": subset(papers, 0, 3),
+            "title": draw(_IDS),
+            "authors": subset(concepts, 1, 2),
+        }
+        for pid in papers
+    ]
+    lone = dict(records[0], id="lone")
+    field = draw(st.sampled_from(["id", "l3", "refs", "title", "authors"]))
+    if field in ("id", "title"):
+        lone[field] = "\ud800"
+    elif field == "l3":
+        lone["l3"] = [["\ud800", 1.0], *records[0]["l3"]]
+    else:
+        lone[field] = [*records[0][field], "\ud800"]
+    return records, lone
+
+
+@settings(max_examples=60, deadline=None)
+@given(corpus=odd_corpora())
+def test_every_id_survives_every_artifact(corpus):
+    """A run over ids holding any character classifies every paper as the
+    in-memory networks do, and a lone surrogate only makes its line malformed."""
+    records, lone = corpus
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.jsonl"
+        lines = [{"schema_version": 1}, *records[:1], lone, *records[1:]]
+        path.write_text("".join(json.dumps(r) + "\n" for r in lines), encoding="utf-8")
+        out = Path(tmp) / "out"
+        args = ["run", "--corpus", str(path), "--out", str(out), "--null-replicates", "1"]
+        assert main([*args, "--n-rand", "1"]) == 0
+        assert json.loads((out / "ingest.json").read_text(encoding="utf-8"))["malformed"] == 1
+        store = load_corpus(path)
+        assert set(store.papers) == {r["id"] for r in records}
+        expected = classify_all(store, analyze_store(store))
+        with open(out / "classification.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[1:] == [
+            [pid, cls.category.value, str(cls.gap_pair_count), str(cls.novel_pair_count)]
+            for pid, cls in zip(store.papers, map(expected.get, store.papers))
+        ]

@@ -304,14 +304,14 @@ def test_edges_out_of_rank_order_are_internal_error():
     swapped = list(net.edges.items())
     swapped[1], swapped[2] = swapped[2], swapped[1]
     with pytest.raises(InternalError, match="tie rank 2 at position 1"):
-        build_flag_filtration(TemporalConceptNetwork("T", net.nodes, dict(swapped), net.tau_max))
+        build_flag_filtration(TemporalConceptNetwork("T", dict(swapped)))
     # A rank missing from the sequence is out of order too.
     gapped = {
         pair: EdgeBirth(birth.time, birth.introducers, birth.tie_rank + (birth.tie_rank > 0))
         for pair, birth in net.edges.items()
     }
     with pytest.raises(InternalError):
-        network_gaps(TemporalConceptNetwork("T", net.nodes, gapped, net.tau_max))
+        network_gaps(TemporalConceptNetwork("T", gapped))
 
 
 def test_non_apparent_column_reduces_past_an_apparent_pivot():
