@@ -6,6 +6,11 @@ fixed citation windows with top-cited flags, concept age/popularity for novel
 pairs, team composition, and title verb ratios. All functions are pure over
 the immutable store and citation index; missing values are returned as None
 and exported as empty fields.
+
+The per-paper table is built in two parts: `paper_stats_rows` computes every
+column that no seed decides (the network stage's paper_stats.csv, read back
+as text by `load_paper_stats`), and `compute_metrics_rows` splices the
+category and the seeded novelty percentile into those rows.
 """
 
 from __future__ import annotations
@@ -18,11 +23,12 @@ from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import accumulate, combinations
+from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .concept_net import Pair
 from .corpus import CitationIndex, CorpusStore, PaperRecord
-from .util import derive_seed
+from .util import derive_seed, read_csv
 
 logger = logging.getLogger(__name__)
 
@@ -607,35 +613,38 @@ def verb_ratio(
 # Assembled per-paper table
 # --------------------------------------------------------------------------
 
-METRICS_HEADER = (
-    ("paper_id", "category", "cd", "cd_pct", "sb", "novelty_pct")
+# The seed-free columns, which the network stage writes to paper_stats.csv.
+PAPER_STATS_HEADER = (
+    ("paper_id", "cd", "cd_pct", "sb")
     + tuple(f"c{k}" for k in CITATION_WINDOWS)
     + tuple(f"top{k}" for k in TOP_K_LEVELS)
     + ("concept_age", "concept_pop", "team_size", "career_age", "freshness", "geo_km")
 )
 
 
-def compute_metrics_rows(
+def _splice(stats: Sequence, category: object, novelty_pct: object) -> tuple:
+    """A metrics.csv row (or header) from a paper_stats.csv one."""
+    return (stats[0], category, *stats[1:4], novelty_pct, *stats[4:])
+
+
+METRICS_HEADER = _splice(PAPER_STATS_HEADER, "category", "novelty_pct")
+
+
+def paper_stats_rows(
     store: CorpusStore,
     index: CitationIndex,
-    categories: Mapping[str, str],
     novel_pairs_by_paper: Mapping[str, Iterable[Pair]],
     *,
-    seed: int = 0,
-    n_rand: int = 10,
-    rewire_factor: int = 10,
-    cd_window: int | None = None,
-    sb_horizon: int = 20,
+    cd_window: int | None,
+    sb_horizon: int,
 ) -> list[tuple]:
-    """One row per paper, in (year, paper_id) order, matching METRICS_HEADER."""
+    """One row per paper, in (year, paper_id) order, matching
+    PAPER_STATS_HEADER: every metric that no seed decides."""
     horizon = store.year_max()
     if horizon is None:
         return []
     occurrences = ConceptOccurrences(store)
     authors = AuthorIndex(store)
-    novelty_percentiles = compute_novelty_profiles(
-        store, n_rand=n_rand, seed=seed, rewire_factor=rewire_factor
-    )
 
     cd_values: dict[str, float] = {}
     for rec in store.iter_papers():
@@ -664,11 +673,9 @@ def compute_metrics_rows(
         team = team_stats(rec, authors)
         row = (
             pid,
-            categories[pid],
             cd_values.get(pid),
             cd_percentiles.get(pid),
             sleeping_beauty(ages[: min(sb_horizon, observable) + 1]),
-            novelty_percentiles.get(pid),
             *_windows(ages, observable),
             *(top_flags[k][pid] for k in TOP_K_LEVELS),
             pair_stats.concept_age if pair_stats else None,
@@ -680,3 +687,36 @@ def compute_metrics_rows(
         )
         rows.append(row)
     return rows
+
+
+def _paper_stats_row(row: list[str]) -> list[str]:
+    if len(row) != len(PAPER_STATS_HEADER):
+        raise ValueError(f"expected {len(PAPER_STATS_HEADER)} fields, got {len(row)}")
+    return row
+
+
+def load_paper_stats(path: str | Path) -> list[list[str]]:
+    """The rows of paper_stats.csv as the text fields they hold; a malformed
+    row or header raises DataError."""
+    return read_csv(path, PAPER_STATS_HEADER, _paper_stats_row, "network")
+
+
+def compute_metrics_rows(
+    store: CorpusStore,
+    categories: Mapping[str, str],
+    paper_stats: Iterable[Sequence],
+    *,
+    seed: int = 0,
+    n_rand: int = 10,
+    rewire_factor: int = 10,
+) -> list[tuple]:
+    """The metrics.csv rows: each paper_stats row, in its order, with the
+    paper's category and seeded novelty percentile spliced in and its other
+    fields passed through unchanged."""
+    novelty_percentiles = compute_novelty_profiles(
+        store, n_rand=n_rand, seed=seed, rewire_factor=rewire_factor
+    )
+    return [
+        _splice(row, categories[row[0]], novelty_percentiles.get(row[0]))
+        for row in paper_stats
+    ]

@@ -308,7 +308,7 @@ class Pipeline:
         save_corpus(store, normalized)
         index = build_citation_index(store)
         # Equal to load_corpus(normalized), so later stages need not parse it,
-        # and metrics reuses its index.
+        # and the network stage reuses its index.
         self._store_cache = (sha256_file(normalized), store, index)
         write_rejection_report(store, self.out / "rejections.csv")
         report = store.ingest_report
@@ -331,19 +331,32 @@ class Pipeline:
         )
 
     def _run_network(self) -> None:
+        cfg = self.config
         store = self._load_store()
         labels = {pid: rec.level3_ids for pid, rec in store.papers.items()}
-        index: dict[str, dict] = {}
+        entries: dict[str, dict] = {}
+        novel_pairs: dict[str, set[Pair]] = {}
         for discipline, rows in discipline_rows(memberships(store), labels).items():
             network = build_network(discipline, rows)
             path = self.out / "networks" / f"{_slug(discipline)}.csv"
             save_network(network, path)
-            index[discipline] = {
+            entries[discipline] = {
                 "file": self._rel(path),
                 "nodes": len({concept for pair in network.edges for concept in pair}),
                 "edges": len(network.edges),
             }
-        write_json(self.out / "networks" / "index.json", {"disciplines": index})
+            for pair, birth in network.edges.items():
+                for pid in birth.introducers:
+                    novel_pairs.setdefault(pid, set()).add(pair)
+        write_json(self.out / "networks" / "index.json", {"disciplines": entries})
+        rows = metrics_mod.paper_stats_rows(
+            store,
+            self._store_cache[2] or build_citation_index(store),
+            novel_pairs,
+            cd_window=cfg.cd_window,
+            sb_horizon=cfg.sb_horizon,
+        )
+        write_csv(self.out / "paper_stats.csv", metrics_mod.PAPER_STATS_HEADER, rows)
 
     def _run_persist(self) -> None:
         tasks = [(d, str(p)) for d, p in sorted(self._listed("networks").items())]
@@ -398,30 +411,25 @@ class Pipeline:
 
     def _run_metrics(self) -> None:
         cfg = self.config
-        store = self._load_store()
-        index = self._store_cache[2] or build_citation_index(store)
+        classification = self.out / "classification.csv"
+        stats_path = self.out / "paper_stats.csv"
         categories = {
             pid: cat.value
-            for pid, cat in classify_mod.load_classification_csv(
-                self.out / "classification.csv"
-            ).items()
+            for pid, cat in classify_mod.load_classification_csv(classification).items()
         }
-        novel_pairs: dict[str, set[Pair]] = {}
-        for discipline, path in sorted(self._listed("networks").items()):
-            network = load_network(path, discipline)
-            for pair, birth in network.edges.items():
-                for pid in birth.introducers:
-                    novel_pairs.setdefault(pid, set()).add(pair)
+        stats = metrics_mod.load_paper_stats(stats_path)
+        if [row[0] for row in stats] != list(categories):
+            raise DataError(
+                f"{stats_path} and {classification} do not list the same papers in "
+                "the same order; rerun stages network and classify"
+            )
         rows = metrics_mod.compute_metrics_rows(
-            store,
-            index,
+            self._load_store(),
             categories,
-            novel_pairs,
+            stats,
             seed=cfg.seed,
             n_rand=cfg.n_rand,
             rewire_factor=cfg.rewire_factor,
-            cd_window=cfg.cd_window,
-            sb_horizon=cfg.sb_horizon,
         )
         write_csv(self.out / "metrics.csv", metrics_mod.METRICS_HEADER, rows)
 
@@ -532,8 +540,9 @@ _TABLE = (
         sources=("corpus_path",),
     ),
     Stage(
-        "network", "concept networks", Pipeline._run_network,
-        makes=("networks/*", "networks/index.json"),
+        "network", "concept networks and seed-free paper metrics", Pipeline._run_network,
+        makes=("networks/*", "networks/index.json", "paper_stats.csv"),
+        config=("cd_window", "sb_horizon"),
         reads=("corpus.norm.jsonl",),
     ),
     Stage(
@@ -550,8 +559,8 @@ _TABLE = (
     Stage(
         "metrics", "per-paper table", Pipeline._run_metrics,
         makes=("metrics.csv",),
-        config=("seed", "n_rand", "rewire_factor", "cd_window", "sb_horizon"),
-        reads=("corpus.norm.jsonl", "classification.csv", "networks/*"),
+        config=("seed", "n_rand", "rewire_factor"),
+        reads=("corpus.norm.jsonl", "classification.csv", "paper_stats.csv"),
     ),
     Stage(
         "report", "run summary", Pipeline._run_report,

@@ -192,8 +192,16 @@ def random_pairs(
     dual_prob: float = 0.1,
 ) -> Path:
     """Uniform random corpus; concepts are partitioned across disciplines."""
-    if papers < 0:
-        raise ConfigError("papers must be non-negative")
+    for name, value, floor in (
+        ("papers", papers, 0), ("max_refs", max_refs, 0), ("disciplines", disciplines, 1),
+        ("venues", venues, 1), ("author_pool", author_pool, 1),
+    ):
+        if value < floor:
+            raise ConfigError(f"{name} must be at least {floor}")
+    if min_concepts > max_concepts:
+        raise ConfigError("min_concepts must not exceed max_concepts")
+    if year_min > year_max:
+        raise ConfigError("year_min must not exceed year_max")
     if concepts < disciplines * max_concepts:
         raise ConfigError("too few concepts for the requested paper width")
     rng = random.Random(seed)

@@ -678,10 +678,10 @@ def reference_metrics_rows(
     cd_window: int | None,
     sb_horizon: int,
 ) -> list[tuple]:
-    """The metrics table as compute_metrics_rows built it from the per-paper
-    loops above: one scan of the citers per window, a window test per citer
-    for the CD index, a look-up per ordered author pair, and the name-keyed
-    novelty baseline."""
+    """The metrics table in one function, from the per-paper loops above:
+    one scan of the citers per window, a window test per citer for the CD
+    index, a look-up per ordered author pair, and the name-keyed novelty
+    baseline."""
     horizon = store.year_max()
     if horizon is None:
         return []

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import math
 import random
+import tempfile
 from collections import Counter
 from itertools import combinations
+from pathlib import Path
 
 import numpy
 import pytest
@@ -15,6 +17,8 @@ from hypothesis import strategies as st
 from gapminer.corpus import build_citation_index
 from gapminer.metrics import (
     CITATION_WINDOWS,
+    METRICS_HEADER,
+    PAPER_STATS_HEADER,
     AuthorIndex,
     ConceptOccurrences,
     YearCocitationBaseline,
@@ -27,13 +31,16 @@ from gapminer.metrics import (
     concept_pair_stats,
     disruption_counts,
     haversine_km,
+    load_paper_stats,
     novelty,
+    paper_stats_rows,
     percentile_rank,
     sleeping_beauty,
     team_stats,
     top_k_flag,
     verb_ratio,
 )
+from gapminer.util import write_csv
 
 from helpers import (
     build_store,
@@ -186,7 +193,7 @@ def test_citation_trajectory_censors_at_horizon():
 
 def citation_windows(paper, index, *, horizon_year):
     """Each window's count from the paper's age histogram, keyed by window
-    length, as compute_metrics_rows takes them."""
+    length, as paper_stats_rows takes them."""
     ages = citation_ages(paper, index, horizon_year=horizon_year, max_age=CITATION_WINDOWS[-1])
     return dict(zip(CITATION_WINDOWS, _windows(ages, horizon_year - paper.year)))
 
@@ -471,14 +478,31 @@ def metrics_inputs(store_seed, papers, years):
 def test_metrics_rows_equal_reference(
     store_seed, papers, years, seed, n_rand, rewire_factor, cd_window, sb_horizon
 ):
+    """The two-part table, with paper_stats.csv in between, writes the
+    metrics.csv bytes of the one-pass reference."""
     store, index, categories, novel_pairs = metrics_inputs(store_seed, papers, years)
-    options = dict(
-        seed=seed, n_rand=n_rand, rewire_factor=rewire_factor,
-        cd_window=cd_window, sb_horizon=sb_horizon,
-    )
-    assert compute_metrics_rows(store, index, categories, novel_pairs, **options) == (
-        reference_metrics_rows(store, index, categories, novel_pairs, **options)
-    )
+    with tempfile.TemporaryDirectory() as tmp:
+        stats_path = Path(tmp) / "paper_stats.csv"
+        write_csv(
+            stats_path,
+            PAPER_STATS_HEADER,
+            paper_stats_rows(
+                store, index, novel_pairs, cd_window=cd_window, sb_horizon=sb_horizon
+            ),
+        )
+        rows = compute_metrics_rows(
+            store, categories, load_paper_stats(stats_path),
+            seed=seed, n_rand=n_rand, rewire_factor=rewire_factor,
+        )
+        write_csv(Path(tmp) / "metrics.csv", METRICS_HEADER, rows)
+        expected = reference_metrics_rows(
+            store, index, categories, novel_pairs, seed=seed, n_rand=n_rand,
+            rewire_factor=rewire_factor, cd_window=cd_window, sb_horizon=sb_horizon,
+        )
+        write_csv(Path(tmp) / "reference.csv", METRICS_HEADER, expected)
+        assert (Path(tmp) / "metrics.csv").read_bytes() == (
+            Path(tmp) / "reference.csv"
+        ).read_bytes()
 
 
 def test_random_metrics_stores_cover_the_edge_cases():

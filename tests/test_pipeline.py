@@ -94,8 +94,8 @@ CONFIG_EDITS = [
     ("seed", 14, "classify"),
     ("n_rand", 3, "metrics"),
     ("rewire_factor", 5, "metrics"),
-    ("cd_window", 3, "metrics"),
-    ("sb_horizon", 10, "metrics"),
+    ("cd_window", 3, "network"),
+    ("sb_horizon", 10, "network"),
     ("threads", 2, None),
 ]
 
@@ -120,7 +120,7 @@ def test_report_echoes_every_stage_config_field():
     assert len(report.config) == len(others)
 
 
-@pytest.mark.parametrize("field, value, first", [("year_min", 1800, "ingest"), ("sb_horizon", 10, "metrics")])
+@pytest.mark.parametrize("field, value, first", [("year_min", 1800, "ingest"), ("sb_horizon", 10, "network")])
 def test_config_edit_with_unchanged_artifacts_updates_the_report(
     tmp_path, finished_run, field, value, first
 ):
@@ -317,6 +317,22 @@ def test_cli_synth_flag_the_generator_does_not_take_is_config_error(
     out = tmp_path / "bad.jsonl"
     assert main(["synth", "--generator", generator, "--out", str(out), flag, "10"]) == 2
     assert flag in capsys.readouterr().err.removeprefix("config error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flags", [
+    ["--disciplines", "0"],
+    ["--min-concepts", "5", "--max-concepts", "3"],
+    ["--year-min", "2020", "--year-max", "1990"],
+    ["--venues", "0"],
+    ["--author-pool", "0"],
+    ["--max-refs", "-1"],
+], ids=["disciplines", "concepts-range", "year-range", "venues", "author-pool", "max-refs"])
+def test_cli_synth_random_pairs_bad_value_is_config_error(tmp_path, capsys, flags):
+    out = tmp_path / "bad.jsonl"
+    args = ["synth", "--generator", "random-pairs", "--papers", "5", "--out", str(out)]
+    assert main([*args, *flags]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -517,6 +533,77 @@ def test_malformed_classification_row_is_data_error(tmp_path, capsys, stage, row
     assert "rerun stage classify" in err
 
 
+@pytest.mark.parametrize("damage", ["row", "header"])
+def test_malformed_paper_stats_is_data_error(tmp_path, capsys, damage):
+    config = small_config(tmp_path)
+    run(config)
+    stats = config.output_dir / "paper_stats.csv"
+    header, *rows = stats.read_text(encoding="utf-8").splitlines(keepends=True)
+    if damage == "row":
+        rows[1] = "P1,0.5\n"
+        line = 3
+    else:
+        header = header.replace("cd_pct", "cd_percentile")
+        line = 1
+    stats.write_text(header + "".join(rows), encoding="utf-8")
+    capsys.readouterr()
+    code = main(["metrics", "--corpus", str(config.corpus_path), "--out", str(config.output_dir)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"paper_stats.csv, line {line}" in err
+    assert "rerun stage network" in err
+
+
+@pytest.mark.parametrize("damage", ["missing", "extra", "order"])
+def test_paper_stats_out_of_step_with_classification_is_data_error(tmp_path, capsys, damage):
+    config = small_config(tmp_path)
+    run(config)
+    stats = config.output_dir / "paper_stats.csv"
+    header, *rows = stats.read_text(encoding="utf-8").splitlines(keepends=True)
+    if damage == "missing":
+        del rows[3]
+    elif damage == "extra":
+        rows.append(rows[0].replace(rows[0].split(",")[0], "unknown", 1))
+    else:
+        rows[0], rows[1] = rows[1], rows[0]
+    stats.write_text(header + "".join(rows), encoding="utf-8")
+    capsys.readouterr()
+    code = main(["metrics", "--corpus", str(config.corpus_path), "--out", str(config.output_dir)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ")
+    assert "paper_stats.csv" in err and "classification.csv" in err
+
+
+def test_deleted_paper_stats_reruns_the_network_stage_alone(tmp_path, finished_run):
+    # The network stage rewrites the same file, so no later stage's inputs change.
+    shutil.copytree(finished_run.output_dir, tmp_path / "out")
+    before = files_under(tmp_path / "out")
+    (tmp_path / "out" / "paper_stats.csv").unlink()
+    statuses = run(replace(finished_run, output_dir=tmp_path / "out")).statuses
+    assert {s for s in STAGES if statuses[s] == "ok"} == {"network"}
+    assert files_under(tmp_path / "out") == before
+
+
+def test_output_without_paper_stats_is_upgraded_in_place(tmp_path, finished_run):
+    """An output directory written before the network stage made
+    paper_stats.csv: the network stage's manifest entry lacks the file and
+    both it and metrics recorded other inputs. The next run reruns those two
+    stages and ends where a fresh run ends."""
+    out = tmp_path / "out"
+    shutil.copytree(finished_run.output_dir, out)
+    before = files_under(out)
+    (out / "paper_stats.csv").unlink()
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    for stage in ("network", "metrics"):
+        manifest["stages"][stage]["inputs"] = "recorded by an earlier stage table"
+    del manifest["stages"]["network"]["outputs"]["paper_stats.csv"]
+    (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    statuses = run(replace(finished_run, output_dir=out)).statuses
+    assert {s for s in STAGES if statuses[s] == "ok"} == {"network", "metrics"}
+    assert files_under(out) == before
+
+
 @pytest.mark.parametrize("kind, producer, consumer", [
     ("networks", "network", "persist"),
     ("diagrams", "persist", "classify"),
@@ -683,8 +770,10 @@ def test_cold_run_builds_the_citation_index_once(tmp_path, monkeypatch):
     monkeypatch.setattr(pipeline_mod, "build_citation_index", counting_build)
     config = small_config(tmp_path)
     run(config)
-    assert len(calls) == 1  # ingest's index serves metrics
-    run(replace(config, seed=config.seed + 1))  # ingest skipped: metrics builds it once
+    assert len(calls) == 1  # ingest's index serves the network stage
+    run(replace(config, seed=config.seed + 1))  # network skipped: no stage needs the index
+    assert len(calls) == 1
+    run(replace(config, cd_window=3))  # ingest skipped: the network stage builds it once
     assert len(calls) == 2
 
 
