@@ -125,7 +125,7 @@ def classify_all(
         for pair in sorted(topo.network.edges):
             birth = topo.network.edges[pair]
             kind = KIND_GAP if pair in topo.gap_pairs else KIND_NOVEL
-            for pid in sorted(birth.introducers):
+            for pid in birth.introducers:
                 evidence[pid].append((discipline, pair, kind))
     categories = _categorize((rec.paper_id for rec in store.iter_papers()), gap, novel)
     return {

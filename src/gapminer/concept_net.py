@@ -3,8 +3,9 @@
 A network's nodes are fine-grained (level-3) concepts; an undirected edge
 appears the first year any paper of the discipline co-assigns the two
 concepts, and never leaves. All papers of that earliest year containing the
-pair are recorded as introducers. In a network file they are one field,
-joined by ';', with each '\\' and ';' inside an id escaped by a '\\'.
+pair are recorded as introducers, in ascending id order. In a network file
+they are one field, joined by ';', with each '\\' and ';' inside an id
+escaped by a '\\'.
 """
 
 from __future__ import annotations
@@ -35,12 +36,13 @@ _ESCAPED = re.compile(r"\\(.)", re.S)
 
 
 class EdgeBirth(NamedTuple):
-    """First occurrence of a concept pair: the year, who introduced it, and
-    its tie rank, the edge's position in the (time, min introducer id, pair)
-    order of its network, which holds its edges in that order."""
+    """First occurrence of a concept pair: the year, who introduced it (ids
+    in ascending order), and its tie rank, the edge's position in the (time,
+    min introducer id, pair) order of its network, which holds its edges in
+    that order."""
 
     time: int
-    introducers: frozenset[str]
+    introducers: tuple[str, ...]
     tie_rank: int
 
 
@@ -52,9 +54,9 @@ class TemporalConceptNetwork:
     edges: dict[Pair, EdgeBirth]
 
 
-def _finish_network(discipline: str, raw: dict[Pair, tuple[int, frozenset[str]]]) -> TemporalConceptNetwork:
+def _finish_network(discipline: str, raw: dict[Pair, tuple[int, tuple[str, ...]]]) -> TemporalConceptNetwork:
     """Assign tie ranks (ascending time, min introducer id, pair) and freeze."""
-    ordered = sorted(raw.items(), key=lambda kv: (kv[1][0], min(kv[1][1]), kv[0]))
+    ordered = sorted(raw.items(), key=lambda kv: (kv[1][0], kv[1][1][0], kv[0]))
     return TemporalConceptNetwork(
         discipline,
         {pair: EdgeBirth(time, intro, rank) for rank, (pair, (time, intro)) in enumerate(ordered)},
@@ -87,11 +89,11 @@ def build_network(discipline: str, rows: Sequence[PaperRow]) -> TemporalConceptN
 
     Rows come in the deterministic (year, paper_id) order of discipline_rows,
     each with its concept ids sorted; an edge's introducers are all papers
-    of its first year that contain the pair. Within a year a pair is first
-    met at its smallest introducer, and one paper's pairs come in pair
-    order, so the order edges are first met in is the tie-rank order
-    (ascending time, min introducer id, pair) with no sort. A discipline
-    with no paper is unknown.
+    of its first year that contain the pair, met in ascending id order.
+    Within a year a pair is first met at its smallest introducer, and one
+    paper's pairs come in pair order, so the order edges are first met in is
+    the tie-rank order (ascending time, min introducer id, pair) with no
+    sort. A discipline with no paper is unknown.
     """
     if not rows:
         raise UnknownDisciplineError(f"unknown discipline id {discipline!r}")
@@ -109,25 +111,26 @@ def build_network(discipline: str, rows: Sequence[PaperRow]) -> TemporalConceptN
                     introducers.append(pid)
         rank = len(edges)
         for pair, introducers in batch.items():
-            edges[pair] = EdgeBirth(year, frozenset(introducers), rank)
+            edges[pair] = EdgeBirth(year, tuple(introducers), rank)
             rank += 1
     return TemporalConceptNetwork(discipline, edges)
 
 
-def _join_ids(ids: frozenset[str]) -> str:
-    """The introducers field: sorted ids, escaped, ';'-joined."""
-    return ";".join(pid.replace("\\", "\\\\").replace(";", "\\;") for pid in sorted(ids))
+def _join_ids(ids: tuple[str, ...]) -> str:
+    """The introducers field: the ids, escaped, ';'-joined."""
+    return ";".join(pid.replace("\\", "\\\\").replace(";", "\\;") for pid in ids)
 
 
-def _split_ids(field: str) -> frozenset[str]:
-    """The ids of an introducers field; one _join_ids would not write is a ValueError."""
-    ids = frozenset(_ESCAPED.sub(itemgetter(1), pid) for pid in _INTRODUCER.findall(field))
-    if not ids or _join_ids(ids) != field:
+def _split_ids(field: str) -> tuple[str, ...]:
+    """The ids of an introducers field; one _join_ids would not write, or
+    one whose ids are not strictly ascending, is a ValueError."""
+    ids = tuple(_ESCAPED.sub(itemgetter(1), pid) for pid in _INTRODUCER.findall(field))
+    if not ids or _join_ids(ids) != field or any(a >= b for a, b in zip(ids, ids[1:])):
         raise ValueError(f"malformed introducers {field!r}")
     return ids
 
 
-def _edge_row(row: list[str]) -> tuple[Pair, tuple[int, frozenset[str]]]:
+def _edge_row(row: list[str]) -> tuple[Pair, tuple[int, tuple[str, ...]]]:
     u, v, time, introducers = row
     return (u, v), (int(time), _split_ids(introducers))
 

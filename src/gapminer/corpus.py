@@ -14,7 +14,7 @@ import logging
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Union
 
 from .errors import CorpusQualityError, DataError
 from .util import output_file, write_csv
@@ -41,29 +41,24 @@ class _MalformedRecord(ValueError):
 class PaperRecord:
     """One validated publication record.
 
-    Concept fields hold only positive-confidence assignments, deduplicated by
-    concept id (keeping the highest confidence) and sorted by id. References
-    are deduplicated, self-references removed, sorted. Author order is
-    preserved as given.
+    Each concept level holds only positive-confidence assignments,
+    deduplicated by concept id (keeping the highest confidence), as sorted
+    ids with their confidences in a parallel tuple. References are
+    deduplicated, self-references removed, sorted. Author order is preserved
+    as given.
     """
 
     paper_id: str
     year: int
-    level0_fields: tuple[tuple[str, float], ...]
-    level3_fields: tuple[tuple[str, float], ...]
+    level0_ids: tuple[str, ...]
+    level0_confidences: tuple[float, ...]
+    level3_ids: tuple[str, ...]
+    level3_confidences: tuple[float, ...]
     references: tuple[str, ...]
     title: str | None = None
     venue_id: str | None = None
     authors: tuple[str, ...] = ()
     affiliations: tuple[tuple[str, float, float], ...] = ()
-
-    @property
-    def level0_ids(self) -> tuple[str, ...]:
-        return tuple(c for c, _ in self.level0_fields)
-
-    @property
-    def level3_ids(self) -> tuple[str, ...]:
-        return tuple(c for c, _ in self.level3_fields)
 
 
 @dataclass(frozen=True, slots=True)
@@ -119,24 +114,16 @@ class CorpusStore:
             by_year.setdefault(papers[pid].year, []).append(pid)
         by_year = {year: by_year[year] for year in sorted(by_year)}
         papers = {pid: papers[pid] for pids in by_year.values() for pid in pids}
+        # Papers come in ascending years: a concept's first has its earliest year.
         registry: dict[str, ConceptInfo] = {}
-
-        def register(concept: str, level: int, year: int) -> None:
-            info = registry.get(concept)
-            if info is None:
-                registry[concept] = ConceptInfo(level, year)
-            else:
-                registry[concept] = ConceptInfo(
-                    min(info.level, level), min(info.first_year_seen, year)
-                )
-
-        for year in by_year:
-            for pid in by_year[year]:
-                rec = papers[pid]
-                for concept in rec.level0_ids:
-                    register(concept, 0, rec.year)
-                for concept in rec.level3_ids:
-                    register(concept, 3, rec.year)
+        for rec in papers.values():
+            for level, concepts in ((0, rec.level0_ids), (3, rec.level3_ids)):
+                for concept in concepts:
+                    info = registry.get(concept)
+                    if info is None:
+                        registry[concept] = ConceptInfo(level, rec.year)
+                    elif level < info.level:
+                        registry[concept] = ConceptInfo(level, info.first_year_seen)
         registry = {c: registry[c] for c in sorted(registry)}
         return cls(papers, by_year, registry, report or IngestReport())
 
@@ -150,17 +137,18 @@ class CorpusStore:
         return max(self.by_year) if self.by_year else None
 
     def iter_papers(self) -> Iterator[PaperRecord]:
-        """Yield records in the deterministic (year, paper_id) order."""
-        for year in self.by_year:
-            for pid in self.by_year[year]:
-                yield self.papers[pid]
+        """The records in the deterministic (year, paper_id) order."""
+        return iter(self.papers.values())
 
     def disciplines(self) -> list[str]:
         """Sorted ids of all level-0 concepts assigned to any paper."""
         return sorted(c for c, info in self.concept_registry.items() if info.level == 0)
 
 
-def _coerce_concepts(raw: object, key: str) -> tuple[tuple[str, float], ...]:
+def _coerce_concepts(
+    raw: object, key: str, intern: Callable[[str, str], str]
+) -> tuple[tuple[str, ...], tuple[float, ...]]:
+    """The sorted concept ids of a level and their confidences."""
     if not isinstance(raw, list):
         raise _MalformedRecord(f"{key} must be a list")
     best: dict[str, float] = {}
@@ -180,7 +168,8 @@ def _coerce_concepts(raw: object, key: str) -> tuple[tuple[str, float], ...]:
             continue  # the positive-confidence threshold drops these
         if conf > best.get(concept, 0.0):
             best[concept] = conf
-    return tuple(sorted(best.items()))
+    ids = sorted(best)
+    return tuple(intern(c, c) for c in ids), tuple(best[c] for c in ids)
 
 
 def _is_text(raw: object) -> bool:
@@ -200,28 +189,34 @@ def validate_record(
     *,
     year_min: int = DEFAULT_YEAR_MIN,
     year_max: int = DEFAULT_YEAR_MAX,
+    ids: dict[str, str] | None = None,
 ) -> Union[PaperRecord, Rejection]:
     """Validate one parsed record.
 
     Returns a PaperRecord when all content filters pass, or a Rejection naming
     the first failed filter. Structural problems (missing mandatory keys,
     wrong types) raise an internal error that load_corpus counts as malformed.
+    Every id (paper, concept, reference, venue, author) is replaced by its
+    value in `ids`, entered there when new, so that records validated with
+    one table hold one str object per distinct id.
     """
+    intern = ({} if ids is None else ids).setdefault
     if not isinstance(raw, dict):
         raise _MalformedRecord("record must be an object")
     for key in ("id", "year", "l0", "l3", "refs"):
         if key not in raw:
             raise _MalformedRecord(f"missing mandatory key {key!r}")
     paper_id = _coerce_str(raw["id"], "id")
+    paper_id = intern(paper_id, paper_id)
     year = raw["year"]
     if isinstance(year, bool) or not isinstance(year, int):
         raise _MalformedRecord("year must be an integer")
-    level0 = _coerce_concepts(raw["l0"], "l0")
-    level3 = _coerce_concepts(raw["l3"], "l3")
+    level0, level0_confidences = _coerce_concepts(raw["l0"], "l0", intern)
+    level3, level3_confidences = _coerce_concepts(raw["l3"], "l3", intern)
     refs_raw = raw["refs"]
     if not isinstance(refs_raw, list) or not all(map(_is_text, refs_raw)):
         raise _MalformedRecord("refs must be a list of non-empty strings")
-    references = tuple(sorted(set(refs_raw) - {paper_id}))
+    references = tuple(sorted(intern(r, r) for r in set(refs_raw) if r != paper_id))
 
     title = raw.get("title")
     if title is not None:
@@ -229,6 +224,7 @@ def validate_record(
     venue = raw.get("venue")
     if venue is not None:
         venue = _coerce_str(venue, "venue")
+        venue = intern(venue, venue)
     authors_raw = raw.get("authors", [])
     if not isinstance(authors_raw, list) or not all(map(_is_text, authors_raw)):
         raise _MalformedRecord("authors must be a list of non-empty strings")
@@ -247,7 +243,7 @@ def validate_record(
         lat, lon = float(entry[1]), float(entry[2])
         if lat != lat or lon != lon:
             raise _MalformedRecord("affil coordinates must be finite")
-        affiliations.append((entry[0], lat, lon))
+        affiliations.append((intern(entry[0], entry[0]), lat, lon))
 
     if not (year_min <= year <= year_max):
         return Rejection(paper_id, REASON_YEAR)
@@ -258,12 +254,14 @@ def validate_record(
     return PaperRecord(
         paper_id=paper_id,
         year=year,
-        level0_fields=level0,
-        level3_fields=level3,
+        level0_ids=level0,
+        level0_confidences=level0_confidences,
+        level3_ids=level3,
+        level3_confidences=level3_confidences,
         references=references,
         title=title,
         venue_id=venue,
-        authors=tuple(authors_raw),
+        authors=tuple(intern(a, a) for a in authors_raw),
         affiliations=tuple(affiliations),
     )
 
@@ -284,6 +282,7 @@ def load_corpus(
     report = IngestReport()
     records: list[PaperRecord] = []
     seen: set[str] = set()
+    ids: dict[str, str] = {}  # one str object per distinct id, for this load
     try:
         # A byte that is not UTF-8 decodes to a lone surrogate: its line is malformed.
         fh = open(path, "r", encoding="utf-8", errors="surrogateescape")
@@ -313,7 +312,7 @@ def load_corpus(
             report.lines += 1
             try:
                 parsed = json.loads(line)
-                result = validate_record(parsed, year_min=year_min, year_max=year_max)
+                result = validate_record(parsed, year_min=year_min, year_max=year_max, ids=ids)
             except (json.JSONDecodeError, _MalformedRecord) as exc:
                 report.malformed += 1
                 logger.debug("%s:%d malformed line: %s", path, lineno, exc)
@@ -348,8 +347,8 @@ def record_to_json(rec: PaperRecord) -> dict:
     obj: dict = {
         "id": rec.paper_id,
         "year": rec.year,
-        "l0": [[c, conf] for c, conf in rec.level0_fields],
-        "l3": [[c, conf] for c, conf in rec.level3_fields],
+        "l0": [[c, conf] for c, conf in zip(rec.level0_ids, rec.level0_confidences)],
+        "l3": [[c, conf] for c, conf in zip(rec.level3_ids, rec.level3_confidences)],
         "refs": list(rec.references),
     }
     if rec.title is not None:

@@ -289,7 +289,8 @@ class Pipeline:
     def _load_store(self) -> CorpusStore:
         """Load the normalized corpus, cached across stages of one run under
         the file's digest; ingest seeds the cache with the store it wrote and
-        that store's citation index."""
+        that store's citation index, which the network stage drops once it
+        has used it."""
         path = self.out / "corpus.norm.jsonl"
         digest = sha256_file(path)
         if self._store_cache is None or self._store_cache[0] != digest:
@@ -357,6 +358,7 @@ class Pipeline:
             sb_horizon=cfg.sb_horizon,
         )
         write_csv(self.out / "paper_stats.csv", metrics_mod.PAPER_STATS_HEADER, rows)
+        self._store_cache = (*self._store_cache[:2], None)  # no later stage reads the index
 
     def _run_persist(self) -> None:
         tasks = [(d, str(p)) for d, p in sorted(self._listed("networks").items())]

@@ -10,6 +10,7 @@ import os
 from collections import deque
 from contextlib import contextmanager, suppress
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Any, Callable, Iterable, Iterator, Sequence, TextIO, TypeVar
 
 from .errors import DataError
@@ -70,9 +71,13 @@ def output_file(path: str | Path) -> Iterator[TextIO]:
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
     """Write a CSV file with '\\n' line endings regardless of platform. None
-    is the empty field and a float is written as its repr."""
+    is the empty field, a float is written as its repr, and a field holding
+    '\\n', '\\r', a comma or a quote is quoted: csv.writer quotes the
+    characters of its line terminator, '\\r\\n' here, and writes each row in
+    one call, whose ending is written as '\\n'."""
     with output_file(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        target = SimpleNamespace(write=lambda row: fh.write(row[:-2] + "\n"))
+        writer = csv.writer(target, lineterminator="\r\n")
         writer.writerow(header)
         writer.writerows(rows)
 

@@ -116,14 +116,14 @@ def network_from_edge_times(
     Duplicate pairs keep the earliest year. Each edge's one introducer is
     synthesized from its pair.
     """
-    raw: dict[Pair, tuple[int, frozenset[str]]] = {}
+    raw: dict[Pair, tuple[int, tuple[str, ...]]] = {}
     for u, v, year in edges:
         if u == v:
             raise ValueError(f"self-loop {u!r}")
         pair = _canonical(u, v)
         existing = raw.get(pair)
         if existing is None or year < existing[0]:
-            raw[pair] = (year, frozenset({f"edge:{pair[0]}|{pair[1]}"}))
+            raw[pair] = (year, (f"edge:{pair[0]}|{pair[1]}",))
     return _finish_network(discipline, raw)
 
 
@@ -231,7 +231,7 @@ def reference_build_network(discipline: str, rows: Sequence[PaperRow]) -> Tempor
     ranks and dict order included."""
     if not rows:
         raise UnknownDisciplineError(f"unknown discipline id {discipline!r}")
-    raw: dict[Pair, tuple[int, frozenset[str]]] = {}
+    raw: dict[Pair, tuple[int, tuple[str, ...]]] = {}
     for year, papers in groupby(rows, key=itemgetter(0)):
         batch: dict[Pair, set[str]] = {}
         for _, pid, concepts in papers:
@@ -241,7 +241,7 @@ def reference_build_network(discipline: str, rows: Sequence[PaperRow]) -> Tempor
                     continue
                 batch.setdefault(pair, set()).add(pid)
         for pair, intro in batch.items():
-            raw[pair] = (year, frozenset(intro))
+            raw[pair] = (year, tuple(sorted(intro)))
     return _finish_network(discipline, raw)
 
 

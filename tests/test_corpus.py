@@ -174,6 +174,41 @@ def test_round_trip_is_bit_exact(tmp_path):
     assert (tmp_path / "again.jsonl").read_bytes() == out.read_bytes()
 
 
+def test_load_holds_each_id_once(tmp_path):
+    # Multi-character ids: CPython shares one-character strings anyway.
+    raws = [
+        raw_record(
+            "paper-1", 2000, ("alpha", "beta"), l0=("Disc",), venue="venue-1",
+            authors=["author-x", "author-y"], affil=[["author-x", 1.0, 2.0]],
+        ),
+        raw_record(
+            "paper-2", 2001, ("beta", "gamma"), l0=("Disc",), refs=("paper-1", "outside"),
+            venue="venue-1", authors=["author-y"],
+        ),
+        raw_record(
+            "paper-3", 2001, ("alpha", "gamma"), l0=("Disc", "Other"),
+            refs=("paper-1", "paper-2", "outside"), affil=[["author-x", 3.0, 4.0]],
+        ),
+    ]
+    store = load_corpus(write_corpus(tmp_path / "c.jsonl", raws))
+    p1, p2, p3 = (store.papers[pid] for pid in ("paper-1", "paper-2", "paper-3"))
+    for rec in (p2, p3):
+        for ref in rec.references:
+            if ref in store.papers:
+                assert ref is store.papers[ref].paper_id
+    assert p2.references[0] == "outside"  # references are sorted
+    assert p2.references[0] is p3.references[0]
+    assert p1.level3_ids[0] is p3.level3_ids[0]  # "alpha"
+    assert p1.level3_ids[1] is p2.level3_ids[0]  # "beta"
+    assert p2.level3_ids[1] is p3.level3_ids[1]  # "gamma"
+    assert p1.level0_ids[0] is p2.level0_ids[0] is p3.level0_ids[0]
+    assert p1.venue_id is p2.venue_id
+    assert p1.authors[1] is p2.authors[0]
+    assert p1.authors[0] is p1.affiliations[0][0] is p3.affiliations[0][0]
+    for pid, rec in store.papers.items():
+        assert pid is rec.paper_id
+
+
 def test_load_is_deterministic(tmp_path):
     raws = [raw_record(f"p{i}", 2000 + i % 3, ("a", "b", "c")) for i in range(20)]
     path = write_corpus(tmp_path / "c.jsonl", raws)

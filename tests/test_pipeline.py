@@ -25,11 +25,11 @@ import gapminer.pipeline as pipeline_mod
 from gapminer import metrics as metrics_mod
 from gapminer.classify import classify_all
 from gapminer.cli import main
-from gapminer.corpus import load_corpus
+from gapminer.corpus import load_corpus, save_corpus
 from gapminer.errors import ConfigError, MissingDependencyError
 from gapminer.pipeline import STAGES, PipelineConfig, run, verify_manifest
 from gapminer.synth import make_synthetic
-from gapminer.util import sha256_file, write_csv
+from gapminer.util import read_csv, sha256_file, write_csv
 
 from helpers import analyze_store, exit_in_worker
 
@@ -741,6 +741,10 @@ def test_ingest_store_is_the_reloaded_store(tmp_path, corpus):
     if corpus == "shuffled":
         assert store.ingest_report.duplicate_ids == 2
         assert len(store.ingest_report.rejections) == 2
+    # Records holding shared id objects and flat concept tuples write the
+    # same bytes as the ones they were read from.
+    save_corpus(reloaded, tmp_path / "again.jsonl")
+    assert (tmp_path / "again.jsonl").read_bytes() == normalized.read_bytes()
 
 
 def test_cold_run_parses_the_corpus_once(tmp_path, monkeypatch):
@@ -775,6 +779,15 @@ def test_cold_run_builds_the_citation_index_once(tmp_path, monkeypatch):
     assert len(calls) == 1
     run(replace(config, cd_window=3))  # ingest skipped: the network stage builds it once
     assert len(calls) == 2
+
+
+def test_network_stage_drops_the_citation_index(tmp_path):
+    pipeline = pipeline_mod.Pipeline(small_config(tmp_path, stages=("ingest", "network")))
+    pipeline.execute()
+    digest, store, index = pipeline._store_cache
+    assert index is None  # classify, metrics and report never read it
+    assert digest == sha256_file(tmp_path / "out" / "corpus.norm.jsonl")
+    assert (tmp_path / "out" / "paper_stats.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -844,6 +857,14 @@ def test_write_csv_bytes(tmp_path):
     )
 
 
+def test_write_csv_quotes_a_lone_carriage_return(tmp_path):
+    path = tmp_path / "t.csv"
+    rows = [("B\rC", "1"), ("x\r", "\ry"), ("\r\n", "\n")]
+    write_csv(path, ("a", "b"), rows)
+    assert path.read_bytes() == b'a,b\n"B\rC",1\n"x\r","\ry"\n"\r\n","\n"\n'
+    assert read_csv(path, ("a", "b"), tuple, "network") == rows
+
+
 def suffixed_ids(path: Path, suffix: str) -> Path:
     """The corpus at `path` with `suffix` appended to every paper id and
     reference."""
@@ -881,11 +902,11 @@ def test_paper_ids_holding_separators_survive_the_network_files(tmp_path):
 
 
 # Pieces of ids: the network file's separators and escape, CSV's comma,
-# quote and line breaks, spaces, the diagram file's "inf", and text beyond
-# ASCII. Joined from one to three at a time, they give ids that prefix one
-# another.
+# quote and line breaks (a lone carriage return too), spaces, the diagram
+# file's "inf", and text beyond ASCII. Joined from one to three at a time,
+# they give ids that prefix one another.
 _ID_PIECES = (
-    ";", "\\", ",", '"', "'", "\n", "\r\n", " ", "inf", "é", "漢", "\U0001F600", "P", "1",
+    ";", "\\", ",", '"', "'", "\n", "\r", "\r\n", " ", "inf", "é", "漢", "\U0001F600", "P", "1",
 )
 _IDS = st.lists(st.sampled_from(_ID_PIECES), min_size=1, max_size=3).map("".join)
 
