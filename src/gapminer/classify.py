@@ -71,7 +71,7 @@ class DisciplineTopology:
 
     discipline: str
     network: TemporalConceptNetwork
-    gap_pairs: frozenset[Pair]
+    gap_pairs: AbstractSet[Pair]
 
 
 def _introducers(
@@ -268,12 +268,8 @@ def null_comparison(
 def write_classification_csv(
     classifications: Mapping[str, PaperClassification], store: CorpusStore, path: Path
 ) -> None:
-    rows = []
-    for rec in store.iter_papers():
-        cls = classifications[rec.paper_id]
-        rows.append(
-            (rec.paper_id, cls.category.value, cls.gap_pair_count, cls.novel_pair_count)
-        )
+    ordered = (classifications[rec.paper_id] for rec in store.iter_papers())
+    rows = ((c.paper_id, c.category.value, c.gap_pair_count, c.novel_pair_count) for c in ordered)
     write_csv(path, CLASSIFICATION_HEADER, rows)
 
 
@@ -291,8 +287,8 @@ def write_shares_csv(rows: Iterable[ShareRow], path: Path) -> None:
     write_csv(
         path,
         ("grouping", "group", "category", "count", "fraction", "source", "stderr"),
-        [
+        (
             (r.grouping, r.group, r.category.value, r.count, r.fraction, r.source, r.stderr)
             for r in rows
-        ],
+        ),
     )

@@ -146,7 +146,7 @@ class CorpusStore:
 
 
 def _coerce_concepts(
-    raw: object, key: str, intern: Callable[[str, str], str]
+    raw: object, key: str, intern: Callable[[object, object], object]
 ) -> tuple[tuple[str, ...], tuple[float, ...]]:
     """The sorted concept ids of a level and their confidences."""
     if not isinstance(raw, list):
@@ -169,7 +169,7 @@ def _coerce_concepts(
         if conf > best.get(concept, 0.0):
             best[concept] = conf
     ids = sorted(best)
-    return tuple(intern(c, c) for c in ids), tuple(best[c] for c in ids)
+    return tuple(intern(c, c) for c in ids), tuple(intern(best[c], best[c]) for c in ids)
 
 
 def _is_text(raw: object) -> bool:
@@ -189,18 +189,19 @@ def validate_record(
     *,
     year_min: int = DEFAULT_YEAR_MIN,
     year_max: int = DEFAULT_YEAR_MAX,
-    ids: dict[str, str] | None = None,
+    shared: dict | None = None,
 ) -> Union[PaperRecord, Rejection]:
     """Validate one parsed record.
 
     Returns a PaperRecord when all content filters pass, or a Rejection naming
     the first failed filter. Structural problems (missing mandatory keys,
     wrong types) raise an internal error that load_corpus counts as malformed.
-    Every id (paper, concept, reference, venue, author) is replaced by its
-    value in `ids`, entered there when new, so that records validated with
-    one table hold one str object per distinct id.
+    Every id (paper, concept, reference, venue, author) and every concept
+    confidence is replaced by its value in `shared`, entered there when new,
+    so that records validated with one table hold one object per distinct
+    id and per distinct confidence.
     """
-    intern = ({} if ids is None else ids).setdefault
+    intern = ({} if shared is None else shared).setdefault
     if not isinstance(raw, dict):
         raise _MalformedRecord("record must be an object")
     for key in ("id", "year", "l0", "l3", "refs"):
@@ -282,7 +283,7 @@ def load_corpus(
     report = IngestReport()
     records: list[PaperRecord] = []
     seen: set[str] = set()
-    ids: dict[str, str] = {}  # one str object per distinct id, for this load
+    shared: dict = {}  # one object per distinct id or confidence, for this load
     try:
         # A byte that is not UTF-8 decodes to a lone surrogate: its line is malformed.
         fh = open(path, "r", encoding="utf-8", errors="surrogateescape")
@@ -312,7 +313,7 @@ def load_corpus(
             report.lines += 1
             try:
                 parsed = json.loads(line)
-                result = validate_record(parsed, year_min=year_min, year_max=year_max, ids=ids)
+                result = validate_record(parsed, year_min=year_min, year_max=year_max, shared=shared)
             except (json.JSONDecodeError, _MalformedRecord) as exc:
                 report.malformed += 1
                 logger.debug("%s:%d malformed line: %s", path, lineno, exc)
@@ -377,11 +378,8 @@ def save_corpus(store: CorpusStore, path: str | Path) -> None:
 
 
 def write_rejection_report(store: CorpusStore, path: str | Path) -> None:
-    write_csv(
-        Path(path),
-        ("paper_id", "reason"),
-        [(r.paper_id, r.reason) for r in store.ingest_report.rejections],
-    )
+    rows = ((r.paper_id, r.reason) for r in store.ingest_report.rejections)
+    write_csv(path, ("paper_id", "reason"), rows)
 
 
 @dataclass

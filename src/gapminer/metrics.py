@@ -10,7 +10,8 @@ and exported as empty fields.
 The per-paper table is built in two parts: `paper_stats_rows` computes every
 column that no seed decides (the network stage's paper_stats.csv, read back
 as text by `load_paper_stats`), and `compute_metrics_rows` splices the
-category and the seeded novelty percentile into those rows.
+category and the seeded novelty percentile into those rows. Each part hands
+out one row at a time, so neither table is ever held whole.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import accumulate, combinations
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .concept_net import Pair
 from .corpus import CitationIndex, CorpusStore, PaperRecord
@@ -162,36 +163,28 @@ def _windows(ages: Sequence[int], observable: int) -> list[int | None]:
 
 
 def top_k_flag(
-    citation_counts: Mapping[str, int],
-    k: float,
-    cohort_of: Mapping[str, Sequence[object]],
-) -> dict[str, int]:
-    """1 for papers among the top k% by citations in any of their cohorts.
+    citation_counts: Mapping[str, int], k: float, cohorts: Mapping[object, Sequence[str]]
+) -> set[str]:
+    """The papers among the top k% by citations in any of their cohorts;
+    `cohorts` maps each cohort to its paper ids.
 
     The threshold is the m-th largest count with m = max(1, floor(k*n/100));
     ties at the threshold are all flagged (so degenerate cohorts flag
     everyone). Membership in several cohorts flags on any of them.
     """
-    cohorts: dict[object, list[str]] = defaultdict(list)
-    for pid in citation_counts:
-        for key in cohort_of[pid]:
-            cohorts[key].append(pid)
-    flags = {pid: 0 for pid in citation_counts}
+    flagged: set[str] = set()
     widened = 0
     for members in cohorts.values():
         counts = sorted((citation_counts[pid] for pid in members), reverse=True)
         m = max(1, math.floor(k * len(members) / 100.0))
         threshold = counts[m - 1]
-        flagged = 0
-        for pid in members:
-            if citation_counts[pid] >= threshold:
-                flags[pid] = 1
-                flagged += 1
-        if flagged > m:
+        hits = [pid for pid in members if citation_counts[pid] >= threshold]
+        flagged.update(hits)
+        if len(hits) > m:
             widened += 1
     if widened:
         logger.info("top-%s%%: ties widened the flagged set in %d cohorts", k, widened)
-    return flags
+    return flagged
 
 
 # --------------------------------------------------------------------------
@@ -637,12 +630,12 @@ def paper_stats_rows(
     *,
     cd_window: int | None,
     sb_horizon: int,
-) -> list[tuple]:
+) -> Iterator[tuple]:
     """One row per paper, in (year, paper_id) order, matching
-    PAPER_STATS_HEADER: every metric that no seed decides."""
+    PAPER_STATS_HEADER: every metric that no seed decides, yielded in turn."""
     horizon = store.year_max()
     if horizon is None:
-        return []
+        return
     occurrences = ConceptOccurrences(store)
     authors = AuthorIndex(store)
 
@@ -654,15 +647,14 @@ def paper_stats_rows(
     cd_percentiles = percentile_rank(cd_values, index.year_of)
 
     citation_counts = {pid: index.citation_count(pid) for pid in store.papers}
-    cohort_of = {
-        pid: [(rec.year, d) for d in rec.level0_ids]
-        for pid, rec in store.papers.items()
-    }
-    top_flags = {k: top_k_flag(citation_counts, k, cohort_of) for k in TOP_K_LEVELS}
+    cohorts: dict[tuple[int, str], list[str]] = defaultdict(list)
+    for rec in store.iter_papers():
+        for discipline in rec.level0_ids:
+            cohorts[(rec.year, discipline)].append(rec.paper_id)
+    top_flags = [top_k_flag(citation_counts, k, cohorts) for k in TOP_K_LEVELS]
 
     # One age histogram per paper serves its windows and its trajectory.
     max_age = max(sb_horizon, CITATION_WINDOWS[-1])
-    rows: list[tuple] = []
     for rec in store.iter_papers():
         pid = rec.paper_id
         ages = citation_ages(rec, index, horizon_year=horizon, max_age=max_age)
@@ -671,13 +663,13 @@ def paper_stats_rows(
             rec, novel_pairs_by_paper.get(pid, ()), store, occurrences
         )
         team = team_stats(rec, authors)
-        row = (
+        yield (
             pid,
             cd_values.get(pid),
             cd_percentiles.get(pid),
             sleeping_beauty(ages[: min(sb_horizon, observable) + 1]),
             *_windows(ages, observable),
-            *(top_flags[k][pid] for k in TOP_K_LEVELS),
+            *(int(pid in flagged) for flagged in top_flags),
             pair_stats.concept_age if pair_stats else None,
             pair_stats.concept_popularity if pair_stats else None,
             team.team_size if rec.authors else None,
@@ -685,8 +677,6 @@ def paper_stats_rows(
             team.freshness,
             team.mean_geo_distance_km,
         )
-        rows.append(row)
-    return rows
 
 
 def _paper_stats_row(row: list[str]) -> list[str]:
@@ -695,9 +685,9 @@ def _paper_stats_row(row: list[str]) -> list[str]:
     return row
 
 
-def load_paper_stats(path: str | Path) -> list[list[str]]:
-    """The rows of paper_stats.csv as the text fields they hold; a malformed
-    row or header raises DataError."""
+def load_paper_stats(path: str | Path) -> Iterator[list[str]]:
+    """The rows of paper_stats.csv as the text fields they hold, read as they
+    are asked for; a malformed row or header raises DataError."""
     return read_csv(path, PAPER_STATS_HEADER, _paper_stats_row, "network")
 
 
@@ -709,14 +699,15 @@ def compute_metrics_rows(
     seed: int = 0,
     n_rand: int = 10,
     rewire_factor: int = 10,
-) -> list[tuple]:
+) -> Iterator[tuple]:
     """The metrics.csv rows: each paper_stats row, in its order, with the
     paper's category and seeded novelty percentile spliced in and its other
-    fields passed through unchanged."""
+    fields passed through unchanged. The novelty percentiles are computed
+    before this returns; each row is spliced as it is asked for."""
     novelty_percentiles = compute_novelty_profiles(
         store, n_rand=n_rand, seed=seed, rewire_factor=rewire_factor
     )
-    return [
+    return (
         _splice(row, categories[row[0]], novelty_percentiles.get(row[0]))
         for row in paper_stats
-    ]
+    )

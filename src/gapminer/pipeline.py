@@ -16,8 +16,9 @@ import os
 import re
 from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, fields
+from itertools import zip_longest
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import classify as classify_mod
 from . import metrics as metrics_mod
@@ -197,6 +198,15 @@ def _outputs_match(out: Path, outputs: dict[str, str]) -> bool:
     )
 
 
+def _in_step(rows: Iterable[Sequence[str]], ids: Iterable[str], mismatch: str) -> Iterator:
+    """`rows` as they are read, each checked to start with the next of `ids`;
+    a row out of step, a missing row or an extra one raises DataError."""
+    for row, pid in zip_longest(rows, ids):
+        if row is None or row[0] != pid:
+            raise DataError(mismatch)
+        yield row
+
+
 def _index_entries(document: object) -> dict[str, dict]:
     entries = document["disciplines"]
     if not all(isinstance(meta["file"], str) for meta in entries.values()):
@@ -334,6 +344,20 @@ class Pipeline:
     def _run_network(self) -> None:
         cfg = self.config
         store = self._load_store()
+        novel_pairs = self._write_networks(store)
+        rows = metrics_mod.paper_stats_rows(
+            store,
+            self._store_cache[2] or build_citation_index(store),
+            novel_pairs,
+            cd_window=cfg.cd_window,
+            sb_horizon=cfg.sb_horizon,
+        )
+        write_csv(self.out / "paper_stats.csv", metrics_mod.PAPER_STATS_HEADER, rows)
+        self._store_cache = (*self._store_cache[:2], None)  # no later stage reads the index
+
+    def _write_networks(self, store: CorpusStore) -> dict[str, set[Pair]]:
+        """Write every discipline's network and the index; return the concept
+        pairs each paper introduced. The labels and networks go with the call."""
         labels = {pid: rec.level3_ids for pid, rec in store.papers.items()}
         entries: dict[str, dict] = {}
         novel_pairs: dict[str, set[Pair]] = {}
@@ -350,15 +374,7 @@ class Pipeline:
                 for pid in birth.introducers:
                     novel_pairs.setdefault(pid, set()).add(pair)
         write_json(self.out / "networks" / "index.json", {"disciplines": entries})
-        rows = metrics_mod.paper_stats_rows(
-            store,
-            self._store_cache[2] or build_citation_index(store),
-            novel_pairs,
-            cd_window=cfg.cd_window,
-            sb_horizon=cfg.sb_horizon,
-        )
-        write_csv(self.out / "paper_stats.csv", metrics_mod.PAPER_STATS_HEADER, rows)
-        self._store_cache = (*self._store_cache[:2], None)  # no later stage reads the index
+        return novel_pairs
 
     def _run_persist(self) -> None:
         tasks = [(d, str(p)) for d, p in sorted(self._listed("networks").items())]
@@ -386,7 +402,7 @@ class Pipeline:
             d: classify_mod.DisciplineTopology(
                 d,
                 load_network(networks[d], d),
-                frozenset(gap_edges(load_diagram_records(diagrams[d]), cfg.min_persistence)),
+                gap_edges(load_diagram_records(diagrams[d]), cfg.min_persistence),
             )
             for d in sorted(networks)
         }
@@ -399,6 +415,7 @@ class Pipeline:
         for grouping in classify_mod.GROUPINGS:
             keys = classify_mod.group_keys(store, grouping)
             rows.extend(classify_mod.share_table(categories, keys, grouping))
+        del topologies, classifications, categories, keys  # the null model needs none of them
         if cfg.null_replicates > 0:
             rows.extend(
                 classify_mod.null_comparison(
@@ -419,16 +436,14 @@ class Pipeline:
             pid: cat.value
             for pid, cat in classify_mod.load_classification_csv(classification).items()
         }
-        stats = metrics_mod.load_paper_stats(stats_path)
-        if [row[0] for row in stats] != list(categories):
-            raise DataError(
-                f"{stats_path} and {classification} do not list the same papers in "
-                "the same order; rerun stages network and classify"
-            )
+        mismatch = (
+            f"{stats_path} and {classification} do not list the same papers in "
+            "the same order; rerun stages network and classify"
+        )
         rows = metrics_mod.compute_metrics_rows(
             self._load_store(),
             categories,
-            stats,
+            _in_step(metrics_mod.load_paper_stats(stats_path), categories, mismatch),
             seed=cfg.seed,
             n_rand=cfg.n_rand,
             rewire_factor=cfg.rewire_factor,

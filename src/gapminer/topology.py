@@ -318,4 +318,4 @@ def _diagram_row(row: list[str]) -> DiagramRecord:
 
 def load_diagram_records(path: str | Path) -> list[DiagramRecord]:
     """Read a diagram dump; a malformed row raises DataError (see read_csv)."""
-    return read_csv(path, DIAGRAM_HEADER, _diagram_row, "persist")
+    return list(read_csv(path, DIAGRAM_HEADER, _diagram_row, "persist"))

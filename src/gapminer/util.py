@@ -84,11 +84,11 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[o
 
 def read_csv(
     path: str | Path, header: Sequence[str], parse: Callable[[list[str]], T], stage: str
-) -> list[T]:
-    """`parse` of every row of a CSV artifact that `stage` wrote under `header`.
+) -> Iterator[T]:
+    """`parse` of each row of a CSV artifact that `stage` wrote under `header`,
+    yielded as the file is read, so a caller holds only the rows it keeps.
     A wrong header, or a row that `parse` rejects with ValueError, raises
     DataError naming the file, the line, the row and the stage to rerun."""
-    parsed: list[T] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         row = None
@@ -97,13 +97,12 @@ def read_csv(
             if row != list(header):
                 raise ValueError(f"expected the header {','.join(header)}")
             for row in reader:
-                parsed.append(parse(row))
+                yield parse(row)
         except (ValueError, csv.Error) as exc:  # UnicodeDecodeError is a ValueError
             raise DataError(
                 f"{path}, line {reader.line_num}: malformed row {row!r} ({exc}); "
                 f"rerun stage {stage}"
             ) from exc
-    return parsed
 
 
 def write_json(path: Path, payload: Any) -> None:

@@ -66,7 +66,6 @@ from gapminer.metrics import (
     haversine_km,
     percentile_rank,
     sleeping_beauty,
-    top_k_flag,
 )
 from gapminer.topology import DiagramRecord, Simplex, gap_edges, network_diagram
 from gapminer.util import derive_seed
@@ -666,6 +665,28 @@ def reference_novelty_percentiles(
     return percentile_rank(tenths, {pid: store.papers[pid].year for pid in tenths})
 
 
+def reference_top_k_flag(
+    citation_counts: Mapping[str, int],
+    k: float,
+    cohort_of: Mapping[str, Sequence[object]],
+) -> dict[str, int]:
+    """The top-k flag of every paper, from a list of cohorts per paper,
+    regrouped at each call: 1 among the top k% by citations in any of its
+    cohorts, ties at the threshold included."""
+    cohorts: dict[object, list[str]] = defaultdict(list)
+    for pid in citation_counts:
+        for key in cohort_of[pid]:
+            cohorts[key].append(pid)
+    flags = {pid: 0 for pid in citation_counts}
+    for members in cohorts.values():
+        counts = sorted((citation_counts[pid] for pid in members), reverse=True)
+        threshold = counts[max(1, math.floor(k * len(members) / 100.0)) - 1]
+        for pid in members:
+            if citation_counts[pid] >= threshold:
+                flags[pid] = 1
+    return flags
+
+
 def reference_metrics_rows(
     store: CorpusStore,
     index: CitationIndex,
@@ -699,7 +720,7 @@ def reference_metrics_rows(
     cd_percentiles = percentile_rank(cd_values, year_of)
     citation_counts = {pid: index.citation_count(pid) for pid in store.papers}
     cohort_of = {pid: [(rec.year, d) for d in rec.level0_ids] for pid, rec in store.papers.items()}
-    top_flags = {k: top_k_flag(citation_counts, k, cohort_of) for k in TOP_K_LEVELS}
+    top_flags = {k: reference_top_k_flag(citation_counts, k, cohort_of) for k in TOP_K_LEVELS}
     rows = []
     for rec in store.iter_papers():
         pid = rec.paper_id

@@ -207,6 +207,11 @@ def test_load_holds_each_id_once(tmp_path):
     assert p1.authors[0] is p1.affiliations[0][0] is p3.affiliations[0][0]
     for pid, rec in store.papers.items():
         assert pid is rec.paper_id
+    confidences = [
+        c for rec in (p1, p2, p3) for c in (*rec.level0_confidences, *rec.level3_confidences)
+    ]
+    assert len(confidences) == 10
+    assert all(c is confidences[0] for c in confidences)  # every 1.0 is one float object
 
 
 def test_load_is_deterministic(tmp_path):

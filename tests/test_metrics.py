@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import random
 import tempfile
-from collections import Counter
+from collections import Counter, defaultdict
 from itertools import combinations
 from pathlib import Path
 
@@ -19,6 +19,7 @@ from gapminer.metrics import (
     CITATION_WINDOWS,
     METRICS_HEADER,
     PAPER_STATS_HEADER,
+    TOP_K_LEVELS,
     AuthorIndex,
     ConceptOccurrences,
     YearCocitationBaseline,
@@ -48,6 +49,7 @@ from helpers import (
     raw_record,
     reference_metrics_rows,
     reference_rewire,
+    reference_top_k_flag,
     switch_named_citations,
 )
 
@@ -253,33 +255,46 @@ def test_citation_windows_censoring():
 
 def test_top_k_distinct_counts():
     counts = {f"p{i}": i for i in range(100)}
-    cohorts = {pid: [(2000, "D")] for pid in counts}
-    flags = top_k_flag(counts, 1, cohorts)
-    assert sum(flags.values()) == 1
-    assert flags["p99"] == 1
+    assert top_k_flag(counts, 1, {(2000, "D"): list(counts)}) == {"p99"}
 
 
 def test_top_k_all_equal_all_flagged():
     counts = {f"p{i}": 7 for i in range(10)}
-    cohorts = {pid: [(2000, "D")] for pid in counts}
-    assert all(top_k_flag(counts, 1, cohorts).values())
+    assert top_k_flag(counts, 1, {(2000, "D"): list(counts)}) == set(counts)
 
 
 def test_top_k_small_cohort_tie_rule():
     counts = {f"z{i}": 0 for i in range(10)}
     counts["hit"] = 7
-    cohorts = {pid: [(2000, "D")] for pid in counts}
-    flags = top_k_flag(counts, 10, cohorts)
-    assert flags["hit"] == 1
-    assert sum(flags.values()) == 1
+    assert top_k_flag(counts, 10, {(2000, "D"): list(counts)}) == {"hit"}
 
 
 def test_top_k_multi_cohort_membership_flags_on_any():
     counts = {"a": 5, "b": 1, "c": 9}
-    cohorts = {"a": [("y", "D")], "b": [("y", "D")], "c": [("y", "E")]}
-    cohorts["a"].append(("y", "E"))  # "a" loses to "c" in E but wins D
-    flags = top_k_flag(counts, 1, cohorts)
-    assert flags["a"] == 1 and flags["c"] == 1 and flags["b"] == 0
+    cohorts = {("y", "D"): ["a", "b"], ("y", "E"): ["a", "c"]}  # "a" loses to "c" in E but wins D
+    assert top_k_flag(counts, 1, cohorts) == {"a", "c"}
+
+
+@given(
+    counts=st.lists(st.integers(0, 6), min_size=1, max_size=40),
+    memberships=st.data(),
+    k=st.sampled_from(TOP_K_LEVELS),
+)
+def test_top_k_flag_equals_the_per_paper_reference(counts, memberships, k):
+    """Cohorts grouped once and flags held as a set give the flags of the
+    per-paper cohort lists that the reference regroups at every call."""
+    citation_counts = {f"p{i}": c for i, c in enumerate(counts)}
+    cohort_of = {
+        pid: memberships.draw(st.lists(st.sampled_from("ABC"), min_size=1, unique=True))
+        for pid in citation_counts
+    }
+    cohorts = defaultdict(list)
+    for pid, keys in cohort_of.items():
+        for key in keys:
+            cohorts[key].append(pid)
+    flagged = top_k_flag(citation_counts, k, cohorts)
+    reference = reference_top_k_flag(citation_counts, k, cohort_of)
+    assert {pid: int(pid in flagged) for pid in citation_counts} == reference
 
 
 # -- novelty ---------------------------------------------------------------------------

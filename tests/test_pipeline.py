@@ -14,6 +14,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gapminer.pipeline as pipeline_mod
+from gapminer import classify as classify_mod
 from gapminer import metrics as metrics_mod
 from gapminer.classify import classify_all
 from gapminer.cli import main
@@ -191,7 +193,7 @@ def test_failed_write_keeps_the_previous_file(tmp_path, capsys, monkeypatch):
     compute_metrics_rows = metrics_mod.compute_metrics_rows
 
     def rows_then_full_disk(*args, **kwargs):
-        rows = compute_metrics_rows(*args, **kwargs)
+        rows = list(compute_metrics_rows(*args, **kwargs))
         yield from rows[: len(rows) // 2]
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
@@ -546,12 +548,14 @@ def test_malformed_paper_stats_is_data_error(tmp_path, capsys, damage):
         header = header.replace("cd_pct", "cd_percentile")
         line = 1
     stats.write_text(header + "".join(rows), encoding="utf-8")
+    before = files_under(config.output_dir)
     capsys.readouterr()
     code = main(["metrics", "--corpus", str(config.corpus_path), "--out", str(config.output_dir)])
     assert code == 3
     err = capsys.readouterr().err
     assert f"paper_stats.csv, line {line}" in err
     assert "rerun stage network" in err
+    assert_only_the_manifest_moved(before, files_under(config.output_dir))
 
 
 @pytest.mark.parametrize("damage", ["missing", "extra", "order"])
@@ -567,12 +571,62 @@ def test_paper_stats_out_of_step_with_classification_is_data_error(tmp_path, cap
     else:
         rows[0], rows[1] = rows[1], rows[0]
     stats.write_text(header + "".join(rows), encoding="utf-8")
+    before = files_under(config.output_dir)
     capsys.readouterr()
     code = main(["metrics", "--corpus", str(config.corpus_path), "--out", str(config.output_dir)])
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("data error: ")
     assert "paper_stats.csv" in err and "classification.csv" in err
+    assert_only_the_manifest_moved(before, files_under(config.output_dir))
+
+
+def assert_only_the_manifest_moved(before: dict[str, bytes], after: dict[str, bytes]) -> None:
+    """A metrics stage that failed while streaming metrics.csv marked itself
+    invalid in the manifest, kept the previous metrics.csv and left no
+    temporary file."""
+    assert after.pop("manifest.json") != before.pop("manifest.json")
+    assert after == before
+
+
+def test_per_paper_tables_reach_the_writer_as_iterators(tmp_path, monkeypatch):
+    handed = {}
+    real_write = pipeline_mod.write_csv
+
+    def recording_write(path, header, rows):
+        handed[Path(path).name] = rows
+        real_write(path, header, rows)
+
+    monkeypatch.setattr(pipeline_mod, "write_csv", recording_write)
+    run(small_config(tmp_path))
+    for name in ("paper_stats.csv", "metrics.csv"):
+        assert iter(handed[name]) is handed[name]  # streamed, never a whole list
+
+
+def test_classify_releases_the_real_run_before_the_null_model(tmp_path, monkeypatch):
+    """Every network the classify stage loaded is unreachable when the null
+    model starts: the real run's topologies, classifications and categories
+    are gone by then."""
+    config = small_config(tmp_path)
+    run(replace(config, stages=STAGES[:3]))
+    loaded = []
+    alive_at_null_start = []
+    real_load = pipeline_mod.load_network
+    real_null = classify_mod.null_comparison
+
+    def tracked_load(path, discipline):
+        network = real_load(path, discipline)
+        loaded.append(weakref.ref(network))
+        return network
+
+    def checked_null(*args, **kwargs):
+        alive_at_null_start.extend(ref for ref in loaded if ref() is not None)
+        return real_null(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline_mod, "load_network", tracked_load)
+    monkeypatch.setattr(classify_mod, "null_comparison", checked_null)
+    assert run(config).statuses["classify"] == "ok"
+    assert loaded and not alive_at_null_start
 
 
 def test_deleted_paper_stats_reruns_the_network_stage_alone(tmp_path, finished_run):
@@ -862,7 +916,7 @@ def test_write_csv_quotes_a_lone_carriage_return(tmp_path):
     rows = [("B\rC", "1"), ("x\r", "\ry"), ("\r\n", "\n")]
     write_csv(path, ("a", "b"), rows)
     assert path.read_bytes() == b'a,b\n"B\rC",1\n"x\r","\ry"\n"\r\n","\n"\n'
-    assert read_csv(path, ("a", "b"), tuple, "network") == rows
+    assert list(read_csv(path, ("a", "b"), tuple, "network")) == rows
 
 
 def suffixed_ids(path: Path, suffix: str) -> Path:
