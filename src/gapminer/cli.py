@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -38,26 +37,14 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--year-max", type=int, help="latest accepted publication year")
     parser.add_argument("--cd-window", type=int, help="citer window (years) for the disruption index")
     parser.add_argument("--sb-horizon", type=int, help="trajectory horizon for the Sleeping Beauty index")
-    parser.add_argument(
-        "--threads", type=int, help="worker threads (falls back to GAPMINER_THREADS)"
-    )
-
-
-def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
-    """The config file, overridden by every PipelineConfig field that a flag
-    (or a single-stage subcommand) set."""
-    overrides = {f.name: getattr(args, f.name, None) for f in fields(PipelineConfig)}
-    env = os.environ.get("GAPMINER_THREADS")
-    if overrides["threads"] is None and env is not None:
-        try:
-            overrides["threads"] = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"GAPMINER_THREADS must be an integer, got {env!r}") from exc
-    return PipelineConfig.from_sources(args.config, overrides)
+    parser.add_argument("--threads", type=int, help="worker processes")
 
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
-    result = run(_pipeline_config(args))
+    # The config file, overridden by every PipelineConfig field that a flag
+    # (or a single-stage subcommand) set.
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(PipelineConfig)}
+    result = run(PipelineConfig.from_sources(args.config, overrides))
     for name in STAGES:
         if name in result.statuses:
             print(f"stage {name}: {result.statuses[name]}")

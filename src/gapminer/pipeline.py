@@ -179,7 +179,8 @@ def _persist_discipline(task: tuple[str, str]) -> tuple[str, list[DiagramRecord]
 
 
 def _read_manifest(path: Path) -> dict | None:
-    """The manifest, or None when it is truncated or garbled."""
+    """The manifest, or None when it is truncated or garbled, or a stage
+    entry or its outputs is not an object."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
@@ -187,6 +188,9 @@ def _read_manifest(path: Path) -> dict | None:
         return None
     if not isinstance(manifest, dict) or not isinstance(manifest.get("stages"), dict):
         return None
+    for entry in manifest["stages"].values():
+        if not isinstance(entry, dict) or not isinstance(entry.get("outputs", {}), dict):
+            return None
     return manifest
 
 
@@ -279,13 +283,26 @@ class Pipeline:
         self._require(stage, self.out / kind / "index.json", f"{kind}/index.json")
         return [self._require(stage, p, artifact) for p in self._listed(kind).values()]
 
+    def _vouched(self, path: Path, maker: str) -> str:
+        """The digest of `path`, which must be the one stage `maker` recorded
+        for it: a file changed since, or one no valid manifest entry vouches
+        for, raises DataError naming it and the stage to rerun."""
+        digest = sha256_file(path)
+        if self.manifest["stages"].get(maker, {}).get("outputs", {}).get(self._rel(path)) != digest:
+            raise DataError(f"{path} changed since stage {maker} wrote it; rerun stage {maker}")
+        return digest
+
     def _stage_inputs(self, stage: Stage) -> dict:
-        """The document whose digest decides whether `stage` reruns."""
-        files = {
-            self._rel(path): sha256_file(path)
-            for artifact in stage.reads
-            for path in self._paths(stage.name, artifact)
-        }
+        """The document whose digest decides whether `stage` reruns. Every
+        artifact it reads, and the index that lists a `kind/*` one, must be
+        vouched for by its maker."""
+        files: dict[str, str] = {}
+        for artifact in stage.reads:
+            maker = _maker(artifact).name
+            paths = self._paths(stage.name, artifact)
+            if artifact.endswith("/*"):
+                self._vouched(self.out / artifact[:-2] / "index.json", maker)
+            files.update((self._rel(path), self._vouched(path, maker)) for path in paths)
         for name in stage.sources:
             source = getattr(self.config, name)
             if source is None:

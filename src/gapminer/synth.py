@@ -1,6 +1,6 @@
 """Deterministic synthetic corpus generators for tests and benchmarks.
 
-Three generators are built in:
+Two generators are built in:
 
 * planted-cycle: per discipline, one or more concept cycles whose edges
   arrive one year at a time, so the paper contributing the closing edge is
@@ -8,8 +8,6 @@ Three generators are built in:
   and opens nothing). Optional filler papers either introduce a pair of
   brand-new concepts (novel, never a gap) or repeat an already-introduced
   pair (nothing novel).
-* planted-clique: the edges of one complete graph per discipline, arriving in
-  lexicographic order, one paper per year.
 * random-pairs: a large random corpus with reference lists, venues, authors,
   and coordinates, used for scale runs.
 
@@ -22,7 +20,6 @@ from __future__ import annotations
 
 import random
 from inspect import Parameter, signature
-from itertools import combinations
 from pathlib import Path
 
 from .corpus import write_corpus
@@ -38,57 +35,6 @@ def _shuffled_take(rng: random.Random, items: list, k: int) -> list:
     pool = list(items)
     rng.shuffle(pool)
     return pool[:k]
-
-
-class _Emitter:
-    def __init__(self, rng: random.Random):
-        self.rng = rng
-        self.records: list[dict] = []
-        self._by_discipline: dict[str, list[str]] = {}
-
-    def add(
-        self,
-        paper_id: str,
-        year: int,
-        discipline: str,
-        concepts: list[str],
-        *,
-        extra_discipline: str | None = None,
-        venue_pool: int = 3,
-        author_pool: list[str] | None = None,
-        max_refs: int = 3,
-    ) -> None:
-        rng = self.rng
-        record: dict = {
-            "id": paper_id,
-            "year": year,
-            "l0": [[discipline, 1.0]]
-            + ([[extra_discipline, 1.0]] if extra_discipline else []),
-            "l3": [[c, 1.0] for c in sorted(concepts)],
-            "refs": [],
-        }
-        earlier = self._by_discipline.setdefault(discipline, [])
-        if earlier and max_refs > 0:
-            n_refs = rng.randrange(0, min(max_refs, len(earlier)) + 1)
-            record["refs"] = sorted(_shuffled_take(rng, earlier, n_refs))
-        record["title"] = (
-            f"{_TITLE_VERBS[rng.randrange(len(_TITLE_VERBS))]} "
-            f"{concepts[0]} with {concepts[-1]}"
-        )
-        record["venue"] = f"V{discipline}_{rng.randrange(venue_pool)}"
-        if author_pool:
-            team = _shuffled_take(self.rng, author_pool, 1 + rng.randrange(3))
-            record["authors"] = team
-            affil = []
-            for author in team:
-                if rng.random() < 0.7:
-                    affil.append(
-                        [author, round(rng.random() * 140 - 70, 4), round(rng.random() * 360 - 180, 4)]
-                    )
-            if affil:
-                record["affil"] = affil
-        earlier.append(paper_id)
-        self.records.append(record)
 
 
 def planted_cycle(
@@ -114,64 +60,48 @@ def planted_cycle(
     if disciplines < 1 or cycles < 1:
         raise ConfigError("need at least one discipline and one cycle")
     rng = random.Random(seed)
-    emit = _Emitter(rng)
+    records: list[dict] = []
+    earlier: dict[int, list[str]] = {}  # each discipline's papers so far
+
+    def emit(paper_id: str, year: int, d: int, concepts: list[str]) -> None:
+        """One paper of discipline D{d}, citing up to three earlier ones of
+        it, with one to three of the discipline's eight authors."""
+        cited = earlier.setdefault(d, [])
+        n_refs = rng.randrange(min(3, len(cited)) + 1) if cited else 0
+        record = {
+            "id": paper_id,
+            "year": year,
+            "l0": [[f"D{d}", 1.0]],
+            "l3": [[c, 1.0] for c in sorted(concepts)],
+            "refs": sorted(_shuffled_take(rng, cited, n_refs)),
+            "title": f"{_TITLE_VERBS[rng.randrange(len(_TITLE_VERBS))]} "
+            f"{concepts[0]} with {concepts[-1]}",
+            "venue": f"VD{d}_{rng.randrange(3)}",
+            "authors": _shuffled_take(rng, [f"A{d}_{i}" for i in range(8)], 1 + rng.randrange(3)),
+        }
+        affil = [
+            [author, round(rng.random() * 140 - 70, 4), round(rng.random() * 360 - 180, 4)]
+            for author in record["authors"]
+            if rng.random() < 0.7
+        ]
+        if affil:
+            record["affil"] = affil
+        cited.append(paper_id)
+        records.append(record)
+
     for d in range(disciplines):
-        discipline = f"D{d}"
-        authors = [f"A{d}_{i}" for i in range(8)]
         for k in range(cycles):
             concepts = [f"D{d}K{k}C{i}" for i in range(cycle_len)]
             for i in range(cycle_len):
-                emit.add(
-                    f"D{d}K{k}P{i:03d}",
-                    start_year + i,
-                    discipline,
-                    [concepts[i], concepts[(i + 1) % cycle_len]],
-                    author_pool=authors,
-                )
+                pair = [concepts[i], concepts[(i + 1) % cycle_len]]
+                emit(f"D{d}K{k}P{i:03d}", start_year + i, d, pair)
     for j in range(filler_fresh):
         d = j % disciplines
-        emit.add(
-            f"F{j:05d}",
-            start_year + (j % cycle_len),
-            f"D{d}",
-            [f"D{d}F{j}a", f"D{d}F{j}b"],
-            author_pool=[f"A{d}_{i}" for i in range(8)],
-        )
+        emit(f"F{j:05d}", start_year + (j % cycle_len), d, [f"D{d}F{j}a", f"D{d}F{j}b"])
     for j in range(filler_dup):
-        d = j % disciplines
-        k = j % cycles
-        emit.add(
-            f"G{j:05d}",
-            start_year + cycle_len,
-            f"D{d}",
-            [f"D{d}K{k}C0", f"D{d}K{k}C1"],
-            author_pool=[f"A{d}_{i}" for i in range(8)],
-        )
-    return write_corpus(emit.records, out_path)
-
-
-def planted_clique(
-    out_path: Path,
-    seed: int,
-    *,
-    clique_size: int = 4,
-    disciplines: int = 1,
-    start_year: int = 2000,
-) -> Path:
-    """Edges of one complete graph per discipline, one paper per year."""
-    if clique_size < 2:
-        raise ConfigError("clique size must be at least 2")
-    rng = random.Random(seed)
-    emit = _Emitter(rng)
-    for d in range(disciplines):
-        discipline = f"D{d}"
-        concepts = [f"D{d}C{i}" for i in range(clique_size)]
-        authors = [f"A{d}_{i}" for i in range(8)]
-        for i, (u, v) in enumerate(combinations(concepts, 2)):
-            emit.add(
-                f"D{d}Q{i:03d}", start_year + i, discipline, [u, v], author_pool=authors
-            )
-    return write_corpus(emit.records, out_path)
+        d, k = j % disciplines, j % cycles
+        emit(f"G{j:05d}", start_year + cycle_len, d, [f"D{d}K{k}C0", f"D{d}K{k}C1"])
+    return write_corpus(records, out_path)
 
 
 def random_pairs(
@@ -250,9 +180,7 @@ def random_pairs(
     return write_corpus(lines, out_path)
 
 
-GENERATORS = {
-    "planted-cycle": planted_cycle, "planted-clique": planted_clique, "random-pairs": random_pairs,
-}
+GENERATORS = {"planted-cycle": planted_cycle, "random-pairs": random_pairs}
 
 
 def generator_params(generator: str) -> list[Parameter]:

@@ -308,9 +308,12 @@ def save_diagram_records(records: Iterable[DiagramRecord], path: str | Path) -> 
 
 def _diagram_row(row: list[str]) -> DiagramRecord:
     dim, birth_u, birth_v, birth_year, death_year = row
+    vertices = (birth_u, birth_v) if birth_v else (birth_u,)
+    if int(dim) != len(vertices) - 1:  # so dim is 0 or 1
+        raise ValueError("expected dimension 0 with one birth vertex, or 1 with two")
     return DiagramRecord(
         int(dim),
-        (birth_u, birth_v) if birth_v else (birth_u,),
+        vertices,
         int(birth_year),
         None if death_year == "inf" else int(death_year),
     )

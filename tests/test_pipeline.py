@@ -69,6 +69,16 @@ def files_under(directory: Path) -> dict[str, bytes]:
     }
 
 
+def vouch_for(out: Path, rel: str) -> None:
+    """Record the current digest of `rel` in its maker's manifest entry, so a
+    reading stage takes the edited file for its maker's output and reaches
+    its own row checks."""
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    entry = next(e for e in manifest["stages"].values() if rel in e.get("outputs", {}))
+    entry["outputs"][rel] = sha256_file(out / rel)
+    (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+
+
 @pytest.fixture(scope="module")
 def finished_run(tmp_path_factory):
     """The config of one uninterrupted full run, whose outputs tests copy."""
@@ -310,8 +320,8 @@ def test_cli_synth_unknown_generator_is_config_error(tmp_path):
 
 @pytest.mark.parametrize("generator, flag", [
     ("planted-cycle", "--papers"),
-    ("planted-clique", "--cycle-len"),
-    ("random-pairs", "--clique-size"),
+    ("random-pairs", "--cycle-len"),
+    ("planted-cycle", "--venues"),
 ])
 def test_cli_synth_flag_the_generator_does_not_take_is_config_error(
     tmp_path, capsys, generator, flag
@@ -344,7 +354,7 @@ def test_cli_synth_flags_are_the_generator_parameters(capsys):
     assert err.value.code == 0
     flags = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
     assert sorted(flags - {"--help", "--generator", "--out"}) == [
-        "--affil-prob", "--author-pool", "--clique-size", "--concepts", "--cycle-len",
+        "--affil-prob", "--author-pool", "--concepts", "--cycle-len",
         "--cycles", "--disciplines", "--dual-prob", "--filler-dup", "--filler-fresh",
         "--max-concepts", "--max-refs", "--min-concepts", "--papers", "--seed",
         "--start-year", "--venues", "--year-max", "--year-min",
@@ -360,33 +370,6 @@ def test_cli_synth_passes_each_flag_typed(tmp_path):
         affil_prob=0.25,
     )
     assert (tmp_path / "cli.jsonl").read_bytes() == expected.read_bytes()
-
-
-def test_cli_threads_env_fallback(tmp_path, monkeypatch):
-    corpus = tmp_path / "c.jsonl"
-    make_synthetic("planted-cycle", corpus, 5, cycle_len=4, disciplines=2)
-    monkeypatch.setenv("GAPMINER_THREADS", "2")
-    code = main(
-        [
-            "run",
-            "--corpus", str(corpus),
-            "--out", str(tmp_path / "out"),
-            "--null-replicates", "0",
-            "--n-rand", "1",
-        ]
-    )
-    assert code == 0
-    monkeypatch.setenv("GAPMINER_THREADS", "banana")
-    assert (
-        main(
-            [
-                "run",
-                "--corpus", str(corpus),
-                "--out", str(tmp_path / "out2"),
-            ]
-        )
-        == 2
-    )
 
 
 def test_threads_do_not_change_results(tmp_path):
@@ -495,6 +478,22 @@ def test_corrupt_manifest_is_treated_as_absent(tmp_path, caplog, damage):
     assert verify_manifest(config.output_dir)
 
 
+@pytest.mark.parametrize("entry", [1, {"inputs": "x", "outputs": ["corpus.norm.jsonl"]}])
+def test_manifest_entry_that_is_not_an_object_is_treated_as_absent(tmp_path, capsys, entry):
+    config = small_config(tmp_path)
+    run(config)
+    manifest = json.loads((config.output_dir / "manifest.json").read_text(encoding="utf-8"))
+    manifest["stages"]["ingest"] = entry
+    (config.output_dir / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    assert not verify_manifest(config.output_dir)
+    capsys.readouterr()
+    code = main(["network", "--corpus", str(config.corpus_path), "--out", str(config.output_dir)])
+    assert code == 3
+    assert "rerun stage ingest" in capsys.readouterr().err
+    assert all(status == "ok" for status in run(config).statuses.values())
+    assert verify_manifest(config.output_dir)
+
+
 @pytest.mark.parametrize("kind, stage", [("networks", "network"), ("diagrams", "persist")])
 def test_malformed_artifact_row_is_data_error(tmp_path, capsys, kind, stage):
     config = small_config(tmp_path)
@@ -502,6 +501,7 @@ def test_malformed_artifact_row_is_data_error(tmp_path, capsys, kind, stage):
     artifact = sorted((config.output_dir / kind).glob("*.csv"))[0]
     with open(artifact, "a", encoding="utf-8") as fh:
         fh.write("x,y\n")
+    vouch_for(config.output_dir, f"{kind}/{artifact.name}")
     capsys.readouterr()
     code = main(["classify", "--corpus", str(config.corpus_path), "--out", str(config.output_dir)])
     assert code == 3
@@ -526,6 +526,7 @@ def test_malformed_classification_row_is_data_error(tmp_path, capsys, stage, row
     run(config)
     with open(config.output_dir / "classification.csv", "a", encoding="utf-8") as fh:
         fh.write(row + "\n")
+    vouch_for(config.output_dir, "classification.csv")
     lines = (config.output_dir / "classification.csv").read_text().count("\n")
     capsys.readouterr()
     code = main([stage, "--corpus", str(config.corpus_path), "--out", str(config.output_dir)])
@@ -548,6 +549,7 @@ def test_malformed_paper_stats_is_data_error(tmp_path, capsys, damage):
         header = header.replace("cd_pct", "cd_percentile")
         line = 1
     stats.write_text(header + "".join(rows), encoding="utf-8")
+    vouch_for(config.output_dir, "paper_stats.csv")
     before = files_under(config.output_dir)
     capsys.readouterr()
     code = main(["metrics", "--corpus", str(config.corpus_path), "--out", str(config.output_dir)])
@@ -571,6 +573,7 @@ def test_paper_stats_out_of_step_with_classification_is_data_error(tmp_path, cap
     else:
         rows[0], rows[1] = rows[1], rows[0]
     stats.write_text(header + "".join(rows), encoding="utf-8")
+    vouch_for(config.output_dir, "paper_stats.csv")
     before = files_under(config.output_dir)
     capsys.readouterr()
     code = main(["metrics", "--corpus", str(config.corpus_path), "--out", str(config.output_dir)])
@@ -682,12 +685,79 @@ def test_truncated_ingest_meta_is_data_error(tmp_path, capsys):
     meta = config.output_dir / "ingest.json"
     text = meta.read_text()
     meta.write_text(text[: len(text) // 2])
+    vouch_for(config.output_dir, "ingest.json")
     capsys.readouterr()
     code = main(["report", "--corpus", str(config.corpus_path), "--out", str(config.output_dir)])
     assert code == 3
     err = capsys.readouterr().err
     assert "ingest.json" in err
     assert "rerun stage ingest" in err
+
+
+def _swap_two_data_rows(data: bytes) -> bytes:
+    lines = data.split(b"\n")
+    assert len(lines) > 3
+    lines[1], lines[2] = lines[2], lines[1]
+    return b"\n".join(lines)
+
+
+def _flip_a_byte(data: bytes) -> bytes:
+    mid = len(data) // 2
+    return data[:mid] + bytes([data[mid] ^ 1]) + data[mid + 1 :]
+
+
+# Each damage maps a file's bytes to the damaged bytes; None deletes the file.
+DAMAGES = {
+    "cut-mid-line": lambda data: data[: (data.rfind(b"\n", 0, -1) + 1 + len(data)) // 2],
+    "drop-last-line": lambda data: data[: data.rfind(b"\n", 0, -1) + 1],
+    "flip-a-byte": _flip_a_byte,
+    "delete": None,
+    "swap-two-data-rows": _swap_two_data_rows,
+}
+READ_ARTIFACTS = sorted({artifact for stage in pipeline_mod._TABLE for artifact in stage.reads})
+
+
+@pytest.fixture(scope="module")
+def clean_run(tmp_path_factory):
+    """The output directory of a clean run, and the flags that repeat it."""
+    config = small_config(tmp_path_factory.mktemp("clean"), null_replicates=1, n_rand=1)
+    run(config)
+    flags = ["--corpus", str(config.corpus_path), "--seed", str(config.seed),
+             "--null-replicates", "1", "--n-rand", "1"]
+    return config.output_dir, flags
+
+
+@pytest.mark.parametrize("damage", DAMAGES)
+@pytest.mark.parametrize("artifact", READ_ARTIFACTS)
+def test_a_damaged_artifact_is_never_read_as_its_makers_output(
+    tmp_path, capsys, clean_run, artifact, damage
+):
+    """After the damage, each stage that reads the artifact, and separately a
+    whole run, either ends where the clean run ended or exits 3 naming the
+    file and the stage to rerun; it never exits 0 with other bytes."""
+    clean, flags = clean_run
+    maker = pipeline_mod._maker(artifact).name
+    readers = [stage.name for stage in pipeline_mod._TABLE if artifact in stage.reads]
+    for command in [*readers, "run"]:
+        out = tmp_path / command
+        shutil.copytree(clean, out)
+        if artifact.endswith("/*"):
+            target = sorted((out / artifact[:-2]).glob("*.csv"))[0]
+        else:
+            target = out / artifact
+        if DAMAGES[damage] is None:
+            target.unlink()
+        else:
+            target.write_bytes(DAMAGES[damage](target.read_bytes()))
+        capsys.readouterr()
+        code = main([command, *flags, "--out", str(out)])
+        err = capsys.readouterr().err
+        if code == 0:
+            assert files_under(out) == files_under(clean), command
+        else:
+            assert code == 3, (command, err)
+            assert target.name in err, (command, err)
+            assert f"rerun stage {maker}" in err or f"produced by stage '{maker}'" in err, err
 
 
 def test_runtime_needs_standard_library_only(tmp_path):

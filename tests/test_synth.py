@@ -65,17 +65,6 @@ def test_planted_cycle_fillers_do_not_open_gaps(tmp_path):
     assert by_cat[Category.NO_NOVEL_PAIR] >= 25  # duplicate fillers
 
 
-def test_planted_clique_loadable(tmp_path):
-    path = make_synthetic("planted-clique", tmp_path / "q.jsonl", 2, clique_size=4)
-    store = load_corpus(path)
-    assert len(store) == 6  # one paper per K4 edge
-    classifications = classify_all(store, analyze_store(store))
-    assert all(
-        cls.category in (Category.GAP_OPENER, Category.NOVEL_PAIR_NON_GAP)
-        for cls in classifications.values()
-    )
-
-
 def test_generated_corpora_round_trip(tmp_path):
     from gapminer.corpus import save_corpus
 

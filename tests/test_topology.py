@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gapminer.concept_net import EdgeBirth, TemporalConceptNetwork
-from gapminer.errors import InternalError
+from gapminer.errors import DataError, InternalError
 from gapminer.topology import (
+    DIAGRAM_HEADER,
     DiagramRecord,
     build_flag_filtration,
     compute_persistence,
@@ -249,12 +250,19 @@ def test_oracle_equivalence_all_dimensions():
 
 def check_against_references(net):
     """The implicit engine against the explicit one and full_reduction: the
-    triangle listing in order, the diagram records and the simplex count."""
+    triangle listing in order, the diagram records, the simplex count, and
+    the gaps that `network_gaps` finds without a diagram."""
     filt = clique_filtration(net, 2)
     records = reference_persistence(filt).records()
     assert build_flag_filtration(net).simplices == filt.simplices
     assert network_diagram(net) == (records, len(filt))
     assert records == reduction_records(filt, *full_reduction(filt))
+    assert_gaps_match(net, records)
+
+
+def assert_gaps_match(net, records):
+    for min_persistence in range(6):
+        assert network_gaps(net, min_persistence) == gap_edges(records, min_persistence)
 
 
 def test_engine_matches_naive_full_reduction():
@@ -267,8 +275,8 @@ def test_engine_matches_naive_full_reduction():
 @given(st.data())
 def test_engine_matches_references_on_dense_years(data):
     # Many edges per year: most ties within a year are broken by tie rank
-    # alone, which is where the triangle order and the apparent pairs
-    # could go wrong.
+    # alone, which is where the triangle order, the apparent pairs and a
+    # year-windowed reduction could go wrong.
     n = data.draw(st.integers(2, 15), label="nodes")
     pairs = [(f"n{i:02d}", f"n{j:02d}") for i in range(n) for j in range(i + 1, n)]
     chosen = data.draw(
@@ -292,9 +300,7 @@ def test_network_gaps_equal_gap_edges_of_the_diagram():
         random_temporal_network(rng, max_nodes=10, max_edges=40, year_hi=2001) for _ in range(200)
     ]
     for net in networks:
-        records = network_diagram(net)[0]
-        for min_persistence in (0, 1, 2, 3):
-            assert network_gaps(net, min_persistence) == gap_edges(records, min_persistence)
+        assert_gaps_match(net, network_diagram(net)[0])
     with pytest.raises(ValueError):
         network_gaps(cycle_network(4), -1)
 
@@ -411,6 +417,14 @@ def test_diagram_dump_round_trip(tmp_path):
     save_diagram_records(diagram.records(), path)
     records = load_diagram_records(path)
     assert records == diagram.records()
+
+
+@pytest.mark.parametrize("row", ["1,a,,2000,inf", "0,a,b,2000,2001", "2,a,b,2000,inf", "-1,a,,2000,inf"])
+def test_diagram_row_whose_vertices_do_not_fit_its_dimension_is_data_error(tmp_path, row):
+    path = tmp_path / "diag.csv"
+    path.write_text(",".join(DIAGRAM_HEADER) + "\n0,a,,2000,inf\n" + row + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match=rf"diag\.csv, line 3: malformed row .*rerun stage persist"):
+        load_diagram_records(path)
 
 
 def test_every_simplex_is_birth_death_or_essential():
