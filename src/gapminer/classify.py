@@ -7,13 +7,12 @@ concept pair anywhere; otherwise it made no novel pairing.
 
 from __future__ import annotations
 
-import logging
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import AbstractSet, Iterable, Mapping, Sequence
+from typing import AbstractSet, Container, Iterable, Mapping, NamedTuple, Sequence
 
 from .concept_net import (
     Pair,
@@ -30,9 +29,6 @@ from .errors import MissingDependencyError
 from .topology import network_gaps
 from .util import derive_seed, parallel_map, read_csv, write_csv
 
-logger = logging.getLogger(__name__)
-
-
 class Category(str, Enum):
     GAP_OPENER = "GapOpener"
     NOVEL_PAIR_NON_GAP = "NovelPairNonGap"
@@ -43,33 +39,21 @@ CATEGORIES = (Category.GAP_OPENER, Category.NOVEL_PAIR_NON_GAP, Category.NO_NOVE
 
 CLASSIFICATION_HEADER = ("paper_id", "category", "n_gap_edges", "n_novel_pairs")
 
-KIND_GAP = "gap"
-KIND_NOVEL = "novel"
 
-Evidence = tuple[str, Pair, str]  # (discipline, concept pair, gap|novel)
+class PaperClassification(NamedTuple):
+    """A paper's category, the gap edges it introduced summed over its
+    disciplines, and the distinct concept pairs it introduced anywhere,
+    gap-opening ones included."""
 
-
-@dataclass(frozen=True)
-class PaperClassification:
-    paper_id: str
     category: Category
-    evidence: tuple[Evidence, ...]
-
-    @property
-    def gap_pair_count(self) -> int:
-        return sum(1 for _, _, kind in self.evidence if kind == KIND_GAP)
-
-    @property
-    def novel_pair_count(self) -> int:
-        """All first-introduced pairs, gap-opening ones included."""
-        return len({pair for _, pair, _ in self.evidence})
+    n_gap_edges: int
+    n_novel_pairs: int
 
 
 @dataclass
 class DisciplineTopology:
     """One discipline's network together with its extracted gap pairs."""
 
-    discipline: str
     network: TemporalConceptNetwork
     gap_pairs: AbstractSet[Pair]
 
@@ -89,7 +73,7 @@ def _introducers(
 
 
 def _categorize(
-    paper_ids: Iterable[str], gap: AbstractSet[str], novel: AbstractSet[str]
+    paper_ids: Iterable[str], gap: Container[str], novel: Container[str]
 ) -> dict[str, Category]:
     """The category rule, for real and null runs alike: gap openers
     introduced a gap edge in some discipline, novel-pair papers some other
@@ -107,29 +91,25 @@ def _categorize(
 def classify_all(
     store: CorpusStore, topologies: Mapping[str, DisciplineTopology]
 ) -> dict[str, PaperClassification]:
-    """Classify every paper in the store exactly once, with its evidence."""
+    """Classify every paper in the store exactly once, in the store's paper
+    order, counting the gap edges and concept pairs it introduced."""
     needed = {d for rec in store.papers.values() for d in rec.level0_ids}
     missing = sorted(needed - set(topologies))
     if missing:
         raise MissingDependencyError(
             f"no diagram available for disciplines containing papers: {missing}"
         )
-    evidence: dict[str, list[Evidence]] = defaultdict(list)
-    gap: set[str] = set()
-    novel: set[str] = set()
-    for discipline in sorted(topologies):
-        topo = topologies[discipline]
-        gap_d, novel_d = _introducers(topo.network, topo.gap_pairs)
-        gap |= gap_d
-        novel |= novel_d
-        for pair in sorted(topo.network.edges):
-            birth = topo.network.edges[pair]
-            kind = KIND_GAP if pair in topo.gap_pairs else KIND_NOVEL
+    n_gap: Counter[str] = Counter()
+    pairs: defaultdict[str, set[Pair]] = defaultdict(set)
+    for topo in topologies.values():
+        for pair, birth in topo.network.edges.items():
             for pid in birth.introducers:
-                evidence[pid].append((discipline, pair, kind))
-    categories = _categorize((rec.paper_id for rec in store.iter_papers()), gap, novel)
+                pairs[pid].add(pair)
+            if pair in topo.gap_pairs:
+                n_gap.update(birth.introducers)
+    categories = _categorize((rec.paper_id for rec in store.iter_papers()), n_gap, pairs)
     return {
-        pid: PaperClassification(pid, category, tuple(evidence.get(pid, ())))
+        pid: PaperClassification(category, n_gap[pid], len(pairs.get(pid, ())))
         for pid, category in categories.items()
     }
 
@@ -266,10 +246,11 @@ def null_comparison(
 
 
 def write_classification_csv(
-    classifications: Mapping[str, PaperClassification], store: CorpusStore, path: Path
+    classifications: Mapping[str, PaperClassification], path: Path
 ) -> None:
-    ordered = (classifications[rec.paper_id] for rec in store.iter_papers())
-    rows = ((c.paper_id, c.category.value, c.gap_pair_count, c.novel_pair_count) for c in ordered)
+    """One row per paper, in the order of `classifications`: the store's, from
+    classify_all."""
+    rows = ((pid, cat.value, gap, novel) for pid, (cat, gap, novel) in classifications.items())
     write_csv(path, CLASSIFICATION_HEADER, rows)
 
 

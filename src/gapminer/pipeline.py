@@ -24,9 +24,9 @@ from . import classify as classify_mod
 from . import metrics as metrics_mod
 from .concept_net import (
     Pair,
+    PaperRow,
     build_network,
     discipline_rows,
-    load_network,
     memberships,
     save_network,
 )
@@ -100,8 +100,8 @@ class PipelineConfig:
                     loaded = json.load(fh)
             except OSError as exc:
                 raise ConfigError(f"cannot read config file {config_path}: {exc}") from exc
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config file {config_path} is not valid JSON: {exc}") from exc
+            except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+                raise ConfigError(f"config file {config_path} is not UTF-8 JSON: {exc}") from exc
             if not isinstance(loaded, dict):
                 raise ConfigError(f"config file {config_path} must hold an object")
             values.update(loaded)
@@ -172,10 +172,20 @@ def _slug(name: str) -> str:
     return f"{safe}-{sha256_text(name)[:8]}"
 
 
-def _persist_discipline(task: tuple[str, str]) -> tuple[str, list[DiagramRecord], int]:
-    """Worker for the persist stage; module-level so process pools can use it."""
-    discipline, network_path = task
-    return (discipline, *network_diagram(load_network(network_path, discipline)))
+def _store_rows(store: CorpusStore) -> dict[str, list[PaperRow]]:
+    """discipline_rows with the store's own labels: the rows every real
+    network is built from."""
+    labels = {pid: rec.level3_ids for pid, rec in store.papers.items()}
+    return discipline_rows(memberships(store), labels)
+
+
+def _persist_discipline(
+    task: tuple[str, Sequence[PaperRow]]
+) -> tuple[str, list[DiagramRecord], int]:
+    """The persist stage's pool task, from a discipline's rows (discipline,
+    rows); module-level so process pools can use it."""
+    discipline, rows = task
+    return (discipline, *network_diagram(build_network(discipline, rows)))
 
 
 def _read_manifest(path: Path) -> dict | None:
@@ -374,11 +384,10 @@ class Pipeline:
 
     def _write_networks(self, store: CorpusStore) -> dict[str, set[Pair]]:
         """Write every discipline's network and the index; return the concept
-        pairs each paper introduced. The labels and networks go with the call."""
-        labels = {pid: rec.level3_ids for pid, rec in store.papers.items()}
+        pairs each paper introduced. The networks go with the call."""
         entries: dict[str, dict] = {}
         novel_pairs: dict[str, set[Pair]] = {}
-        for discipline, rows in discipline_rows(memberships(store), labels).items():
+        for discipline, rows in _store_rows(store).items():
             network = build_network(discipline, rows)
             path = self.out / "networks" / f"{_slug(discipline)}.csv"
             save_network(network, path)
@@ -394,7 +403,7 @@ class Pipeline:
         return novel_pairs
 
     def _run_persist(self) -> None:
-        tasks = [(d, str(p)) for d, p in sorted(self._listed("networks").items())]
+        tasks = _store_rows(self._load_store()).items()
         index: dict[str, dict] = {}
         for discipline, records, n_simplices in parallel_map(
             _persist_discipline, tasks, self.config.threads
@@ -413,20 +422,17 @@ class Pipeline:
     def _run_classify(self) -> None:
         cfg = self.config
         store = self._load_store()
-        networks = self._listed("networks")
         diagrams = self._listed("diagrams")
         topologies = {
             d: classify_mod.DisciplineTopology(
-                d,
-                load_network(networks[d], d),
+                build_network(d, rows),
                 gap_edges(load_diagram_records(diagrams[d]), cfg.min_persistence),
             )
-            for d in sorted(networks)
+            for d, rows in _store_rows(store).items()
+            if d in diagrams  # classify_all names the disciplines left out
         }
         classifications = classify_mod.classify_all(store, topologies)
-        classify_mod.write_classification_csv(
-            classifications, store, self.out / "classification.csv"
-        )
+        classify_mod.write_classification_csv(classifications, self.out / "classification.csv")
         categories = {pid: cls.category for pid, cls in classifications.items()}
         rows = []
         for grouping in classify_mod.GROUPINGS:
@@ -514,9 +520,13 @@ class Pipeline:
         if not gap_titles or not novel_titles:
             return None
         lexicon = metrics_mod.DEFAULT_VERB_LEXICON
-        if self.config.verb_lexicon_path is not None:
-            with open(self.config.verb_lexicon_path, "r", encoding="utf-8") as fh:
-                lexicon = tuple(line.strip() for line in fh if line.strip())
+        path = self.config.verb_lexicon_path
+        if path is not None:
+            try:
+                with open(path, "r", encoding="utf-8") as fh:
+                    lexicon = tuple(line.strip() for line in fh if line.strip())
+            except (OSError, UnicodeDecodeError) as exc:
+                raise DataError(f"cannot read verb lexicon {path}: {exc}") from exc
         ratios = metrics_mod.verb_ratio(gap_titles, novel_titles, lexicon)
         return {
             verb: ("inf" if value == float("inf") else value)
@@ -582,13 +592,13 @@ _TABLE = (
     Stage(
         "persist", "topology: persistence diagrams", Pipeline._run_persist,
         makes=("diagrams/*", "diagrams/index.json"),
-        reads=("networks/*",),
+        reads=("corpus.norm.jsonl",),
     ),
     Stage(
         "classify", "paper categories", Pipeline._run_classify,
         makes=("classification.csv", "shares.csv"),
         config=("min_persistence", "null_replicates", "seed"),
-        reads=("corpus.norm.jsonl", "networks/*", "diagrams/*"),
+        reads=("corpus.norm.jsonl", "diagrams/*"),
     ),
     Stage(
         "metrics", "per-paper table", Pipeline._run_metrics,

@@ -115,9 +115,10 @@ def parallel_map(fn: Callable[[T], R], tasks: Iterable[T], threads: int) -> Iter
     """fn of every task, yielded in task order.
 
     threads == 1 runs each task here when its result is asked for, so tasks
-    are made one at a time. Otherwise one process pool runs them all, with
-    at most two tasks per worker queued ahead of the one the caller waits
-    for; fn and each task must pickle, under any start method.
+    are made one at a time. Otherwise one process pool of `threads` workers,
+    but no more than the CPUs, runs them all, with at most two tasks per
+    worker queued ahead of the one the caller waits for; fn and each task
+    must pickle, under any start method.
     """
     if threads == 1:
         for task in tasks:
@@ -125,11 +126,12 @@ def parallel_map(fn: Callable[[T], R], tasks: Iterable[T], threads: int) -> Iter
         return
     from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
 
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, os.cpu_count() or 1)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         pending: deque = deque()
         for task in tasks:
             pending.append(pool.submit(fn, task))
-            if len(pending) > 2 * threads:
+            if len(pending) > 2 * workers:
                 yield pending.popleft().result()
         while pending:
             yield pending.popleft().result()

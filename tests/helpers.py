@@ -29,11 +29,8 @@ import numpy as np
 
 from gapminer.classify import (
     CATEGORIES,
-    KIND_GAP,
-    KIND_NOVEL,
     Category,
     DisciplineTopology,
-    Evidence,
     PaperClassification,
     ShareRow,
 )
@@ -172,7 +169,7 @@ def discipline_topology(task: tuple[str, Sequence[PaperRow], int]) -> Discipline
     discipline, rows, min_persistence = task
     network = build_network(discipline, rows)
     records, _ = network_diagram(network)
-    return DisciplineTopology(discipline, network, frozenset(gap_edges(records, min_persistence)))
+    return DisciplineTopology(network, frozenset(gap_edges(records, min_persistence)))
 
 
 def analyze_discipline(
@@ -317,10 +314,17 @@ def reference_randomize_labels(store: CorpusStore, seed: int) -> dict[str, tuple
     return labels
 
 
+KIND_GAP = "gap"
+KIND_NOVEL = "novel"
+
+Evidence = tuple[str, Pair, str]  # (discipline, concept pair, gap|novel)
+
+
 def reference_classify_all(
     store: CorpusStore, topologies: Mapping[str, DisciplineTopology]
 ) -> dict[str, PaperClassification]:
-    """Categories decided from each paper's evidence tuples."""
+    """Categories and counts decided from each paper's evidence tuples: the
+    gap edges are its gap tuples, the novel pairs its distinct pairs."""
     evidence: dict[str, list[Evidence]] = defaultdict(list)
     for discipline in sorted(topologies):
         topo = topologies[discipline]
@@ -338,7 +342,9 @@ def reference_classify_all(
             category = Category.NOVEL_PAIR_NON_GAP
         else:
             category = Category.NO_NOVEL_PAIR
-        result[rec.paper_id] = PaperClassification(rec.paper_id, category, entries)
+        n_gap = sum(1 for _, _, kind in entries if kind == KIND_GAP)
+        n_novel = len({pair for _, pair, _ in entries})
+        result[rec.paper_id] = PaperClassification(category, n_gap, n_novel)
     return result
 
 

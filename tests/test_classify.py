@@ -74,8 +74,7 @@ def test_tree_edge_and_duplicate_categories():
     store = build_store(raws)
     classifications = classify_all(store, analyze_store(store))
     assert classifications["leaf"].category is Category.NOVEL_PAIR_NON_GAP
-    assert classifications["copy"].category is Category.NO_NOVEL_PAIR
-    assert classifications["copy"].evidence == ()
+    assert classifications["copy"] == (Category.NO_NOVEL_PAIR, 0, 0)
 
 
 def test_same_year_co_introducers_all_open_the_gap():
@@ -93,12 +92,12 @@ def test_gap_anywhere_wins_across_disciplines():
     raws[-1]["l0"] = [["D", 1.0], ["E", 1.0]]
     raws.append(raw_record("e1", 1999, ("Ec0", "Ec1"), l0=("E",)))
     store = build_store(raws)
-    classifications = classify_all(store, analyze_store(store))
-    closer = classifications["P03"]
-    assert closer.category is Category.GAP_OPENER
-    kinds = {(d, kind) for d, _, kind in closer.evidence}
-    assert ("D", "gap") in kinds
-    assert ("E", "novel") in kinds
+    topologies = analyze_store(store)
+    closing = ("Dc0", "Dc3")
+    assert closing in topologies["D"].gap_pairs
+    assert closing in topologies["E"].network.edges and not topologies["E"].gap_pairs
+    # One gap edge, in D; the same pair in E is a tree edge and no second novel pair.
+    assert classify_all(store, topologies)["P03"] == (Category.GAP_OPENER, 1, 1)
 
 
 def test_missing_discipline_raises():

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from gapminer.concept_net import (
     save_network,
 )
 from gapminer.errors import DataError, InfeasibleResamplingError, UnknownDisciplineError
+from gapminer.topology import network_diagram
 
 from helpers import (
     build_store,
@@ -313,6 +316,29 @@ def test_build_network_equals_sorted_construction(seed, papers, vocabulary, year
             assert list(net.edges.items()) == list(ref.edges.items())
             assert [b.tie_rank for b in net.edges.values()] == list(range(len(net.edges)))
             assert net.discipline == ref.discipline
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    papers=st.integers(1, 60),
+    vocabulary=st.integers(2, 15),
+    disciplines=st.integers(1, 3),
+    years=st.integers(1, 4),
+)
+def test_built_network_equals_the_loaded_network_file(seed, papers, vocabulary, disciplines, years):
+    # The persist and classify stages build each network from the store's
+    # rows where they once loaded the network stage's file: the edges, in
+    # their order (which the filtration follows), and the diagrams agree.
+    store = random_store(random.Random(seed), papers, vocabulary, disciplines, years)
+    with tempfile.TemporaryDirectory() as tmp:
+        for discipline, rows in store_rows(store).items():
+            built = build_network(discipline, rows)
+            path = Path(tmp) / f"{discipline}.csv"
+            save_network(built, path)
+            loaded = load_network(path, discipline)
+            assert list(built.edges.items()) == list(loaded.edges.items())
+            assert network_diagram(built) == network_diagram(loaded)
 
 
 @settings(max_examples=200, deadline=None)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 import errno
 import json
@@ -31,7 +32,7 @@ from gapminer.corpus import load_corpus, save_corpus
 from gapminer.errors import ConfigError, MissingDependencyError
 from gapminer.pipeline import STAGES, PipelineConfig, run, verify_manifest
 from gapminer.synth import make_synthetic
-from gapminer.util import read_csv, sha256_file, write_csv
+from gapminer.util import parallel_map, read_csv, sha256_file, write_csv
 
 from helpers import analyze_store, exit_in_worker
 
@@ -405,6 +406,19 @@ def test_report_includes_verb_ratios_and_lexicon_override(tmp_path):
     assert set(report["title_verb_ratios"]) <= {"producing", "confirming"}
 
 
+def test_verb_lexicon_that_is_not_utf8_is_data_error(tmp_path, capsys):
+    config = small_config(tmp_path)
+    lexicon = tmp_path / "verbs.txt"
+    lexicon.write_bytes(b"producing\n\xff\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"verb_lexicon_path": str(lexicon)}))
+    capsys.readouterr()
+    args = ["run", "--config", str(cfg), "--corpus", str(config.corpus_path),
+            "--out", str(config.output_dir), "--null-replicates", "1", "--n-rand", "1"]
+    assert main(args) == 3
+    assert f"cannot read verb lexicon {lexicon}" in capsys.readouterr().err
+
+
 def test_corrupted_artifact_triggers_rerun(tmp_path):
     config = small_config(tmp_path)
     run(config)
@@ -494,7 +508,7 @@ def test_manifest_entry_that_is_not_an_object_is_treated_as_absent(tmp_path, cap
     assert verify_manifest(config.output_dir)
 
 
-@pytest.mark.parametrize("kind, stage", [("networks", "network"), ("diagrams", "persist")])
+@pytest.mark.parametrize("kind, stage", [("diagrams", "persist")])
 def test_malformed_artifact_row_is_data_error(tmp_path, capsys, kind, stage):
     config = small_config(tmp_path)
     run(config)
@@ -508,6 +522,14 @@ def test_malformed_artifact_row_is_data_error(tmp_path, capsys, kind, stage):
     err = capsys.readouterr().err
     assert artifact.name in err
     assert f"rerun stage {stage}" in err
+
+
+def test_config_file_that_is_not_utf8_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b'{"seed": 1}\xff')
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert f"config file {cfg} is not UTF-8 JSON" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_max_dim_is_an_unknown_config_key(tmp_path, capsys):
@@ -607,29 +629,29 @@ def test_per_paper_tables_reach_the_writer_as_iterators(tmp_path, monkeypatch):
 
 
 def test_classify_releases_the_real_run_before_the_null_model(tmp_path, monkeypatch):
-    """Every network the classify stage loaded is unreachable when the null
+    """Every network the classify stage built is unreachable when the null
     model starts: the real run's topologies, classifications and categories
     are gone by then."""
     config = small_config(tmp_path)
     run(replace(config, stages=STAGES[:3]))
-    loaded = []
+    built = []
     alive_at_null_start = []
-    real_load = pipeline_mod.load_network
+    real_build = pipeline_mod.build_network
     real_null = classify_mod.null_comparison
 
-    def tracked_load(path, discipline):
-        network = real_load(path, discipline)
-        loaded.append(weakref.ref(network))
+    def tracked_build(discipline, rows):
+        network = real_build(discipline, rows)
+        built.append(weakref.ref(network))
         return network
 
     def checked_null(*args, **kwargs):
-        alive_at_null_start.extend(ref for ref in loaded if ref() is not None)
+        alive_at_null_start.extend(ref for ref in built if ref() is not None)
         return real_null(*args, **kwargs)
 
-    monkeypatch.setattr(pipeline_mod, "load_network", tracked_load)
+    monkeypatch.setattr(pipeline_mod, "build_network", tracked_build)
     monkeypatch.setattr(classify_mod, "null_comparison", checked_null)
     assert run(config).statuses["classify"] == "ok"
-    assert loaded and not alive_at_null_start
+    assert built and not alive_at_null_start
 
 
 def test_deleted_paper_stats_reruns_the_network_stage_alone(tmp_path, finished_run):
@@ -662,7 +684,7 @@ def test_output_without_paper_stats_is_upgraded_in_place(tmp_path, finished_run)
 
 
 @pytest.mark.parametrize("kind, producer, consumer", [
-    ("networks", "network", "persist"),
+    ("networks", "network", "report"),
     ("diagrams", "persist", "classify"),
 ])
 def test_truncated_index_is_data_error(tmp_path, capsys, kind, producer, consumer):
@@ -714,7 +736,11 @@ DAMAGES = {
     "delete": None,
     "swap-two-data-rows": _swap_two_data_rows,
 }
-READ_ARTIFACTS = sorted({artifact for stage in pipeline_mod._TABLE for artifact in stage.reads})
+# Every artifact a stage reads, and the network files, which none reads but
+# which a run must still mend.
+DAMAGED_ARTIFACTS = sorted(
+    {artifact for stage in pipeline_mod._TABLE for artifact in stage.reads} | {"networks/*"}
+)
 
 
 @pytest.fixture(scope="module")
@@ -728,7 +754,7 @@ def clean_run(tmp_path_factory):
 
 
 @pytest.mark.parametrize("damage", DAMAGES)
-@pytest.mark.parametrize("artifact", READ_ARTIFACTS)
+@pytest.mark.parametrize("artifact", DAMAGED_ARTIFACTS)
 def test_a_damaged_artifact_is_never_read_as_its_makers_output(
     tmp_path, capsys, clean_run, artifact, damage
 ):
@@ -827,6 +853,33 @@ def test_threads_1_run_never_loads_multiprocessing(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("threads, cpus, workers", [(64, 2, 2), (2, 8, 2), (3, None, 1)])
+def test_pool_workers_are_at_most_the_cpus(monkeypatch, threads, cpus, workers):
+    """No process starts: the pool is a stand-in that records its worker
+    count and runs each task when it is submitted."""
+    pools = []
+
+    class InlineExecutor:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, task):
+            future = concurrent.futures.Future()
+            future.set_result(fn(task))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert list(parallel_map(abs, range(-9, 0), threads)) == list(range(9, 0, -1))
+    assert pools == [workers]
 
 
 def shuffled_corpus_with_rejects(path: Path) -> Path:
@@ -1090,6 +1143,6 @@ def test_every_id_survives_every_artifact(corpus):
         with open(out / "classification.csv", encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[1:] == [
-            [pid, cls.category.value, str(cls.gap_pair_count), str(cls.novel_pair_count)]
+            [pid, cls.category.value, str(cls.n_gap_edges), str(cls.n_novel_pairs)]
             for pid, cls in zip(store.papers, map(expected.get, store.papers))
         ]
