@@ -265,14 +265,15 @@ def _percentile(values: Iterable[float], q: float) -> float:
 
 
 class YearCocitationBaseline:
-    """Observed journal-pair counts for one publication year plus the
-    randomized baseline from citation-switched replicates.
+    """One publication year's journal-pair counts, the randomized baseline
+    from citation-switched replicates, and each paper's novelty from them.
 
     A journal pair's count is the number of citing papers whose resolvable
     references include it (a same-journal pair needs two references into
-    that journal); each paper counts a pair at most once. Pairs are (venue,
-    venue) tuples in name order, and the baseline keeps sums and squares for
-    the observed pairs, the only ones a paper of the year can ask `z` for.
+    that journal); each paper counts a pair at most once. `tenths` maps each
+    paper whose references resolve to two or more distinct venues, in the
+    year's order, to the 10th percentile of its reference pairs' z-scores:
+    the novelty proxy, lower meaning more atypical pairings.
     """
 
     def __init__(
@@ -291,7 +292,7 @@ class YearCocitationBaseline:
         ids: dict[str, int] = {}  # citing and cited papers share one id space
         citing: list[int] = []
         cited: list[int] = []
-        spans: list[tuple[int, int]] = []  # edge ranges of papers with two or more
+        spans: list[tuple[str, int, int]] = []  # papers with two or more edges
         for pid in store.by_year.get(year, ()):
             start = len(cited)
             own = ids.setdefault(pid, len(ids))
@@ -303,7 +304,7 @@ class YearCocitationBaseline:
                 citing.append(own)
                 cited.append(ids.setdefault(ref, len(ids)))
             if len(cited) - start >= 2:
-                spans.append((start, len(cited)))
+                spans.append((pid, start, len(cited)))
         self._venue_of = venue_of
         # Venue codes in name order, so a code pair (a, b) with a <= b is the
         # name pair in order; the pair's key is a * n_venues + b.
@@ -314,12 +315,15 @@ class YearCocitationBaseline:
         for ref, venue in venue_of.items():
             venue_code[ids[ref]] = code[venue]
 
+        def pair_keys(cited: list[int], start: int, end: int) -> list[int]:
+            """The keys of every reference pair of edges start..end-1."""
+            codes = sorted(venue_code[r] for r in cited[start:end])
+            return [a * n_venues + b for a, b in combinations(codes, 2)]
+
         def pair_counts(cited: list[int]) -> Counter:
             keys: list[int] = []
-            for start, end in spans:
-                codes = [venue_code[r] for r in cited[start:end]]
-                codes.sort()
-                keys.extend({a * n_venues + b for a, b in combinations(codes, 2)})
+            for _, start, end in spans:
+                keys.extend(set(pair_keys(cited, start, end)))
             return Counter(keys)
 
         observed = pair_counts(cited)
@@ -335,41 +339,19 @@ class YearCocitationBaseline:
                 sums[key] += c
                 squares[key] += c * c
 
-        pair = {key: (venues[key // n_venues], venues[key % n_venues]) for key in observed}
-        self.observed = {pair[key]: c for key, c in observed.items()}
-        self._sums = {pair[key]: total for key, total in sums.items()}
-        self._squares = {pair[key]: total for key, total in squares.items()}
+        def z(key: int) -> float:
+            mean = sums[key] / n_rand
+            variance = max(squares[key] / n_rand - mean * mean, 0.0)
+            return (observed[key] - mean) / max(math.sqrt(variance), Z_STD_FLOOR)
+
+        self.tenths: dict[str, float] = {
+            pid: _percentile(map(z, pair_keys(cited, start, end)), 10)
+            for pid, start, end in spans
+            if len({venue_code[r] for r in cited[start:end]}) >= 2
+        }
 
     def resolvable_refs(self, paper: PaperRecord) -> list[str]:
         return [r for r in paper.references if r in self._venue_of]
-
-    def venue(self, ref: str) -> str:
-        return self._venue_of[ref]
-
-    def z(self, pair: tuple[str, str]) -> float:
-        observed = self.observed.get(pair, 0)
-        mean = self._sums.get(pair, 0.0) / self.n_rand
-        variance = max(self._squares.get(pair, 0.0) / self.n_rand - mean * mean, 0.0)
-        return (observed - mean) / max(math.sqrt(variance), Z_STD_FLOOR)
-
-
-def novelty(paper: PaperRecord, baseline: YearCocitationBaseline) -> float | None:
-    """The 10th percentile (linear interpolation) of the z-scores of the
-    paper's referenced-journal pairs against its year's baseline: the novelty
-    proxy, lower meaning more atypical pairings. None unless the references
-    resolve to at least two distinct venues.
-    """
-    refs = baseline.resolvable_refs(paper)
-    if len(refs) < 2:
-        return None
-    venues = [baseline.venue(r) for r in refs]
-    if len(set(venues)) < 2:
-        return None
-    z_scores = []
-    for i, j in combinations(range(len(refs)), 2):
-        vi, vj = venues[i], venues[j]
-        z_scores.append(baseline.z((vi, vj) if vi <= vj else (vj, vi)))
-    return _percentile(z_scores, 10)
 
 
 def compute_novelty_profiles(
@@ -381,10 +363,7 @@ def compute_novelty_profiles(
         baseline = YearCocitationBaseline(
             store, year, n_rand=n_rand, seed=seed, rewire_factor=rewire_factor
         )
-        for pid in store.by_year[year]:
-            tenth = novelty(store.papers[pid], baseline)
-            if tenth is not None:
-                tenths[pid] = tenth
+        tenths.update(baseline.tenths)
     return percentile_rank(tenths, {pid: store.papers[pid].year for pid in tenths})
 
 

@@ -1,11 +1,11 @@
 """End-to-end pipeline: ingest -> network -> persist -> classify -> metrics -> report.
 
 Each stage reads the documented text artifacts of the previous stages and
-writes its own under the output directory, recording input and output
-digests in manifest.json. A stage whose inputs and recorded outputs are
-unchanged is skipped. The manifest contains no timestamps, so identical runs
-produce byte-identical manifests. The stages are declared once, as the
-`Stage` entries of `_TABLE` at the end of this module.
+writes its own under the output directory, recording in manifest.json the
+digests of its inputs, of the artifacts it read and of its outputs. A stage
+whose inputs and recorded outputs are unchanged is skipped. Identical runs
+produce byte-identical manifests, which hold no timestamps. The stages are
+declared once, as the `Stage` entries of `_TABLE` at the end of this module.
 """
 
 from __future__ import annotations
@@ -204,11 +204,11 @@ def _read_manifest(path: Path) -> dict | None:
     return manifest
 
 
-def _outputs_match(out: Path, outputs: dict[str, str]) -> bool:
-    """Every file named in `outputs` exists under `out` with its recorded digest."""
+def _files_match(out: Path, digests: dict[str, str]) -> bool:
+    """Every file named in `digests` exists under `out` with its recorded digest."""
     return all(
         (out / rel).exists() and sha256_file(out / rel) == digest
-        for rel, digest in outputs.items()
+        for rel, digest in digests.items()
     )
 
 
@@ -239,7 +239,10 @@ class Pipeline:
         config.validate()
         self.config = config
         self.out = config.output_dir
-        self.out.mkdir(parents=True, exist_ok=True)
+        try:
+            self.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # a file where the directory or a parent belongs
+            raise DataError(f"cannot make output directory {self.out}: {exc}") from exc
         self.manifest_path = self.out / "manifest.json"
         self._store_cache: tuple[str, CorpusStore, CitationIndex | None] | None = None
         self.manifest = {"schema": 1, "stages": {}}
@@ -302,24 +305,40 @@ class Pipeline:
             raise DataError(f"{path} changed since stage {maker} wrote it; rerun stage {maker}")
         return digest
 
-    def _stage_inputs(self, stage: Stage) -> dict:
-        """The document whose digest decides whether `stage` reruns. Every
-        artifact it reads, and the index that lists a `kind/*` one, must be
-        vouched for by its maker."""
+    def _stage_reads(self, stage: Stage) -> dict[str, str]:
+        """The digest of every artifact `stage` reads, a `kind/*` one's index
+        included, each vouched for by a current maker: one whose entry records
+        the artifacts it read, each still with the digest it read. Otherwise
+        DataError names a file and the stage to rerun, changed files first."""
         files: dict[str, str] = {}
+        first_of: dict[str, Path] = {}  # the file named when its maker is stale
         for artifact in stage.reads:
             maker = _maker(artifact).name
             paths = self._paths(stage.name, artifact)
             if artifact.endswith("/*"):
-                self._vouched(self.out / artifact[:-2] / "index.json", maker)
+                paths.insert(0, self.out / artifact[:-2] / "index.json")
+            first_of.setdefault(maker, paths[0])
             files.update((self._rel(path), self._vouched(path, maker)) for path in paths)
+        for maker, path in first_of.items():
+            reads = self.manifest["stages"][maker].get("reads")
+            if not isinstance(reads, dict) or not _files_match(self.out, reads):
+                raise DataError(
+                    f"{path}: stage {maker} wrote it from artifacts that changed "
+                    f"since; rerun stage {maker}"
+                )
+        return files
+
+    def _stage_inputs(self, stage: Stage, reads: dict[str, str]) -> dict:
+        """The document whose digest decides whether `stage` reruns: its config
+        fields and the digests of the artifacts it `reads` and its outside files."""
+        files = dict(reads)
         for name in stage.sources:
             source = getattr(self.config, name)
             if source is None:
                 continue
             key = name.removesuffix("_path")  # "corpus", "verb_lexicon"
-            if not Path(source).exists():
-                raise DataError(f"{key} file not found: {source}")
+            if not Path(source).is_file():  # missing, or a directory
+                raise DataError(f"no {key} file at {source}")
             files[key] = sha256_file(Path(source))
         return {"config": {f: getattr(self.config, f) for f in stage.config}, "files": files}
 
@@ -540,14 +559,15 @@ class Pipeline:
         for stage in _TABLE:
             if stage.name not in self.config.stages:
                 continue
-            inputs_digest = json_digest(self._stage_inputs(stage))
+            reads = self._stage_reads(stage)
+            inputs_digest = json_digest(self._stage_inputs(stage, reads))
             entry = self.manifest["stages"].get(stage.name)
             if (
                 entry
-                and not entry.get("invalid")
+                and entry.get("reads") == reads
                 and entry.get("inputs") == inputs_digest
                 and entry.get("outputs")
-                and _outputs_match(self.out, entry["outputs"])
+                and _files_match(self.out, entry["outputs"])
             ):
                 statuses[stage.name] = "skipped"
                 logger.info("stage %s: inputs unchanged, skipped", stage.name)
@@ -567,6 +587,7 @@ class Pipeline:
             outputs = [p for artifact in stage.makes for p in self._paths(stage.name, artifact)]
             self.manifest["stages"][stage.name] = {
                 "inputs": inputs_digest,
+                "reads": reads,
                 "outputs": {self._rel(p): sha256_file(p) for p in outputs},
             }
             write_json(self.manifest_path, self.manifest)
@@ -606,14 +627,13 @@ _TABLE = (
         config=("seed", "n_rand", "rewire_factor"),
         reads=("corpus.norm.jsonl", "classification.csv", "paper_stats.csv"),
     ),
+)
+# The report echoes every earlier stage's config fields in report.json.
+_TABLE += (
     Stage(
         "report", "run summary", Pipeline._run_report,
         makes=("report.json",),
-        # The config echo of report.json: the union of the other stages' fields.
-        config=(
-            "year_min", "year_max", "min_persistence", "null_replicates", "seed",
-            "n_rand", "rewire_factor", "cd_window", "sb_horizon",
-        ),
+        config=tuple(dict.fromkeys(field for stage in _TABLE for field in stage.config)),
         reads=(
             "ingest.json", "corpus.norm.jsonl", "networks/index.json", "diagrams/index.json",
             "classification.csv", "shares.csv", "metrics.csv",
@@ -644,6 +664,6 @@ def verify_manifest(output_dir: Path) -> bool:
     if manifest is None:
         return False
     return all(
-        not entry.get("invalid") and _outputs_match(Path(output_dir), entry.get("outputs", {}))
+        not entry.get("invalid") and _files_match(Path(output_dir), entry.get("outputs", {}))
         for entry in manifest["stages"].values()
     )

@@ -649,6 +649,23 @@ class ReferenceCocitationBaseline:
         return (observed - mean) / max(math.sqrt(variance), 1e-6)
 
 
+def reference_z_scores(
+    store: CorpusStore, year: int, baseline: ReferenceCocitationBaseline
+) -> dict[str, list[float]]:
+    """Each paper of `year` whose references resolve to at least two distinct
+    venues, to the z-scores of its reference pairs' journal pairs."""
+    z_scores: dict[str, list[float]] = {}
+    for pid in store.by_year.get(year, ()):
+        refs = [r for r in store.papers[pid].references if r in baseline.venue_of]
+        venues = [baseline.venue_of[r] for r in refs]
+        if len(refs) < 2 or len(set(venues)) < 2:
+            continue
+        z_scores[pid] = [
+            baseline.z((vi, vj) if vi <= vj else (vj, vi)) for vi, vj in combinations(venues, 2)
+        ]
+    return z_scores
+
+
 def reference_novelty_percentiles(
     store: CorpusStore, *, n_rand: int, seed: int, rewire_factor: int
 ) -> dict[str, float]:
@@ -658,15 +675,7 @@ def reference_novelty_percentiles(
         baseline = ReferenceCocitationBaseline(
             store, year, n_rand=n_rand, seed=seed, rewire_factor=rewire_factor
         )
-        for pid in store.by_year[year]:
-            refs = [r for r in store.papers[pid].references if r in baseline.venue_of]
-            venues = [baseline.venue_of[r] for r in refs]
-            if len(refs) < 2 or len(set(venues)) < 2:
-                continue
-            z_scores = [
-                baseline.z((vi, vj) if vi <= vj else (vj, vi))
-                for vi, vj in combinations(venues, 2)
-            ]
+        for pid, z_scores in reference_z_scores(store, year, baseline).items():
             tenths[pid] = _percentile(z_scores, 10)
     return percentile_rank(tenths, {pid: store.papers[pid].year for pid in tenths})
 

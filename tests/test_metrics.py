@@ -22,6 +22,7 @@ from gapminer.metrics import (
     TOP_K_LEVELS,
     AuthorIndex,
     ConceptOccurrences,
+    Z_STD_FLOOR,
     YearCocitationBaseline,
     _percentile,
     _windows,
@@ -33,7 +34,6 @@ from gapminer.metrics import (
     disruption_counts,
     haversine_km,
     load_paper_stats,
-    novelty,
     paper_stats_rows,
     percentile_rank,
     sleeping_beauty,
@@ -44,12 +44,14 @@ from gapminer.metrics import (
 from gapminer.util import write_csv
 
 from helpers import (
+    ReferenceCocitationBaseline,
     build_store,
     random_metrics_store,
     raw_record,
     reference_metrics_rows,
     reference_rewire,
     reference_top_k_flag,
+    reference_z_scores,
     switch_named_citations,
 )
 
@@ -394,53 +396,69 @@ def test_inline_draw_is_randrange():
             assert ours.getstate() == expected.getstate()
 
 
-def test_novelty_z_directions():
-    store = novelty_corpus()
-    index = build_citation_index(store)
-    baseline = YearCocitationBaseline(store, 2000, n_rand=3, seed=1)
-    # Observed equal to the baseline mean gives z = 0 by construction.
-    some_pair = next(iter(baseline.observed))
-    mean = baseline._sums.get(some_pair, 0.0) / baseline.n_rand
-    std = math.sqrt(
-        max(baseline._squares.get(some_pair, 0.0) / baseline.n_rand - mean * mean, 0.0)
+def _reference_tenths(store, year, *, n_rand, seed):
+    """The reference baseline and each eligible paper's z-scores and 10th
+    percentile, with numpy's percentile checked equal to _percentile."""
+    reference = ReferenceCocitationBaseline(
+        store, year, n_rand=n_rand, seed=seed, rewire_factor=10
     )
-    z = baseline.z(some_pair)
-    assert z == pytest.approx((baseline.observed[some_pair] - mean) / max(std, 1e-6))
-    # A pair never produced by any randomization but observed 5 times: huge z.
-    fake_pair = ("V0", "V0")
-    baseline.observed[fake_pair] = 5
-    baseline._sums.pop(fake_pair, None)
-    baseline._squares.pop(fake_pair, None)
-    assert baseline.z(fake_pair) == pytest.approx(5 / 1e-6)
+    z_scores = reference_z_scores(store, year, reference)
+    tenths = {pid: _percentile(zs, 10) for pid, zs in z_scores.items()}
+    for pid, zs in z_scores.items():
+        assert tenths[pid] == float(numpy.percentile(zs, 10))
+    return reference, z_scores, tenths
 
 
-def test_novelty_requires_two_distinct_venues():
+@pytest.mark.parametrize("n_rand", [1, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_baseline_tenths_equal_the_name_keyed_reference(seed, n_rand):
+    store = novelty_corpus(seed)
+    baseline = YearCocitationBaseline(store, 2000, n_rand=n_rand, seed=seed)
+    reference, z_scores, tenths = _reference_tenths(store, 2000, n_rand=n_rand, seed=seed)
+    assert tenths
+    assert baseline.tenths == tenths
+    assert list(baseline.tenths) == [pid for pid in store.by_year[2000] if pid in tenths]
+    if n_rand == 1:
+        # One replicate has no variance, so every z divides by the floor.
+        for pair, count in reference.observed.items():
+            mean = reference.sums.get(pair, 0.0)
+            assert reference.squares.get(pair, 0.0) == mean * mean
+            assert reference.z(pair) == (count - mean) / Z_STD_FLOOR
+    assert YearCocitationBaseline(store, 1990, n_rand=n_rand, seed=seed).tenths == {}
+
+
+def test_baseline_tenths_need_two_distinct_venues():
     raws = [
         raw_record("R1", 1990, ("a", "b"), venue="V0"),
         raw_record("R2", 1990, ("a", "b"), venue="V0"),
-        raw_record("P", 2000, ("a", "b"), refs=("R1", "R2")),
+        raw_record("R3", 1990, ("a", "b"), venue="V1"),
+        raw_record("R4", 1990, ("a", "b")),  # no venue
+        raw_record("ONE_VENUE", 2000, ("a", "b"), refs=("R1", "R2")),
+        raw_record("ONE_REF", 2000, ("a", "b"), refs=("R3", "R4", "OUTSIDE")),
+        raw_record("MIXED", 2000, ("a", "b"), refs=("R1", "R3", "R2")),
+        raw_record("OTHER", 2000, ("a", "b"), refs=("R3", "R2")),
     ]
     store = build_store(raws)
-    baseline = YearCocitationBaseline(store, 2000, n_rand=2, seed=0)
-    assert novelty(store.papers["P"], baseline) is None
+    for n_rand in (1, 2):
+        baseline = YearCocitationBaseline(store, 2000, n_rand=n_rand, seed=0)
+        reference, z_scores, tenths = _reference_tenths(store, 2000, n_rand=n_rand, seed=0)
+        assert list(baseline.tenths) == ["MIXED", "OTHER"]
+        assert baseline.tenths == tenths
+        # The same-venue pair of MIXED's two V0 references enters its list.
+        same = reference.z(("V0", "V0"))
+        cross = reference.z(("V0", "V1"))
+        assert sorted(z_scores["MIXED"]) == sorted([same, cross, cross])
+        assert baseline.tenths["MIXED"] == _percentile([same, cross, cross], 10)
 
 
-def test_novelty_profiles_have_percentiles():
+def test_novelty_profiles_rank_the_baseline_tenths():
     store = novelty_corpus()
     percentiles = compute_novelty_profiles(store, n_rand=3, seed=2)
     assert percentiles
-    baselines = {
-        year: YearCocitationBaseline(store, year, n_rand=3, seed=2) for year in store.years()
-    }
     tenths = {}
-    for pid, percentile in percentiles.items():
-        assert 0.0 <= percentile <= 100.0
-        baseline = baselines[store.papers[pid].year]
-        venues = [baseline.venue(r) for r in baseline.resolvable_refs(store.papers[pid])]
-        z_scores = [baseline.z(tuple(sorted(pair))) for pair in combinations(venues, 2)]
-        tenths[pid] = novelty(store.papers[pid], baseline)
-        assert tenths[pid] <= max(z_scores)
-        assert tenths[pid] == float(numpy.percentile(z_scores, 10))
+    for year in store.years():
+        tenths.update(YearCocitationBaseline(store, year, n_rand=3, seed=2).tenths)
+    assert all(0.0 <= percentile <= 100.0 for percentile in percentiles.values())
     year_of = {pid: store.papers[pid].year for pid in tenths}
     assert percentiles == percentile_rank(tenths, year_of)
 

@@ -71,12 +71,16 @@ def files_under(directory: Path) -> dict[str, bytes]:
 
 
 def vouch_for(out: Path, rel: str) -> None:
-    """Record the current digest of `rel` in its maker's manifest entry, so a
-    reading stage takes the edited file for its maker's output and reaches
-    its own row checks."""
+    """Record the current digest of `rel` in its maker's manifest entry, and
+    in that of every stage that read it, so a reading stage takes the edited
+    file for its maker's output and reaches its own row checks."""
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    digest = sha256_file(out / rel)
     entry = next(e for e in manifest["stages"].values() if rel in e.get("outputs", {}))
-    entry["outputs"][rel] = sha256_file(out / rel)
+    entry["outputs"][rel] = digest
+    for entry in manifest["stages"].values():
+        if rel in entry.get("reads", {}):
+            entry["reads"][rel] = digest
     (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
 
 
@@ -126,11 +130,13 @@ def test_config_edit_reruns_from_its_first_reader(tmp_path, finished_run, field,
     assert set(run(config).statuses.values()) == {"skipped"}
 
 
-def test_report_echoes_every_stage_config_field():
+def test_report_echoes_every_stage_config_field(finished_run):
     report = pipeline_mod._maker("report.json")
     others = {f for stage in pipeline_mod._TABLE if stage is not report for f in stage.config}
     assert set(report.config) == others
     assert len(report.config) == len(others)
+    written = json.loads((finished_run.output_dir / "report.json").read_text(encoding="utf-8"))
+    assert written["config"] == {f: getattr(finished_run, f) for f in sorted(others)}
 
 
 @pytest.mark.parametrize("field, value, first", [("year_min", 1800, "ingest"), ("sb_horizon", 10, "network")])
@@ -193,6 +199,30 @@ def test_unwritable_output_is_data_error(tmp_path, capsys):
     blocker.unlink()
     assert main(args) == 0
     assert verify_manifest(config.output_dir)
+
+
+@pytest.mark.parametrize("where", ["file", "under-a-file"])
+def test_output_path_of_a_file_is_data_error(tmp_path, capsys, where):
+    config = small_config(tmp_path)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file where the output directory belongs\n")
+    out = blocker if where == "file" else blocker / "out"
+    capsys.readouterr()
+    code = main(["run", "--corpus", str(config.corpus_path), "--out", str(out),
+                 "--null-replicates", "1", "--n-rand", "1"])
+    assert code == 3
+    assert f"cannot make output directory {out}" in capsys.readouterr().err
+    assert blocker.read_text() == "a file where the output directory belongs\n"
+
+
+def test_corpus_path_of_a_directory_is_data_error(tmp_path, capsys):
+    corpus = tmp_path / "corpus-dir"
+    corpus.mkdir()
+    capsys.readouterr()
+    code = main(["run", "--corpus", str(corpus), "--out", str(tmp_path / "out"),
+                 "--null-replicates", "1", "--n-rand", "1"])
+    assert code == 3
+    assert f"no corpus file at {corpus}" in capsys.readouterr().err
 
 
 def test_failed_write_keeps_the_previous_file(tmp_path, capsys, monkeypatch):
@@ -784,6 +814,55 @@ def test_a_damaged_artifact_is_never_read_as_its_makers_output(
             assert code == 3, (command, err)
             assert target.name in err, (command, err)
             assert f"rerun stage {maker}" in err or f"produced by stage '{maker}'" in err, err
+
+
+def test_a_stale_maker_does_not_vouch_for_its_outputs(tmp_path, capsys):
+    """`ingest` of a second corpus leaves the diagrams of the first, whose
+    maker read a corpus that has changed since: classify must not read them
+    with the second corpus, and a run must end where a clean run on the
+    second corpus ends."""
+    corpora = []
+    for seed in (1, 2):
+        path = tmp_path / f"corpus{seed}.jsonl"
+        make_synthetic("random-pairs", path, seed, papers=300, disciplines=3, concepts=300)
+        corpora.append(str(path))
+    out, clean = str(tmp_path / "out"), str(tmp_path / "clean")
+    flags = ["--null-replicates", "1", "--n-rand", "1"]
+    assert main(["run", "--corpus", corpora[0], "--out", out, *flags]) == 0
+    assert main(["ingest", "--corpus", corpora[1], "--out", out, *flags]) == 0
+    before = files_under(tmp_path / "out")
+    for command, maker in (("classify", "persist"), ("metrics", "classify")):
+        capsys.readouterr()
+        assert main([command, "--corpus", corpora[1], "--out", out, *flags]) == 3
+        err = capsys.readouterr().err
+        assert re.search(r"/(diagrams/index\.json|classification\.csv): stage " + maker, err), err
+        assert f"rerun stage {maker}" in err
+    assert files_under(tmp_path / "out") == before
+    assert main(["run", "--corpus", corpora[1], "--out", out, *flags]) == 0
+    assert main(["run", "--corpus", corpora[1], "--out", clean, *flags]) == 0
+    assert files_under(tmp_path / "out") == files_under(tmp_path / "clean")
+
+
+def test_an_entry_without_its_reads_is_not_current(tmp_path, finished_run, capsys):
+    """A manifest written before stages recorded what they read: a single
+    stage stops at its first maker, and a run reruns every stage once and
+    ends where a fresh run ends."""
+    out = tmp_path / "out"
+    shutil.copytree(finished_run.output_dir, out)
+    before = files_under(out)
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    for entry in manifest["stages"].values():
+        del entry["reads"]
+    (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    capsys.readouterr()
+    code = main(["network", "--corpus", str(finished_run.corpus_path), "--out", str(out),
+                 "--seed", str(finished_run.seed)])
+    assert code == 3
+    assert "rerun stage ingest" in capsys.readouterr().err
+    config = replace(finished_run, output_dir=out)
+    assert set(run(config).statuses.values()) == {"ok"}
+    assert files_under(out) == before
+    assert set(run(config).statuses.values()) == {"skipped"}
 
 
 def test_runtime_needs_standard_library_only(tmp_path):
