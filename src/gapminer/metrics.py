@@ -544,6 +544,11 @@ DEFAULT_VERB_LEXICON = (
 )
 
 
+def has_words(title: str) -> bool:
+    """Whether a title holds a token that verb ratios count."""
+    return _TOKEN.search(title.lower()) is not None
+
+
 def _verb_frequencies(titles: Iterable[str], lexicon: frozenset[str]) -> tuple[Counter, int]:
     counts: Counter = Counter()
     total = 0

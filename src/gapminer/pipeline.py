@@ -522,15 +522,15 @@ class Pipeline:
     def _verb_ratios(self, categories) -> dict[str, float | str] | None:
         """Verb frequency ratios between gap-opener and novel-pair titles.
 
-        Returns None when either collection has no titled papers. The +inf
-        sentinel is stringified for JSON.
+        Returns None when either collection has no title with a word. The
+        +inf sentinel is stringified for JSON.
         """
         store = self._load_store()
         gap_titles = []
         novel_titles = []
         for pid, category in categories.items():
             rec = store.papers.get(pid)
-            if rec is None or rec.title is None:
+            if rec is None or rec.title is None or not metrics_mod.has_words(rec.title):
                 continue
             if category is classify_mod.Category.GAP_OPENER:
                 gap_titles.append(rec.title)

@@ -449,6 +449,22 @@ def test_verb_lexicon_that_is_not_utf8_is_data_error(tmp_path, capsys):
     assert f"cannot read verb lexicon {lexicon}" in capsys.readouterr().err
 
 
+def test_titles_without_words_have_no_verb_ratios(tmp_path):
+    """Gap openers and novel pairs whose titles hold no word: the report
+    records no ratios instead of failing."""
+    config = small_config(tmp_path)
+    lines = config.corpus_path.read_text(encoding="utf-8").splitlines()
+    records = [json.loads(line) for line in lines]
+    for record in records[1:]:
+        record["title"] = ";"
+    config.corpus_path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    run(config)
+    report = json.loads((config.output_dir / "report.json").read_text(encoding="utf-8"))
+    assert report["category_counts"]["GapOpener"] > 0
+    assert report["category_counts"]["NovelPairNonGap"] > 0
+    assert report["title_verb_ratios"] is None
+
+
 def test_corrupted_artifact_triggers_rerun(tmp_path):
     config = small_config(tmp_path)
     run(config)
