@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -242,7 +243,7 @@ def validate_record(
         ):
             raise _MalformedRecord("affil entries must be [author, lat, lon] triples")
         lat, lon = float(entry[1]), float(entry[2])
-        if lat != lat or lon != lon:
+        if not (math.isfinite(lat) and math.isfinite(lon)):
             raise _MalformedRecord("affil coordinates must be finite")
         affiliations.append((intern(entry[0], entry[0]), lat, lon))
 
@@ -314,7 +315,7 @@ def load_corpus(
             try:
                 parsed = json.loads(line)
                 result = validate_record(parsed, year_min=year_min, year_max=year_max, shared=shared)
-            except (json.JSONDecodeError, _MalformedRecord) as exc:
+            except (ValueError, OverflowError) as exc:  # or a number int() or float() rejects
                 report.malformed += 1
                 logger.debug("%s:%d malformed line: %s", path, lineno, exc)
                 continue

@@ -189,12 +189,12 @@ def _persist_discipline(
 
 
 def _read_manifest(path: Path) -> dict | None:
-    """The manifest, or None when it is truncated or garbled, or a stage
-    entry or its outputs is not an object."""
+    """The manifest, or None when it cannot be read (a directory, say), is
+    truncated or garbled, or a stage entry or its outputs is not an object."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
-    except ValueError:  # JSONDecodeError, UnicodeDecodeError
+    except (OSError, ValueError):  # ValueError: JSONDecodeError, UnicodeDecodeError
         return None
     if not isinstance(manifest, dict) or not isinstance(manifest.get("stages"), dict):
         return None
@@ -204,12 +204,23 @@ def _read_manifest(path: Path) -> dict | None:
     return manifest
 
 
-def _files_match(out: Path, digests: dict[str, str]) -> bool:
-    """Every file named in `digests` exists under `out` with its recorded digest."""
-    return all(
-        (out / rel).exists() and sha256_file(out / rel) == digest
-        for rel, digest in digests.items()
-    )
+class _Digests(dict):
+    """The sha256 of each file under `out` by relative path, or None where no
+    regular file is, taken on first use: the one table that every check of an
+    `execute` reads, so that each file is hashed once per write."""
+
+    def __init__(self, out: Path):
+        super().__init__()
+        self.out = out
+
+    def __missing__(self, rel: str) -> str | None:
+        path = self.out / rel
+        self[rel] = digest = sha256_file(path) if path.is_file() else None
+        return digest
+
+    def match(self, recorded: dict[str, str]) -> bool:
+        """Every file named in `recorded` is a regular file with its recorded digest."""
+        return all(digest is not None and self[rel] == digest for rel, digest in recorded.items())
 
 
 def _in_step(rows: Iterable[Sequence[str]], ids: Iterable[str], mismatch: str) -> Iterator:
@@ -244,7 +255,8 @@ class Pipeline:
         except OSError as exc:  # a file where the directory or a parent belongs
             raise DataError(f"cannot make output directory {self.out}: {exc}") from exc
         self.manifest_path = self.out / "manifest.json"
-        self._store_cache: tuple[str, CorpusStore, CitationIndex | None] | None = None
+        self._store: CorpusStore | None = None
+        self._index: CitationIndex | None = None
         self.manifest = {"schema": 1, "stages": {}}
         if self.manifest_path.exists():
             manifest = _read_manifest(self.manifest_path)
@@ -272,14 +284,14 @@ class Pipeline:
         return path
 
     def _read_json(self, rel: str, extract: Callable[[object], dict]) -> dict:
-        """`extract` applied to the JSON artifact `rel`; a truncated or garbled
-        document, or one `extract` cannot read, raises DataError naming the
-        file and the stage to rerun."""
+        """`extract` applied to the JSON artifact `rel`; a document that cannot
+        be opened, is truncated or garbled, or that `extract` cannot read,
+        raises DataError naming the file and the stage to rerun."""
         path = self.out / rel
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 return extract(json.load(fh))
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
             maker = _maker(rel).name
             raise DataError(f"{path}: unreadable ({exc!r}); rerun stage {maker}") from exc
 
@@ -296,32 +308,30 @@ class Pipeline:
         self._require(stage, self.out / kind / "index.json", f"{kind}/index.json")
         return [self._require(stage, p, artifact) for p in self._listed(kind).values()]
 
-    def _vouched(self, path: Path, maker: str) -> str:
-        """The digest of `path`, which must be the one stage `maker` recorded
-        for it: a file changed since, or one no valid manifest entry vouches
-        for, raises DataError naming it and the stage to rerun."""
-        digest = sha256_file(path)
-        if self.manifest["stages"].get(maker, {}).get("outputs", {}).get(self._rel(path)) != digest:
-            raise DataError(f"{path} changed since stage {maker} wrote it; rerun stage {maker}")
-        return digest
-
-    def _stage_reads(self, stage: Stage) -> dict[str, str]:
+    def _stage_reads(self, stage: Stage, digests: _Digests) -> dict[str, str]:
         """The digest of every artifact `stage` reads, a `kind/*` one's index
-        included, each vouched for by a current maker: one whose entry records
-        the artifacts it read, each still with the digest it read. Otherwise
-        DataError names a file and the stage to rerun, changed files first."""
+        included, each the one its maker recorded, and each maker current: its
+        entry records the artifacts it read, each still with the digest it read.
+        Otherwise DataError names a file and the stage to rerun, changed first."""
         files: dict[str, str] = {}
         first_of: dict[str, Path] = {}  # the file named when its maker is stale
         for artifact in stage.reads:
             maker = _maker(artifact).name
+            recorded = self.manifest["stages"].get(maker, {}).get("outputs", {})
             paths = self._paths(stage.name, artifact)
             if artifact.endswith("/*"):
                 paths.insert(0, self.out / artifact[:-2] / "index.json")
             first_of.setdefault(maker, paths[0])
-            files.update((self._rel(path), self._vouched(path, maker)) for path in paths)
+            for path in paths:
+                rel = self._rel(path)
+                files[rel] = digests[rel]
+                if files[rel] is None or recorded.get(rel) != files[rel]:
+                    raise DataError(
+                        f"{path} changed since stage {maker} wrote it; rerun stage {maker}"
+                    )
         for maker, path in first_of.items():
             reads = self.manifest["stages"][maker].get("reads")
-            if not isinstance(reads, dict) or not _files_match(self.out, reads):
+            if not isinstance(reads, dict) or not digests.match(reads):
                 raise DataError(
                     f"{path}: stage {maker} wrote it from artifacts that changed "
                     f"since; rerun stage {maker}"
@@ -343,18 +353,13 @@ class Pipeline:
         return {"config": {f: getattr(self.config, f) for f in stage.config}, "files": files}
 
     def _load_store(self) -> CorpusStore:
-        """Load the normalized corpus, cached across stages of one run under
-        the file's digest; ingest seeds the cache with the store it wrote and
-        that store's citation index, which the network stage drops once it
-        has used it."""
-        path = self.out / "corpus.norm.jsonl"
-        digest = sha256_file(path)
-        if self._store_cache is None or self._store_cache[0] != digest:
-            store = load_corpus(
-                path, year_min=self.config.year_min, year_max=self.config.year_max
-            )
-            self._store_cache = (digest, store, None)
-        return self._store_cache[1]
+        """The normalized corpus, parsed at most once per run: every stage that
+        loads it has vouched for corpus.norm.jsonl, which only ingest writes,
+        and ingest hands over the store it wrote."""
+        if self._store is None:
+            path, cfg = self.out / "corpus.norm.jsonl", self.config
+            self._store = load_corpus(path, year_min=cfg.year_min, year_max=cfg.year_max)
+        return self._store
 
     # ---- stage runners: each writes every artifact its Stage entry makes -------
 
@@ -366,7 +371,7 @@ class Pipeline:
         index = build_citation_index(store)
         # Equal to load_corpus(normalized), so later stages need not parse it,
         # and the network stage reuses its index.
-        self._store_cache = (sha256_file(normalized), store, index)
+        self._store, self._index = store, index
         write_rejection_report(store, self.out / "rejections.csv")
         report = store.ingest_report
         write_json(
@@ -393,13 +398,13 @@ class Pipeline:
         novel_pairs = self._write_networks(store)
         rows = metrics_mod.paper_stats_rows(
             store,
-            self._store_cache[2] or build_citation_index(store),
+            self._index or build_citation_index(store),
             novel_pairs,
             cd_window=cfg.cd_window,
             sb_horizon=cfg.sb_horizon,
         )
         write_csv(self.out / "paper_stats.csv", metrics_mod.PAPER_STATS_HEADER, rows)
-        self._store_cache = (*self._store_cache[:2], None)  # no later stage reads the index
+        self._index = None  # no later stage reads it
 
     def _write_networks(self, store: CorpusStore) -> dict[str, set[Pair]]:
         """Write every discipline's network and the index; return the concept
@@ -556,10 +561,11 @@ class Pipeline:
 
     def execute(self) -> PipelineResult:
         statuses: dict[str, str] = {}
+        digests = _Digests(self.out)
         for stage in _TABLE:
             if stage.name not in self.config.stages:
                 continue
-            reads = self._stage_reads(stage)
+            reads = self._stage_reads(stage, digests)
             inputs_digest = json_digest(self._stage_inputs(stage, reads))
             entry = self.manifest["stages"].get(stage.name)
             if (
@@ -567,7 +573,7 @@ class Pipeline:
                 and entry.get("reads") == reads
                 and entry.get("inputs") == inputs_digest
                 and entry.get("outputs")
-                and _files_match(self.out, entry["outputs"])
+                and digests.match(entry["outputs"])
             ):
                 statuses[stage.name] = "skipped"
                 logger.info("stage %s: inputs unchanged, skipped", stage.name)
@@ -584,11 +590,13 @@ class Pipeline:
                         f"stage {stage.name}: a worker process died ({exc})"
                     ) from exc
                 raise
-            outputs = [p for artifact in stage.makes for p in self._paths(stage.name, artifact)]
+            outputs = [self._rel(p) for a in stage.makes for p in self._paths(stage.name, a)]
+            for rel in outputs:  # written since the table may have hashed it
+                digests.pop(rel, None)
             self.manifest["stages"][stage.name] = {
                 "inputs": inputs_digest,
                 "reads": reads,
-                "outputs": {self._rel(p): sha256_file(p) for p in outputs},
+                "outputs": {rel: digests[rel] for rel in outputs},
             }
             write_json(self.manifest_path, self.manifest)
             statuses[stage.name] = "ok"
@@ -663,7 +671,8 @@ def verify_manifest(output_dir: Path) -> bool:
     manifest = _read_manifest(manifest_path)
     if manifest is None:
         return False
+    digests = _Digests(Path(output_dir))
     return all(
-        not entry.get("invalid") and _files_match(Path(output_dir), entry.get("outputs", {}))
+        not entry.get("invalid") and digests.match(entry.get("outputs", {}))
         for entry in manifest["stages"].values()
     )

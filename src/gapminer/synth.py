@@ -46,12 +46,11 @@ def planted_cycle(
     disciplines: int = 1,
     filler_fresh: int = 0,
     filler_dup: int = 0,
-    start_year: int = 2000,
 ) -> Path:
     """One gap opener per planted cycle: the paper closing the loop.
 
     Cycle k of discipline d walks concepts D{d}K{k}C0..C{n-1}; edge i arrives
-    in year start_year + i, so the wrap-around edge arrives last. Fresh
+    in year 2000 + i, so the wrap-around edge arrives last. Fresh
     fillers introduce two brand-new concepts; duplicate fillers re-state the
     first cycle edge a year after the cycle completed.
     """
@@ -94,13 +93,13 @@ def planted_cycle(
             concepts = [f"D{d}K{k}C{i}" for i in range(cycle_len)]
             for i in range(cycle_len):
                 pair = [concepts[i], concepts[(i + 1) % cycle_len]]
-                emit(f"D{d}K{k}P{i:03d}", start_year + i, d, pair)
+                emit(f"D{d}K{k}P{i:03d}", 2000 + i, d, pair)
     for j in range(filler_fresh):
         d = j % disciplines
-        emit(f"F{j:05d}", start_year + (j % cycle_len), d, [f"D{d}F{j}a", f"D{d}F{j}b"])
+        emit(f"F{j:05d}", 2000 + (j % cycle_len), d, [f"D{d}F{j}a", f"D{d}F{j}b"])
     for j in range(filler_dup):
         d, k = j % disciplines, j % cycles
-        emit(f"G{j:05d}", start_year + cycle_len, d, [f"D{d}K{k}C0", f"D{d}K{k}C1"])
+        emit(f"G{j:05d}", 2000 + cycle_len, d, [f"D{d}K{k}C0", f"D{d}K{k}C1"])
     return write_corpus(records, out_path)
 
 
@@ -111,15 +110,9 @@ def random_pairs(
     papers: int = 1000,
     concepts: int = 200,
     disciplines: int = 4,
-    min_concepts: int = 2,
-    max_concepts: int = 4,
-    year_min: int = 1980,
-    year_max: int = 2020,
     venues: int = 50,
     author_pool: int = 500,
     max_refs: int = 6,
-    affil_prob: float = 0.5,
-    dual_prob: float = 0.1,
 ) -> Path:
     """Uniform random corpus; concepts are partitioned across disciplines."""
     for name, value, floor in (
@@ -128,31 +121,27 @@ def random_pairs(
     ):
         if value < floor:
             raise ConfigError(f"{name} must be at least {floor}")
-    if min_concepts > max_concepts:
-        raise ConfigError("min_concepts must not exceed max_concepts")
-    if year_min > year_max:
-        raise ConfigError("year_min must not exceed year_max")
-    if concepts < disciplines * max_concepts:
-        raise ConfigError("too few concepts for the requested paper width")
+    if concepts < disciplines * 4:
+        raise ConfigError("concepts must be at least four per discipline")
     rng = random.Random(seed)
     per_discipline = concepts // disciplines
     lines: list[dict] = []
     for j in range(papers):
         d = rng.randrange(disciplines)
         base = d * per_discipline
-        k = min_concepts + rng.randrange(max_concepts - min_concepts + 1)
+        k = 2 + rng.randrange(3)
         chosen: set[int] = set()
         while len(chosen) < k:
             chosen.add(base + rng.randrange(per_discipline))
         l0 = [[f"D{d}", 1.0]]
-        if disciplines > 1 and rng.random() < dual_prob:
+        if disciplines > 1 and rng.random() < 0.1:
             d2 = rng.randrange(disciplines - 1)
             if d2 >= d:
                 d2 += 1
             l0.append([f"D{d2}", 1.0])
         record: dict = {
             "id": f"P{j:07d}",
-            "year": year_min + rng.randrange(year_max - year_min + 1),
+            "year": 1980 + rng.randrange(41),
             "l0": sorted(l0),
             "l3": [[f"C{c:06d}", 1.0] for c in sorted(chosen)],
             "refs": [],
@@ -167,7 +156,7 @@ def random_pairs(
         record["authors"] = team
         affil = []
         for author in team:
-            if rng.random() < affil_prob:
+            if rng.random() < 0.5:
                 affil.append(
                     [author, round(rng.random() * 140 - 70, 4), round(rng.random() * 360 - 180, 4)]
                 )

@@ -291,6 +291,33 @@ def test_lone_surrogate_makes_the_line_malformed(tmp_path, field):
     assert store.ingest_report.malformed == 1
 
 
+@pytest.mark.parametrize(
+    "number", ["Infinity", "-Infinity", "1e999", "NaN", "1" + "0" * 400, "1" * 5000],
+    ids=["inf", "-inf", "1e999", "nan", "int-past-float", "int-past-digit-limit"],
+)
+@pytest.mark.parametrize("where", ["lat", "lon"])
+def test_a_coordinate_that_is_not_a_finite_float_makes_the_line_malformed(
+    tmp_path, number, where
+):
+    """json reads Infinity, -Infinity and NaN, and 1e999 as infinity; float()
+    cannot hold a 400-digit integer, and int() takes at most 4300 digits."""
+    coords = f"{number}, 0" if where == "lat" else f"0, {number}"
+    good = json.dumps(raw_record("p2", 2000, ("a", "b"), authors=["u", "v"]))
+    bad = good[:-1] + f', "affil": [["u", {coords}], ["v", 10, 10]]}}'
+    raws = [raw_record("p1", 2000, ("a", "b")), bad]
+    store = load_corpus(write_corpus(tmp_path / "c.jsonl", raws))
+    assert list(store.papers) == ["p1"]
+    assert store.ingest_report.malformed == 1
+
+
+def test_a_confidence_past_float_range_makes_the_line_malformed(tmp_path):
+    bad = json.dumps(raw_record("p2", 2000, ("a", "b"))).replace("1.0", "1" + "0" * 400, 1)
+    raws = [raw_record("p1", 2000, ("a", "b")), bad]
+    store = load_corpus(write_corpus(tmp_path / "c.jsonl", raws))
+    assert list(store.papers) == ["p1"]
+    assert store.ingest_report.malformed == 1
+
+
 def test_surrogate_pair_is_one_character_and_accepted(tmp_path):
     raws = [raw_record("p\U0001F600", 2000, ("a", "b"), title="t")]
     line = json.dumps(raws[0])

@@ -20,7 +20,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gapminer.pipeline as pipeline_mod
@@ -365,12 +365,11 @@ def test_cli_synth_flag_the_generator_does_not_take_is_config_error(
 
 @pytest.mark.parametrize("flags", [
     ["--disciplines", "0"],
-    ["--min-concepts", "5", "--max-concepts", "3"],
-    ["--year-min", "2020", "--year-max", "1990"],
+    ["--concepts", "15"],  # four per discipline, and there are four
     ["--venues", "0"],
     ["--author-pool", "0"],
     ["--max-refs", "-1"],
-], ids=["disciplines", "concepts-range", "year-range", "venues", "author-pool", "max-refs"])
+], ids=["disciplines", "concepts", "venues", "author-pool", "max-refs"])
 def test_cli_synth_random_pairs_bad_value_is_config_error(tmp_path, capsys, flags):
     out = tmp_path / "bad.jsonl"
     args = ["synth", "--generator", "random-pairs", "--papers", "5", "--out", str(out)]
@@ -385,20 +384,18 @@ def test_cli_synth_flags_are_the_generator_parameters(capsys):
     assert err.value.code == 0
     flags = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
     assert sorted(flags - {"--help", "--generator", "--out"}) == [
-        "--affil-prob", "--author-pool", "--concepts", "--cycle-len",
-        "--cycles", "--disciplines", "--dual-prob", "--filler-dup", "--filler-fresh",
-        "--max-concepts", "--max-refs", "--min-concepts", "--papers", "--seed",
-        "--start-year", "--venues", "--year-max", "--year-min",
+        "--author-pool", "--concepts", "--cycle-len", "--cycles", "--disciplines",
+        "--filler-dup", "--filler-fresh", "--max-refs", "--papers", "--seed", "--venues",
     ]
 
 
 def test_cli_synth_passes_each_flag_typed(tmp_path):
     args = ["synth", "--generator", "random-pairs", "--seed", "3", "--papers", "40",
-            "--concepts", "30", "--dual-prob", "0.5", "--affil-prob", "0.25"]
+            "--concepts", "30", "--disciplines", "3", "--max-refs", "2"]
     assert main([*args, "--out", str(tmp_path / "cli.jsonl")]) == 0
     expected = make_synthetic(
-        "random-pairs", tmp_path / "api.jsonl", 3, papers=40, concepts=30, dual_prob=0.5,
-        affil_prob=0.25,
+        "random-pairs", tmp_path / "api.jsonl", 3, papers=40, concepts=30, disciplines=3,
+        max_refs=2,
     )
     assert (tmp_path / "cli.jsonl").read_bytes() == expected.read_bytes()
 
@@ -881,6 +878,44 @@ def test_an_entry_without_its_reads_is_not_current(tmp_path, finished_run, capsy
     assert set(run(config).statuses.values()) == {"skipped"}
 
 
+_CHANGED = "classification.csv changed since stage classify wrote it; rerun stage classify"
+
+
+@pytest.mark.parametrize("rel, command, message, record", [
+    ("classification.csv", "metrics", _CHANGED, "kept"),
+    ("classification.csv", "metrics", _CHANGED, "null"),
+    ("classification.csv", "metrics", _CHANGED, "no entry"),
+    ("classification.csv", "run", "cannot write {out}/classification.csv", "kept"),
+    ("diagrams/index.json", "classify", "diagrams/index.json: unreadable", "kept"),
+    ("manifest.json", "run", "cannot write {out}/manifest.json", "kept"),
+], ids=["classification-metrics", "classification-null-digest-metrics",
+        "classification-no-entry-metrics", "classification-run", "diagram-index-classify",
+        "manifest-run"])
+def test_a_directory_where_a_file_belongs_is_data_error(
+    tmp_path, finished_run, capsys, rel, command, message, record
+):
+    """A single stage stops at the directory as at a changed file, also when
+    the manifest records no digest for it; a run reruns its maker, whose
+    write then fails."""
+    out = tmp_path / "out"
+    shutil.copytree(finished_run.output_dir, out)
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    if record == "null":
+        manifest["stages"]["classify"]["outputs"]["classification.csv"] = None
+    elif record == "no entry":
+        del manifest["stages"]["classify"]
+    (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    (out / rel).unlink()
+    (out / rel).mkdir()
+    capsys.readouterr()
+    code = main([command, "--corpus", str(finished_run.corpus_path), "--out", str(out),
+                 "--seed", "13", "--null-replicates", "2", "--n-rand", "2"])
+    assert code == 3
+    assert message.format(out=out) in capsys.readouterr().err
+    # verify_manifest checks only the files the manifest records.
+    assert verify_manifest(out) is (record == "no entry")
+
+
 def test_runtime_needs_standard_library_only(tmp_path):
     """synth and run succeed with numpy unimportable, and nothing imports it.
     A child process, because the test helpers import numpy into this one."""
@@ -1002,9 +1037,8 @@ def test_ingest_store_is_the_reloaded_store(tmp_path, corpus):
         config = replace(config, corpus_path=shuffled_corpus_with_rejects(tmp_path / "raw.jsonl"))
     pipeline = pipeline_mod.Pipeline(config)
     pipeline.execute()
-    digest, store, _ = pipeline._store_cache
+    store = pipeline._store
     normalized = config.output_dir / "corpus.norm.jsonl"
-    assert digest == sha256_file(normalized)
     reloaded = load_corpus(normalized)
     assert list(store.papers) == list(reloaded.papers)
     assert store.papers == reloaded.papers
@@ -1053,12 +1087,32 @@ def test_cold_run_builds_the_citation_index_once(tmp_path, monkeypatch):
     assert len(calls) == 2
 
 
+def test_each_file_is_hashed_once_per_write(tmp_path, monkeypatch):
+    """A cold run hashes the corpus once and each file it writes once, after
+    writing it; an all-skipped rerun and a seed-change rerun hash each file
+    once, whether a stage's check or its write took the digest."""
+    hashed = []
+    real_hash = pipeline_mod.sha256_file
+
+    def counting_hash(path):
+        hashed.append(Path(path))
+        return real_hash(path)
+
+    monkeypatch.setattr(pipeline_mod, "sha256_file", counting_hash)
+    config = small_config(tmp_path)
+    for seed in (config.seed, config.seed, config.seed + 1):  # cold, all skipped, seed change
+        hashed.clear()
+        statuses = run(replace(config, seed=seed)).statuses
+        files = [p for p in config.output_dir.rglob("*") if p.is_file()]
+        files.remove(config.output_dir / "manifest.json")
+        assert sorted(hashed) == sorted([config.corpus_path, *files]), statuses
+
+
 def test_network_stage_drops_the_citation_index(tmp_path):
     pipeline = pipeline_mod.Pipeline(small_config(tmp_path, stages=("ingest", "network")))
     pipeline.execute()
-    digest, store, index = pipeline._store_cache
-    assert index is None  # classify, metrics and report never read it
-    assert digest == sha256_file(tmp_path / "out" / "corpus.norm.jsonl")
+    assert pipeline._index is None  # classify, metrics and report never read it
+    assert pipeline._store is not None
     assert (tmp_path / "out" / "paper_stats.csv").exists()
 
 
@@ -1218,8 +1272,20 @@ def odd_corpora(draw):
     return records, lone
 
 
+def _wordless_cycle():
+    """A four-cycle closed in 2003 (a gap opener) whose papers, novel-pair
+    ones too, have titles without a word: the report has no verb ratios."""
+    records = [
+        {"id": f"P{i}", "year": 2000 + i, "l0": [["X", 1.0]],
+         "l3": [[c, 1.0] for c in pair], "refs": [], "title": ";", "authors": ["a"]}
+        for i, pair in enumerate([("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")])
+    ]
+    return records, dict(records[0], id="lone", title="\ud800")
+
+
 @settings(max_examples=60, deadline=None)
 @given(corpus=odd_corpora())
+@example(corpus=_wordless_cycle())
 def test_every_id_survives_every_artifact(corpus):
     """A run over ids holding any character classifies every paper as the
     in-memory networks do, and a lone surrogate only makes its line malformed."""
