@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -243,8 +242,8 @@ def validate_record(
         ):
             raise _MalformedRecord("affil entries must be [author, lat, lon] triples")
         lat, lon = float(entry[1]), float(entry[2])
-        if not (math.isfinite(lat) and math.isfinite(lon)):
-            raise _MalformedRecord("affil coordinates must be finite")
+        if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):  # NaN fails too
+            raise _MalformedRecord("affil latitude must lie in [-90, 90], longitude in [-180, 180]")
         affiliations.append((intern(entry[0], entry[0]), lat, lon))
 
     if not (year_min <= year <= year_max):

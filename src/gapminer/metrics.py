@@ -35,6 +35,7 @@ logger = logging.getLogger(__name__)
 
 EARTH_RADIUS_KM = 6371.0088
 Z_STD_FLOOR = 1e-6  # the least standard deviation a novelty z-score divides by
+REWIRE_FACTOR = 10  # citation-switching attempts per edge, per replicate
 FRESHNESS_TEAM_SIZES = range(2, 21)  # team sizes whose freshness is defined
 CITATION_WINDOWS = tuple(range(1, 21))
 TOP_K_LEVELS = (1, 5, 10, 15, 20)
@@ -283,7 +284,6 @@ class YearCocitationBaseline:
         *,
         n_rand: int = 10,
         seed: int = 0,
-        rewire_factor: int = 10,
     ) -> None:
         if n_rand < 1:
             raise ValueError("n_rand must be at least 1")
@@ -332,7 +332,7 @@ class YearCocitationBaseline:
         for replicate in range(n_rand):
             rng = random.Random(derive_seed(seed, "rewire", year, replicate))
             switched = list(cited)
-            _switch_citations(citing, switched, len(ids), rng, rewire_factor)
+            _switch_citations(citing, switched, len(ids), rng, REWIRE_FACTOR)
             counts = pair_counts(switched)
             for key in sums:
                 c = counts.get(key, 0)
@@ -355,15 +355,12 @@ class YearCocitationBaseline:
 
 
 def compute_novelty_profiles(
-    store: CorpusStore, *, n_rand: int = 10, seed: int = 0, rewire_factor: int = 10
+    store: CorpusStore, *, n_rand: int = 10, seed: int = 0
 ) -> dict[str, float]:
     """Each eligible paper's novelty as a percentile within its year."""
     tenths: dict[str, float] = {}
     for year in store.years():
-        baseline = YearCocitationBaseline(
-            store, year, n_rand=n_rand, seed=seed, rewire_factor=rewire_factor
-        )
-        tenths.update(baseline.tenths)
+        tenths.update(YearCocitationBaseline(store, year, n_rand=n_rand, seed=seed).tenths)
     return percentile_rank(tenths, {pid: store.papers[pid].year for pid in tenths})
 
 
@@ -544,11 +541,6 @@ DEFAULT_VERB_LEXICON = (
 )
 
 
-def has_words(title: str) -> bool:
-    """Whether a title holds a token that verb ratios count."""
-    return _TOKEN.search(title.lower()) is not None
-
-
 def _verb_frequencies(titles: Iterable[str], lexicon: frozenset[str]) -> tuple[Counter, int]:
     counts: Counter = Counter()
     total = 0
@@ -565,17 +557,15 @@ def verb_ratio(
     titles_a: Sequence[str],
     titles_b: Sequence[str],
     lexicon: Sequence[str] = DEFAULT_VERB_LEXICON,
-) -> dict[str, float]:
+) -> dict[str, float] | None:
     """Per-verb ratio of occurrences per million tokens between two title
-    collections. Verbs absent from B map to +inf, absent from both are
-    omitted."""
-    if not titles_a or not titles_b:
-        raise ValueError("both title collections must be non-empty")
+    collections, or None when either holds no token. Verbs absent from B map
+    to +inf, absent from both are omitted."""
     lex = frozenset(lexicon)
     counts_a, total_a = _verb_frequencies(titles_a, lex)
     counts_b, total_b = _verb_frequencies(titles_b, lex)
     if total_a == 0 or total_b == 0:
-        raise ValueError("title collections must contain at least one token")
+        return None
     ratios: dict[str, float] = {}
     for verb in sorted(lex):
         freq_a = counts_a.get(verb, 0) * 1e6 / total_a
@@ -682,15 +672,12 @@ def compute_metrics_rows(
     *,
     seed: int = 0,
     n_rand: int = 10,
-    rewire_factor: int = 10,
 ) -> Iterator[tuple]:
     """The metrics.csv rows: each paper_stats row, in its order, with the
     paper's category and seeded novelty percentile spliced in and its other
     fields passed through unchanged. The novelty percentiles are computed
     before this returns; each row is spliced as it is asked for."""
-    novelty_percentiles = compute_novelty_profiles(
-        store, n_rand=n_rand, seed=seed, rewire_factor=rewire_factor
-    )
+    novelty_percentiles = compute_novelty_profiles(store, n_rand=n_rand, seed=seed)
     return (
         _splice(row, categories[row[0]], novelty_percentiles.get(row[0]))
         for row in paper_stats

@@ -51,6 +51,9 @@ from .util import json_digest, parallel_map, sha256_file, sha256_text, write_csv
 logger = logging.getLogger(__name__)
 
 STAGES = ("ingest", "network", "persist", "classify", "metrics", "report")
+# The manifest layout and what its digests vouch for; 2 since diagrams hold
+# dimension-1 rows only. A manifest of any other schema is unreadable.
+MANIFEST_SCHEMA = 2
 
 
 @dataclass(frozen=True)
@@ -80,7 +83,6 @@ class PipelineConfig:
     min_persistence: int = 1
     null_replicates: int = 10
     n_rand: int = 10
-    rewire_factor: int = 10
     cd_window: int | None = None
     sb_horizon: int = 20
     verb_lexicon_path: Path | None = None
@@ -139,7 +141,7 @@ class PipelineConfig:
                 kind = "an integer"
             if not ok:
                 raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
-        nonnegative = ("min_persistence", "null_replicates", "rewire_factor", "cd_window", "sb_horizon")
+        nonnegative = ("min_persistence", "null_replicates", "cd_window", "sb_horizon")
         for name in nonnegative:
             value = getattr(self, name)
             if value is not None and value < 0:
@@ -190,13 +192,18 @@ def _persist_discipline(
 
 def _read_manifest(path: Path) -> dict | None:
     """The manifest, or None when it cannot be read (a directory, say), is
-    truncated or garbled, or a stage entry or its outputs is not an object."""
+    truncated or garbled, is of another schema, or a stage entry or its
+    outputs is not an object."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
     except (OSError, ValueError):  # ValueError: JSONDecodeError, UnicodeDecodeError
         return None
-    if not isinstance(manifest, dict) or not isinstance(manifest.get("stages"), dict):
+    if (
+        not isinstance(manifest, dict)
+        or manifest.get("schema") != MANIFEST_SCHEMA
+        or not isinstance(manifest.get("stages"), dict)
+    ):
         return None
     for entry in manifest["stages"].values():
         if not isinstance(entry, dict) or not isinstance(entry.get("outputs", {}), dict):
@@ -257,7 +264,7 @@ class Pipeline:
         self.manifest_path = self.out / "manifest.json"
         self._store: CorpusStore | None = None
         self._index: CitationIndex | None = None
-        self.manifest = {"schema": 1, "stages": {}}
+        self.manifest = {"schema": MANIFEST_SCHEMA, "stages": {}}
         if self.manifest_path.exists():
             manifest = _read_manifest(self.manifest_path)
             if manifest is None:
@@ -493,7 +500,6 @@ class Pipeline:
             _in_step(metrics_mod.load_paper_stats(stats_path), categories, mismatch),
             seed=cfg.seed,
             n_rand=cfg.n_rand,
-            rewire_factor=cfg.rewire_factor,
         )
         write_csv(self.out / "metrics.csv", metrics_mod.METRICS_HEADER, rows)
 
@@ -535,14 +541,12 @@ class Pipeline:
         novel_titles = []
         for pid, category in categories.items():
             rec = store.papers.get(pid)
-            if rec is None or rec.title is None or not metrics_mod.has_words(rec.title):
+            if rec is None or rec.title is None:
                 continue
             if category is classify_mod.Category.GAP_OPENER:
                 gap_titles.append(rec.title)
             elif category is classify_mod.Category.NOVEL_PAIR_NON_GAP:
                 novel_titles.append(rec.title)
-        if not gap_titles or not novel_titles:
-            return None
         lexicon = metrics_mod.DEFAULT_VERB_LEXICON
         path = self.config.verb_lexicon_path
         if path is not None:
@@ -552,6 +556,8 @@ class Pipeline:
             except (OSError, UnicodeDecodeError) as exc:
                 raise DataError(f"cannot read verb lexicon {path}: {exc}") from exc
         ratios = metrics_mod.verb_ratio(gap_titles, novel_titles, lexicon)
+        if ratios is None:
+            return None
         return {
             verb: ("inf" if value == float("inf") else value)
             for verb, value in sorted(ratios.items())
@@ -632,7 +638,7 @@ _TABLE = (
     Stage(
         "metrics", "per-paper table", Pipeline._run_metrics,
         makes=("metrics.csv",),
-        config=("seed", "n_rand", "rewire_factor"),
+        config=("seed", "n_rand"),
         reads=("corpus.norm.jsonl", "classification.csv", "paper_stats.csv"),
     ),
 )

@@ -1,14 +1,14 @@
-"""Flag-complex filtrations and persistent homology over Z2 in dimensions 0 and 1.
+"""Flag-complex filtrations and persistent homology over Z2 in dimension 1.
 
 Gaps are dimension-1 classes, and H1 of a flag complex depends only on its
 2-skeleton, so the filtration stops at triangles. The complex is implicit:
 edge tie ranks are global and ascend in time, so one walk over the edges in
-rank order meets them in filtration order. On the way, union-find pairs
-dimension 0 and marks the edges that close cycles, and every triangle is
-listed at its youngest edge, which always closes a cycle. The first
-triangle listed at an edge kills that edge's cycle with no column work (an
-apparent pair); one pass over the other triangle columns finds the
-remaining cycle deaths.
+rank order meets them in filtration order. On the way, union-find marks the
+edges that close cycles, and every triangle is listed at its youngest edge,
+which always closes a cycle. The first triangle listed at an edge kills that
+edge's cycle with no column work (an apparent pair); one pass over the other
+triangle columns finds the remaining cycle deaths. Components are never
+paired: nothing reads dimension 0.
 """
 
 from __future__ import annotations
@@ -57,30 +57,33 @@ class FlagFiltration:
     ascending r, each edge r that is the youngest edge of some triangles,
     with the (higher, lower) ranks of those triangles' other two edges in
     ascending order: since ranks ascend in time, that is the triangles'
-    filtration order, (value, descending rank triple). dim0 holds the
-    dimension-0 features as (vertex, birth year, death year or None) and
-    cycle_edges the ranks of the edges that closed a cycle, both found by
-    the walk that built the complex.
+    filtration order, (value, descending rank triple). cycle_edges holds
+    the ranks of the edges that closed a cycle, found by the walk that built
+    the complex.
     """
 
-    vertex_year: dict[str, int]
+    n_vertices: int
     edges: list[tuple[str, str, int]]
     cofaces: list[tuple[int, list[tuple[int, int]]]]
     n_triangles: int
-    dim0: list[tuple[str, int, int | None]]
     cycle_edges: list[int]
 
     def __len__(self) -> int:
-        return len(self.vertex_year) + len(self.edges) + self.n_triangles
+        return self.n_vertices + len(self.edges) + self.n_triangles
 
     @cached_property
     def simplices(self) -> list[Simplex]:
         """Every simplex in filtration order, built on first use: ascending
         (value, dimension, tie key), so within a year vertices (by name)
         precede edges (by rank) precede triangles (by descending rank
-        triple), and faces always precede cofaces."""
+        triple), and faces always precede cofaces. A vertex's value is its
+        first edge's year."""
+        vertex_year: dict[str, int] = {}
+        for u, v, t in self.edges:
+            vertex_year.setdefault(u, t)
+            vertex_year.setdefault(v, t)
         entries: list[tuple[tuple[str, ...], int, int, object]] = [
-            ((x,), t, 0, x) for x, t in self.vertex_year.items()
+            ((x,), t, 0, x) for x, t in vertex_year.items()
         ]
         entries.extend(((u, v), t, 1, r) for r, (u, v, t) in enumerate(self.edges))
         for r, group in self.cofaces:
@@ -100,19 +103,15 @@ def build_flag_filtration(network: TemporalConceptNetwork) -> FlagFiltration:
     constructor leaves them; an edge out of that order is an InternalError.
     A vertex enters with its first edge, and a simplex's value is the latest
     of its edges' birth years; isolated concepts never appear. Union-find
-    over the vertices, ordered by (year, name), applies the elder rule: an
-    edge joining two components kills the younger one. An edge whose ends
-    are already connected closes a cycle, and the neighbours its ends
-    already share give exactly the triangles it is the youngest edge of.
+    over the vertices finds the edges whose ends are already connected:
+    each closes a cycle, and the neighbours its ends already share give
+    exactly the triangles it is the youngest edge of.
     """
-    vertex_year: dict[str, int] = {}
     neighbours: dict[str, dict[str, int]] = {}  # vertex -> {neighbour: edge rank}
     parent: dict[str, str] = {}
-    oldest: dict[str, tuple[int, str]] = {}  # root -> (year, name) of its oldest vertex
     edges: list[tuple[str, str, int]] = []
     cofaces: list[tuple[int, list[tuple[int, int]]]] = []
     n_triangles = 0
-    dim0: list[tuple[str, int, int | None]] = []
     cycle_edges: list[int] = []
     for r, ((u, v), birth) in enumerate(network.edges.items()):
         if birth.tie_rank != r:
@@ -123,11 +122,9 @@ def build_flag_filtration(network: TemporalConceptNetwork) -> FlagFiltration:
         year = birth.time
         edges.append((u, v, year))
         for x in (u, v):
-            if x not in vertex_year:
-                vertex_year[x] = year
+            if x not in neighbours:
                 neighbours[x] = {}
                 parent[x] = x
-                oldest[x] = (year, x)
         # Find both roots, halving paths on the way.
         root_u = u
         while parent[root_u] != root_u:
@@ -139,12 +136,7 @@ def build_flag_filtration(network: TemporalConceptNetwork) -> FlagFiltration:
             root_v = parent[root_v]
         near_u, near_v = neighbours[u], neighbours[v]
         if root_u != root_v:
-            old, young = oldest[root_u], oldest[root_v]
-            if young < old:
-                old, young = young, old
             parent[root_v] = root_u
-            oldest[root_u] = old
-            dim0.append((young[1], young[0], year))
         else:
             cycle_edges.append(r)
             common = near_u.keys() & near_v.keys()
@@ -157,8 +149,7 @@ def build_flag_filtration(network: TemporalConceptNetwork) -> FlagFiltration:
                 cofaces.append((r, group))
         near_u[v] = r
         near_v[u] = r
-    dim0.extend((name, t, None) for x, (t, name) in oldest.items() if parent[x] == x)
-    return FlagFiltration(vertex_year, edges, cofaces, n_triangles, dim0, cycle_edges)
+    return FlagFiltration(len(neighbours), edges, cofaces, n_triangles, cycle_edges)
 
 
 def _cycle_deaths(filtration: FlagFiltration) -> dict[int, int]:
@@ -219,37 +210,33 @@ def _cycle_deaths(filtration: FlagFiltration) -> dict[int, int]:
 
 @dataclass
 class PersistenceDiagram:
-    """Features in dimensions 0 and 1: pairs die, essentials never do."""
+    """Dimension-1 features: pairs die, essentials never do."""
 
     pairs: tuple[DiagramRecord, ...]
     essentials: tuple[DiagramRecord, ...]
 
     def records(self) -> list[DiagramRecord]:
         out = [*self.pairs, *self.essentials]
-        out.sort(key=lambda r: (r.dim, r.birth_year, r.birth_vertices))
+        out.sort(key=lambda r: (r.birth_year, r.birth_vertices))
         return out
 
 
 def compute_persistence(filtration: FlagFiltration) -> PersistenceDiagram:
     """Persistent homology of the 2-skeleton filtration over Z2, in
-    dimensions 0 and 1, as diagram records.
-
-    Dimension 0 and the cycle-closing edges come from the filtration's
-    union-find, the dimension-1 pairs from its triangle columns.
+    dimension 1, as diagram records: the cycle-closing edges come from the
+    filtration's union-find, their deaths from its triangle columns.
     """
     edges = filtration.edges
     deaths = _cycle_deaths(filtration)
-    pairs = [DiagramRecord(0, (x,), t, d) for x, t, d in filtration.dim0 if d is not None]
-    pairs.extend(
+    pairs = tuple(
         DiagramRecord(1, edges[b][:2], edges[b][2], edges[d][2]) for b, d in deaths.items()
     )
-    essentials = [DiagramRecord(0, (x,), t, None) for x, t, d in filtration.dim0 if d is None]
-    essentials.extend(
+    essentials = tuple(
         DiagramRecord(1, edges[b][:2], edges[b][2], None)
         for b in filtration.cycle_edges
         if b not in deaths
     )
-    return PersistenceDiagram(tuple(pairs), tuple(essentials))
+    return PersistenceDiagram(pairs, essentials)
 
 
 def network_diagram(network: TemporalConceptNetwork) -> tuple[list[DiagramRecord], int]:
@@ -293,14 +280,10 @@ def network_gaps(network: TemporalConceptNetwork, min_persistence: int = 1) -> s
 
 
 def save_diagram_records(records: Iterable[DiagramRecord], path: str | Path) -> None:
-    """Dump features as: dim, birth_u, birth_v, birth_year, death_year|inf.
-
-    Dimension-0 births are vertices (birth_v empty); dimension-1 births are
-    edges.
-    """
+    """Dump dimension-1 features as: dim, birth_u, birth_v, birth_year,
+    death_year|inf."""
     rows = (
-        (r.dim, *(*r.birth_vertices, "")[:2], r.birth_year,
-         "inf" if r.death_year is None else r.death_year)
+        (r.dim, *r.birth_vertices, r.birth_year, "inf" if r.death_year is None else r.death_year)
         for r in records
     )
     write_csv(path, DIAGRAM_HEADER, rows)
@@ -308,14 +291,10 @@ def save_diagram_records(records: Iterable[DiagramRecord], path: str | Path) -> 
 
 def _diagram_row(row: list[str]) -> DiagramRecord:
     dim, birth_u, birth_v, birth_year, death_year = row
-    vertices = (birth_u, birth_v) if birth_v else (birth_u,)
-    if int(dim) != len(vertices) - 1:  # so dim is 0 or 1
-        raise ValueError("expected dimension 0 with one birth vertex, or 1 with two")
+    if int(dim) != 1 or not birth_u or not birth_v:
+        raise ValueError("expected dimension 1 with two birth vertices")
     return DiagramRecord(
-        int(dim),
-        vertices,
-        int(birth_year),
-        None if death_year == "inf" else int(death_year),
+        1, (birth_u, birth_v), int(birth_year), None if death_year == "inf" else int(death_year)
     )
 
 

@@ -3,7 +3,7 @@ wrappers over the per-discipline topology and the labelled-row builder,
 label checks, the pre-change null model the lean one is checked against
 (the store-iterating row loop, random.shuffle dealing, the sort-ranked
 network, diagram records, evidence-based categories), the reference
-machinery the implicit dimension-0/1 engine is checked against (a flag
+machinery the implicit dimension-1 engine is checked against (a flag
 complex of any dimension listed as Simplex objects, the explicit
 triangle-column reduction that engine replaced, the naive full column
 reduction, and the dense Betti oracle), citation switching over named edges
@@ -53,6 +53,7 @@ from gapminer.corpus import (
 from gapminer.errors import InfeasibleResamplingError, InternalError, UnknownDisciplineError
 from gapminer.metrics import (
     CITATION_WINDOWS,
+    REWIRE_FACTOR,
     TOP_K_LEVELS,
     AuthorIndex,
     ConceptOccurrences,
@@ -620,7 +621,7 @@ class ReferenceCocitationBaseline:
     """The name-keyed baseline: named edges rewired by the randrange loop,
     sums and squares kept for every pair any replicate produces."""
 
-    def __init__(self, store: CorpusStore, year: int, *, n_rand: int, seed: int, rewire_factor: int):
+    def __init__(self, store: CorpusStore, year: int, *, n_rand: int, seed: int):
         self.n_rand = n_rand
         venue_of: dict[str, str] = {}
         edges: list[tuple[str, str]] = []
@@ -637,7 +638,7 @@ class ReferenceCocitationBaseline:
         self.squares: dict[tuple[str, str], float] = defaultdict(float)
         for replicate in range(n_rand):
             rng = random.Random(derive_seed(seed, "rewire", year, replicate))
-            counts = reference_pair_counts(reference_rewire(edges, rng, rewire_factor), venue_of)
+            counts = reference_pair_counts(reference_rewire(edges, rng, REWIRE_FACTOR), venue_of)
             for pair, c in counts.items():
                 self.sums[pair] += c
                 self.squares[pair] += c * c
@@ -667,14 +668,12 @@ def reference_z_scores(
 
 
 def reference_novelty_percentiles(
-    store: CorpusStore, *, n_rand: int, seed: int, rewire_factor: int
+    store: CorpusStore, *, n_rand: int, seed: int
 ) -> dict[str, float]:
     """Each eligible paper's yearly percentile of its 10th-percentile z."""
     tenths: dict[str, float] = {}
     for year in store.years():
-        baseline = ReferenceCocitationBaseline(
-            store, year, n_rand=n_rand, seed=seed, rewire_factor=rewire_factor
-        )
+        baseline = ReferenceCocitationBaseline(store, year, n_rand=n_rand, seed=seed)
         for pid, z_scores in reference_z_scores(store, year, baseline).items():
             tenths[pid] = _percentile(z_scores, 10)
     return percentile_rank(tenths, {pid: store.papers[pid].year for pid in tenths})
@@ -710,7 +709,6 @@ def reference_metrics_rows(
     *,
     seed: int,
     n_rand: int,
-    rewire_factor: int,
     cd_window: int | None,
     sb_horizon: int,
 ) -> list[tuple]:
@@ -723,9 +721,7 @@ def reference_metrics_rows(
         return []
     occurrences = ConceptOccurrences(store)
     authors = AuthorIndex(store)
-    novelty_pct = reference_novelty_percentiles(
-        store, n_rand=n_rand, seed=seed, rewire_factor=rewire_factor
-    )
+    novelty_pct = reference_novelty_percentiles(store, n_rand=n_rand, seed=seed)
     cd_values = {}
     for rec in store.iter_papers():
         value = reference_cd_index(rec, index, window=cd_window)
@@ -971,25 +967,22 @@ def full_reduction(filtration):
 
 
 def reduction_records(filtration, pairs, essentials) -> list[DiagramRecord]:
-    """full_reduction's features born in dimension 0 or 1 as sorted diagram
+    """full_reduction's features born in dimension 1 as sorted diagram
     records, the form the engine emits."""
     simplices = filtration.simplices
     out = [
         DiagramRecord(
-            simplices[b].dim,
-            simplices[b].vertices,
-            simplices[b].filtration_value,
-            simplices[d].filtration_value,
+            1, simplices[b].vertices, simplices[b].filtration_value, simplices[d].filtration_value
         )
         for b, d in pairs
-        if simplices[b].dim <= 1
+        if simplices[b].dim == 1
     ]
     out.extend(
-        DiagramRecord(simplices[i].dim, simplices[i].vertices, simplices[i].filtration_value, None)
+        DiagramRecord(1, simplices[i].vertices, simplices[i].filtration_value, None)
         for i in essentials
-        if simplices[i].dim <= 1
+        if simplices[i].dim == 1
     )
-    out.sort(key=lambda r: (r.dim, r.birth_year, r.birth_vertices))
+    out.sort(key=lambda r: (r.birth_year, r.birth_vertices))
     return out
 
 
@@ -1016,101 +1009,51 @@ def betti(records: Iterable[DiagramRecord], dim: int, year: int) -> int:
 class PersistencePair:
     birth: Simplex
     death: Simplex
-    dim: int
-
-
-@dataclass(frozen=True, slots=True)
-class EssentialClass:
-    birth: Simplex
-    dim: int
 
 
 @dataclass
 class ReferenceDiagram:
+    """Dimension-1 features: pairs (birth edge, death triangle) and the
+    essential birth edges."""
+
     pairs: tuple[PersistencePair, ...]
-    essentials: tuple[EssentialClass, ...]
+    essentials: tuple[Simplex, ...]
 
     def records(self) -> list[DiagramRecord]:
         out = [
-            DiagramRecord(p.dim, p.birth.vertices, p.birth.filtration_value, p.death.filtration_value)
+            DiagramRecord(1, p.birth.vertices, p.birth.filtration_value, p.death.filtration_value)
             for p in self.pairs
         ]
-        out.extend(
-            DiagramRecord(e.dim, e.birth.vertices, e.birth.filtration_value, None)
-            for e in self.essentials
-        )
-        out.sort(key=lambda r: (r.dim, r.birth_year, r.birth_vertices))
+        out.extend(DiagramRecord(1, e.vertices, e.filtration_value, None) for e in self.essentials)
+        out.sort(key=lambda r: (r.birth_year, r.birth_vertices))
         return out
-
-
-class _BirthUnionFind:
-    """Union-find over vertex order indices, tracking each component's oldest
-    (minimum-index) vertex."""
-
-    __slots__ = ("_parent", "_birth")
-
-    def __init__(self) -> None:
-        self._parent: dict[int, int] = {}
-        self._birth: dict[int, int] = {}
-
-    def add(self, index: int) -> None:
-        self._parent[index] = index
-        self._birth[index] = index
-
-    def find(self, index: int) -> int:
-        parent = self._parent
-        root = index
-        while parent[root] != root:
-            parent[root] = parent[parent[root]]
-            root = parent[root]
-        return root
-
-    def merge(self, root_a: int, root_b: int) -> int:
-        """Merge two distinct roots; returns the younger birth index, which is
-        the class the connecting edge kills (elder rule)."""
-        birth_a, birth_b = self._birth[root_a], self._birth[root_b]
-        old, young = (birth_a, birth_b) if birth_a < birth_b else (birth_b, birth_a)
-        self._parent[root_b] = root_a
-        self._birth[root_a] = old
-        return young
-
-    def component_births(self) -> list[int]:
-        return sorted(
-            self._birth[i] for i in self._parent if self._parent[i] == i
-        )
 
 
 def reference_persistence(filtration) -> ReferenceDiagram:
     """The explicit engine: union-find over the listed vertices and edges for
-    dimension 0, then every triangle column of the listing reduced in order,
-    with compression and the rank-saturation stop, but no apparent pairs."""
+    the edges that close cycles, then every triangle column of the listing
+    reduced in order, with compression and the rank-saturation stop, but no
+    apparent pairs."""
     simplices = filtration.simplices
-    vertex_index: dict[str, int] = {}
-    edges: list[Simplex] = []
-    triangles: list[Simplex] = []
-    for s in simplices:
-        if len(s.vertices) == 1:
-            vertex_index[s.vertices[0]] = s.order_index
-        elif len(s.vertices) == 2:
-            edges.append(s)
-        elif len(s.vertices) == 3:
-            triangles.append(s)
+    edges = [s for s in simplices if len(s.vertices) == 2]
+    triangles = [s for s in simplices if len(s.vertices) == 3]
 
-    pairs_idx: list[tuple[int, int]] = []
-    uf = _BirthUnionFind()
-    for index in vertex_index.values():
-        uf.add(index)
+    parent = {s.vertices[0]: s.vertices[0] for s in simplices if len(s.vertices) == 1}
+
+    def find(x: str) -> str:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
     positive_edges: set[int] = set()
     for edge in edges:
-        u, v = edge.vertices
-        root_u = uf.find(vertex_index[u])
-        root_v = uf.find(vertex_index[v])
+        root_u, root_v = map(find, edge.vertices)
         if root_u == root_v:
             positive_edges.add(edge.order_index)
         else:
-            young = uf.merge(root_u, root_v)
-            pairs_idx.append((young, edge.order_index))
-    essentials_idx = uf.component_births()
+            parent[root_v] = root_u
+    pairs_idx: list[tuple[int, int]] = []
 
     row_of = {s.vertices: i for i, s in enumerate(edges)}
     pivot_col: dict[int, int] = {}
@@ -1145,15 +1088,8 @@ def reference_persistence(filtration) -> ReferenceDiagram:
         raise InternalError(
             "reduction paired a component-merging edge as a cycle birth"
         )
-    essentials_idx.extend(positive_edges - paired_dim1)
-
-    pairs = tuple(
-        PersistencePair(simplices[b], simplices[d], simplices[b].dim)
-        for b, d in sorted(pairs_idx)
-    )
-    essentials = tuple(
-        EssentialClass(simplices[i], simplices[i].dim) for i in sorted(essentials_idx)
-    )
+    pairs = tuple(PersistencePair(simplices[b], simplices[d]) for b, d in sorted(pairs_idx))
+    essentials = tuple(simplices[i] for i in sorted(positive_edges - paired_dim1))
     return ReferenceDiagram(pairs, essentials)
 
 

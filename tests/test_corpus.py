@@ -291,16 +291,28 @@ def test_lone_surrogate_makes_the_line_malformed(tmp_path, field):
     assert store.ingest_report.malformed == 1
 
 
+_NOT_FINITE = {
+    "inf": "Infinity", "-inf": "-Infinity", "1e999": "1e999", "nan": "NaN",
+    "int-past-float": "1" + "0" * 400, "int-past-digit-limit": "1" * 5000,
+}
+_OUT_OF_RANGE = [("lat", "90.5"), ("lat", "-90.5"), ("lat", "-1000"), ("lat", "-260.0"),
+                 ("lon", "180.5"), ("lon", "-1000")]
+
+
 @pytest.mark.parametrize(
-    "number", ["Infinity", "-Infinity", "1e999", "NaN", "1" + "0" * 400, "1" * 5000],
-    ids=["inf", "-inf", "1e999", "nan", "int-past-float", "int-past-digit-limit"],
+    "where, number",
+    [(where, number) for where in ("lat", "lon") for number in _NOT_FINITE.values()]
+    + _OUT_OF_RANGE,
+    ids=[f"{where}-{name}" for where in ("lat", "lon") for name in _NOT_FINITE]
+    + [f"{where}-{number}" for where, number in _OUT_OF_RANGE],
 )
-@pytest.mark.parametrize("where", ["lat", "lon"])
 def test_a_coordinate_that_is_not_a_finite_float_makes_the_line_malformed(
     tmp_path, number, where
 ):
     """json reads Infinity, -Infinity and NaN, and 1e999 as infinity; float()
-    cannot hold a 400-digit integer, and int() takes at most 4300 digits."""
+    cannot hold a 400-digit integer, and int() takes at most 4300 digits. A
+    latitude outside [-90, 90] or a longitude outside [-180, 180] is no
+    place on Earth."""
     coords = f"{number}, 0" if where == "lat" else f"0, {number}"
     good = json.dumps(raw_record("p2", 2000, ("a", "b"), authors=["u", "v"]))
     bad = good[:-1] + f', "affil": [["u", {coords}], ["v", 10, 10]]}}'
@@ -308,6 +320,14 @@ def test_a_coordinate_that_is_not_a_finite_float_makes_the_line_malformed(
     store = load_corpus(write_corpus(tmp_path / "c.jsonl", raws))
     assert list(store.papers) == ["p1"]
     assert store.ingest_report.malformed == 1
+
+
+def test_a_coordinate_on_the_edge_of_its_range_is_accepted(tmp_path):
+    good = json.dumps(raw_record("p1", 2000, ("a", "b"), authors=["u", "v"]))
+    line = good[:-1] + ', "affil": [["u", 90, -180], ["v", -90.0, 180.0]]}'
+    store = load_corpus(write_corpus(tmp_path / "c.jsonl", [line]))
+    assert store.papers["p1"].affiliations == (("u", 90.0, -180.0), ("v", -90.0, 180.0))
+    assert store.ingest_report.malformed == 0
 
 
 def test_a_confidence_past_float_range_makes_the_line_malformed(tmp_path):

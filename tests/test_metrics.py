@@ -400,7 +400,7 @@ def _reference_tenths(store, year, *, n_rand, seed):
     """The reference baseline and each eligible paper's z-scores and 10th
     percentile, with numpy's percentile checked equal to _percentile."""
     reference = ReferenceCocitationBaseline(
-        store, year, n_rand=n_rand, seed=seed, rewire_factor=10
+        store, year, n_rand=n_rand, seed=seed
     )
     z_scores = reference_z_scores(store, year, reference)
     tenths = {pid: _percentile(zs, 10) for pid, zs in z_scores.items()}
@@ -504,12 +504,11 @@ def metrics_inputs(store_seed, papers, years):
     years=st.integers(1, 35),
     seed=st.integers(0, 2**16),
     n_rand=st.integers(1, 3),
-    rewire_factor=st.integers(1, 10),
     cd_window=st.sampled_from((None, 2, 10)),
     sb_horizon=st.sampled_from((5, 20, 30)),
 )
 def test_metrics_rows_equal_reference(
-    store_seed, papers, years, seed, n_rand, rewire_factor, cd_window, sb_horizon
+    store_seed, papers, years, seed, n_rand, cd_window, sb_horizon
 ):
     """The two-part table, with paper_stats.csv in between, writes the
     metrics.csv bytes of the one-pass reference."""
@@ -525,12 +524,12 @@ def test_metrics_rows_equal_reference(
         )
         rows = compute_metrics_rows(
             store, categories, load_paper_stats(stats_path),
-            seed=seed, n_rand=n_rand, rewire_factor=rewire_factor,
+            seed=seed, n_rand=n_rand,
         )
         write_csv(Path(tmp) / "metrics.csv", METRICS_HEADER, rows)
         expected = reference_metrics_rows(
             store, index, categories, novel_pairs, seed=seed, n_rand=n_rand,
-            rewire_factor=rewire_factor, cd_window=cd_window, sb_horizon=sb_horizon,
+            cd_window=cd_window, sb_horizon=sb_horizon,
         )
         write_csv(Path(tmp) / "reference.csv", METRICS_HEADER, expected)
         assert (Path(tmp) / "metrics.csv").read_bytes() == (
@@ -694,5 +693,6 @@ def test_verb_ratio_infinity_sentinel():
 
 
 def test_verb_ratio_rejects_empty():
-    with pytest.raises(ValueError):
-        verb_ratio([], ["x"], ("confirm",))
+    # A collection with no token has no frequencies to compare.
+    assert verb_ratio([], ["x"], ("confirm",)) is None
+    assert verb_ratio(["confirm"], [";", ""], ("confirm",)) is None

@@ -32,6 +32,7 @@ from gapminer.corpus import load_corpus, save_corpus
 from gapminer.errors import ConfigError, MissingDependencyError
 from gapminer.pipeline import STAGES, PipelineConfig, run, verify_manifest
 from gapminer.synth import make_synthetic
+from gapminer.topology import DIAGRAM_HEADER
 from gapminer.util import parallel_map, read_csv, sha256_file, write_csv
 
 from helpers import analyze_store, exit_in_worker
@@ -110,7 +111,6 @@ CONFIG_EDITS = [
     ("null_replicates", 1, "classify"),
     ("seed", 14, "classify"),
     ("n_rand", 3, "metrics"),
-    ("rewire_factor", 5, "metrics"),
     ("cd_window", 3, "network"),
     ("sb_horizon", 10, "network"),
     ("threads", 2, None),
@@ -788,8 +788,12 @@ DAMAGED_ARTIFACTS = sorted(
 
 @pytest.fixture(scope="module")
 def clean_run(tmp_path_factory):
-    """The output directory of a clean run, and the flags that repeat it."""
-    config = small_config(tmp_path_factory.mktemp("clean"), null_replicates=1, n_rand=1)
+    """The output directory of a clean run, and the flags that repeat it.
+    Two cycles per discipline give each diagram file two rows to swap."""
+    directory = tmp_path_factory.mktemp("clean")
+    make_synthetic("planted-cycle", directory / "corpus.jsonl", 5, cycle_len=5, cycles=2,
+                   disciplines=2, filler_fresh=10, filler_dup=4)
+    config = small_config(directory, null_replicates=1, n_rand=1)
     run(config)
     flags = ["--corpus", str(config.corpus_path), "--seed", str(config.seed),
              "--null-replicates", "1", "--n-rand", "1"]
@@ -854,6 +858,49 @@ def test_a_stale_maker_does_not_vouch_for_its_outputs(tmp_path, capsys):
     assert main(["run", "--corpus", corpora[1], "--out", out, *flags]) == 0
     assert main(["run", "--corpus", corpora[1], "--out", clean, *flags]) == 0
     assert files_under(tmp_path / "out") == files_under(tmp_path / "clean")
+
+
+def test_persist_writes_dimension_1_rows_only(finished_run):
+    """Classification reads dimension-1 classes only, and a diagram holds
+    nothing else: every data row has dim 1 and two birth vertices, and the
+    index counts them."""
+    out = finished_run.output_dir
+    index = json.loads((out / "diagrams" / "index.json").read_text(encoding="utf-8"))
+    total = 0
+    for meta in index["disciplines"].values():
+        with open(out / meta["file"], newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert tuple(header) == DIAGRAM_HEADER
+        assert all(row[0] == "1" and row[1] and row[2] for row in rows)
+        assert meta["pairs"] + meta["essentials"] == len(rows)
+        total += len(rows)
+    assert total > 0
+
+
+def test_a_schema_1_directory_reruns_every_stage_once(tmp_path, finished_run):
+    """A directory in the schema-1 layout, whose diagrams also hold a
+    dimension-0 row per vertex and whose manifest vouches for them: a run
+    reruns all six stages once and ends where a fresh run ends."""
+    out = tmp_path / "out"
+    shutil.copytree(finished_run.output_dir, out)
+    before = files_under(out)
+    for path in sorted((out / "diagrams").glob("*.csv")):
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        born: dict[str, str] = {}
+        for row in rows:  # in birth-year order
+            for vertex in row[1:3]:
+                born.setdefault(vertex, row[3])
+        write_csv(path, header, [("0", x, "", year, "inf") for x, year in born.items()] + rows)
+        vouch_for(out, path.relative_to(out).as_posix())
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    manifest["schema"] = 1
+    (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    assert not verify_manifest(out)
+    config = replace(finished_run, output_dir=out)
+    assert run(config).statuses == dict.fromkeys(STAGES, "ok")
+    assert files_under(out) == before
+    assert set(run(config).statuses.values()) == {"skipped"}
 
 
 def test_an_entry_without_its_reads_is_not_current(tmp_path, finished_run, capsys):
@@ -1121,7 +1168,6 @@ def test_network_stage_drops_the_citation_index(tmp_path):
     [
         (["--sb-horizon", "-1"], {}, "sb_horizon"),
         (["--cd-window", "-3"], {}, "cd_window"),
-        ([], {"rewire_factor": -1}, "rewire_factor"),
         ([], {"threads": "2"}, "threads"),
         ([], {"cd_window": "3"}, "cd_window"),
         ([], {"null_replicates": 2.5}, "null_replicates"),
@@ -1134,7 +1180,7 @@ def test_network_stage_drops_the_citation_index(tmp_path):
         ([], {"stages": ["ingest", 3]}, "stages"),
     ],
     ids=[
-        "negative-sb-horizon-flag", "negative-cd-window-flag", "negative-rewire-factor",
+        "negative-sb-horizon-flag", "negative-cd-window-flag",
         "string-threads", "string-cd-window", "float-null-replicates", "null-year-min",
         "bool-seed", "int-output-dir", "list-corpus-path", "int-verb-lexicon-path",
         "string-stages", "int-stage-name",

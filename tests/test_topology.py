@@ -143,11 +143,12 @@ def test_filled_triangle_zero_persistence_pair():
 
 
 def test_two_disjoint_edges_two_components():
+    # Two components and no cycle: the engine emits no feature at all.
     net = network_from_edge_times("T", [("a", "b", 1), ("c", "d", 2)])
-    diagram = compute_persistence(build_flag_filtration(net))
-    assert len([e for e in diagram.essentials if e.dim == 0]) == 2
-    assert not [p for p in diagram.pairs if p.dim == 1]
-    assert not [e for e in diagram.essentials if e.dim == 1]
+    filt = build_flag_filtration(net)
+    assert len(filt) == 6 and filt.cycle_edges == []
+    diagram = compute_persistence(filt)
+    assert diagram.pairs == () and diagram.essentials == ()
 
 
 def test_engine_deterministic():
@@ -237,15 +238,15 @@ def test_oracle_equivalence_random_graphs():
 
 
 def test_oracle_equivalence_all_dimensions():
-    # Both Betti numbers the engine computes: components and cycles.
+    # The engine computes dimension 1 only: every record it emits is a
+    # dimension-1 feature, and they give the oracle's cycle count.
     rng = random.Random(505)
     for _ in range(25):
         filt = build_flag_filtration(random_temporal_network(rng))
         records = compute_persistence(filt).records()
+        assert all(r.dim == 1 and len(r.birth_vertices) == 2 for r in records)
         for year in step_boundaries(filt):
-            expected = betti_oracle(filt, year)[:2]
-            got = tuple(betti(records, dim, year) for dim in (0, 1))
-            assert got == expected
+            assert betti(records, 1, year) == betti_oracle(filt, year)[1]
 
 
 def check_against_references(net):
@@ -333,7 +334,7 @@ def test_non_apparent_column_reduces_past_an_apparent_pivot():
     assert filt.cycle_edges == [3, 4]
     assert filt.cofaces == [(4, [(1, 0), (3, 2)])]
     diagram = compute_persistence(filt)
-    assert [r for r in diagram.records() if r.dim == 1] == [
+    assert diagram.records() == [
         DiagramRecord(1, ("a", "d"), 2, 3),
         DiagramRecord(1, ("a", "c"), 3, 3),
     ]
@@ -341,8 +342,8 @@ def test_non_apparent_column_reduces_past_an_apparent_pivot():
 
 
 def test_higher_cliques_do_not_change_low_dimensions():
-    # H0 and H1 of a flag complex depend only on its 2-skeleton: filling the
-    # tetrahedra changes no dimension-0 or dimension-1 feature.
+    # H1 of a flag complex depends only on its 2-skeleton: filling the
+    # tetrahedra changes no dimension-1 feature.
     rng = random.Random(606)
     for _ in range(15):
         net = random_temporal_network(rng, max_nodes=8, max_edges=20)
@@ -419,10 +420,15 @@ def test_diagram_dump_round_trip(tmp_path):
     assert records == diagram.records()
 
 
-@pytest.mark.parametrize("row", ["1,a,,2000,inf", "0,a,b,2000,2001", "2,a,b,2000,inf", "-1,a,,2000,inf"])
+@pytest.mark.parametrize(
+    "row",
+    ["1,a,,2000,inf", "1,,b,2000,inf", "0,a,b,2000,2001", "0,a,,2000,inf", "2,a,b,2000,inf",
+     "-1,a,,2000,inf"],
+)
 def test_diagram_row_whose_vertices_do_not_fit_its_dimension_is_data_error(tmp_path, row):
+    # Diagrams hold dimension-1 rows only, so a dimension-0 row is malformed.
     path = tmp_path / "diag.csv"
-    path.write_text(",".join(DIAGRAM_HEADER) + "\n0,a,,2000,inf\n" + row + "\n", encoding="utf-8")
+    path.write_text(",".join(DIAGRAM_HEADER) + "\n1,a,b,2000,inf\n" + row + "\n", encoding="utf-8")
     with pytest.raises(DataError, match=rf"diag\.csv, line 3: malformed row .*rerun stage persist"):
         load_diagram_records(path)
 
@@ -434,13 +440,14 @@ def test_every_simplex_is_birth_death_or_essential():
         records = compute_persistence(filt).records()
         vertices = [s.vertices for s in filt.simplices if s.dim == 0]
         edges = [s.vertices for s in filt.simplices if s.dim == 1]
-        # Every vertex is born once; every edge either kills a component or
-        # is born as a cycle. Triangles that kill no cycle are dimension-2
-        # features the engine does not emit.
-        assert sorted(r.birth_vertices for r in records if r.dim == 0) == sorted(vertices)
-        merges = [r for r in records if r.dim == 0 and r.death_year is not None]
-        cycles = [r.birth_vertices for r in records if r.dim == 1]
+        # Every edge either merges two components or is born as a cycle, so
+        # the vertices less the final components are the merging edges.
+        # Triangles that kill no cycle are dimension-2 features the engine
+        # does not emit.
+        components = betti_oracle(filt, max(s.filtration_value for s in filt.simplices))[0]
+        cycles = [r.birth_vertices for r in records]
+        assert all(r.dim == 1 for r in records)
         assert len(set(cycles)) == len(cycles) and set(cycles) <= set(edges)
-        assert len(merges) + len(cycles) == len(edges)
+        assert len(vertices) - components + len(cycles) == len(edges)
         for r in records:
             assert r.death_year is None or r.death_year >= r.birth_year
