@@ -1,10 +1,10 @@
 """Command-line entry point.
 
-Subcommands run the whole pipeline (`run`), a single stage (`ingest`,
-`network`, `persist`, `classify`, `metrics`, `report`), or the synthetic
-corpus generators (`synth`). Configuration comes from an optional JSON file
-plus flags; flags win. Exit codes: 0 success, 2 configuration error, 3 data
-error, 4 internal invariant violation.
+Subcommands run the whole pipeline (`run`), the stages through one stage
+(`ingest`, `network`, `persist`, `classify`, `metrics`, `report`), or the
+synthetic corpus generators (`synth`). Configuration comes from an optional
+JSON file plus flags; flags win. Exit codes: 0 success, 2 configuration
+error, 3 data error, 4 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -41,10 +41,9 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
-    # The config file, overridden by every PipelineConfig field that a flag
-    # (or a single-stage subcommand) set.
+    # The config file, overridden by every PipelineConfig field that a flag set.
     overrides = {f.name: getattr(args, f.name, None) for f in fields(PipelineConfig)}
-    result = run(PipelineConfig.from_sources(args.config, overrides))
+    result = run(PipelineConfig.from_sources(args.config, overrides), args.through)
     for name in STAGES:
         if name in result.statuses:
             print(f"stage {name}: {result.statuses[name]}")
@@ -70,12 +69,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_parser = sub.add_parser("run", help="run all pipeline stages")
     _add_pipeline_flags(run_parser)
-    run_parser.set_defaults(func=_cmd_pipeline)
+    run_parser.set_defaults(func=_cmd_pipeline, through=STAGES[-1])
 
     for stage in STAGES:
-        stage_parser = sub.add_parser(stage, help=f"run only the {stage} stage")
+        stage_parser = sub.add_parser(stage, help=f"run the stages through {stage}")
         _add_pipeline_flags(stage_parser)
-        stage_parser.set_defaults(func=_cmd_pipeline, stages=(stage,))
+        stage_parser.set_defaults(func=_cmd_pipeline, through=stage)
 
     synth = sub.add_parser("synth", help="generate a synthetic corpus")
     synth.add_argument("--generator", required=True, choices=GENERATORS)

@@ -30,7 +30,7 @@ class UnknownDisciplineError(DataError):
 
 
 class MissingDependencyError(DataError):
-    """A pipeline stage was invoked before its upstream stage produced output."""
+    """A discipline that papers belong to has no diagram to classify them by."""
 
 
 class InternalError(GapminerError):

@@ -2,10 +2,12 @@
 
 Each stage reads the documented text artifacts of the previous stages and
 writes its own under the output directory, recording in manifest.json the
-digests of its inputs, of the artifacts it read and of its outputs. A stage
-whose inputs and recorded outputs are unchanged is skipped. Identical runs
-produce byte-identical manifests, which hold no timestamps. The stages are
-declared once, as the `Stage` entries of `_TABLE` at the end of this module.
+digest of its inputs and those of its outputs. A stage whose inputs and
+recorded outputs are unchanged is skipped. A run executes every stage up to
+the one it runs through, so each artifact a stage reads was made current
+earlier in the same run. Identical runs produce byte-identical manifests,
+which hold no timestamps. The stages are declared once, as the `Stage`
+entries of `_TABLE` at the end of this module.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .corpus import (
     save_corpus,
     write_rejection_report,
 )
-from .errors import ConfigError, DataError, InternalError, MissingDependencyError
+from .errors import ConfigError, DataError, InternalError
 from .topology import (
     DiagramRecord,
     gap_edges,
@@ -52,7 +54,8 @@ logger = logging.getLogger(__name__)
 
 STAGES = ("ingest", "network", "persist", "classify", "metrics", "report")
 # The manifest layout and what its digests vouch for; 2 since diagrams hold
-# dimension-1 rows only. A manifest of any other schema is unreadable.
+# dimension-1 rows only. A manifest of any other schema is unreadable. The
+# `reads` key that earlier schema-2 entries hold is ignored.
 MANIFEST_SCHEMA = 2
 
 
@@ -66,7 +69,6 @@ class Stage:
     """
 
     name: str
-    label: str
     run: Callable[[Pipeline], None]
     makes: tuple[str, ...]
     config: tuple[str, ...] = ()
@@ -88,7 +90,6 @@ class PipelineConfig:
     verb_lexicon_path: Path | None = None
     seed: int = 0
     threads: int = 1
-    stages: tuple[str, ...] = STAGES
 
     @classmethod
     def from_sources(
@@ -120,22 +121,18 @@ class PipelineConfig:
         if config.verb_lexicon_path is not None:
             config.verb_lexicon_path = Path(config.verb_lexicon_path)
         config.output_dir = Path(config.output_dir)
-        config.stages = tuple(config.stages)
         return config
 
     def validate(self) -> None:
         """Types first, so that no stage meets a value of the wrong kind: an
-        int field holds an int (cd_window may be None), a path field a path
-        or string (an optional one may be None), and stages a list of
-        names. Then ranges and the outside files."""
+        int field holds an int (cd_window may be None) and a path field a path
+        or string (an optional one may be None). Then ranges and the outside
+        files."""
         for f in fields(self):
             value = getattr(self, f.name)
             if f.name.endswith(("_path", "_dir")):
                 ok = isinstance(value, (str, os.PathLike)) or (value is None and f.default is None)
                 kind = "a path string"
-            elif f.name == "stages":
-                ok = isinstance(value, (list, tuple)) and all(isinstance(s, str) for s in value)
-                kind = "a list of stage names"
             else:
                 ok = type(value) is int or (value is None and f.name == "cd_window")
                 kind = "an integer"
@@ -152,15 +149,10 @@ class PipelineConfig:
             raise ConfigError("n_rand must be at least 1")
         if self.threads < 1:
             raise ConfigError("threads must be at least 1")
-        if "ingest" in self.stages and self.corpus_path is None:
+        if self.corpus_path is None:
             raise ConfigError("no corpus path configured")
         if self.verb_lexicon_path is not None and not Path(self.verb_lexicon_path).is_file():
             raise ConfigError(f"verb lexicon not found: {self.verb_lexicon_path}")
-        unknown = sorted(set(self.stages) - set(STAGES))
-        if unknown:
-            raise ConfigError(
-                f"unknown stages: {', '.join(unknown)}; valid: {', '.join(STAGES)}"
-            )
 
 
 @dataclass
@@ -280,16 +272,6 @@ class Pipeline:
 
     # ---- artifacts ------------------------------------------------------------
 
-    def _require(self, stage: str, path: Path, artifact: str) -> Path:
-        """`path`, which must exist; `artifact` is its name in the table."""
-        if not path.exists():
-            maker = _maker(artifact)
-            raise MissingDependencyError(
-                f"stage '{stage}' requires {self._rel(path)}, produced by stage "
-                f"'{maker.name}' [{maker.name} ({maker.label})]; run that stage first"
-            )
-        return path
-
     def _read_json(self, rel: str, extract: Callable[[object], dict]) -> dict:
         """`extract` applied to the JSON artifact `rel`; a document that cannot
         be opened, is truncated or garbled, or that `extract` cannot read,
@@ -307,45 +289,18 @@ class Pipeline:
         entries = self._read_json(f"{kind}/index.json", _index_entries)
         return {d: self.out / meta["file"] for d, meta in entries.items()}
 
-    def _paths(self, stage: str, artifact: str) -> list[Path]:
-        """The files `artifact` stands for, each required to exist."""
+    def _files(self, artifact: str) -> list[str]:
+        """The files `artifact` stands for, a `kind/*` one's index first."""
         if not artifact.endswith("/*"):
-            return [self._require(stage, self.out / artifact, artifact)]
+            return [artifact]
         kind = artifact[:-2]
-        self._require(stage, self.out / kind / "index.json", f"{kind}/index.json")
-        return [self._require(stage, p, artifact) for p in self._listed(kind).values()]
+        return [f"{kind}/index.json", *map(self._rel, self._listed(kind).values())]
 
-    def _stage_reads(self, stage: Stage, digests: _Digests) -> dict[str, str]:
-        """The digest of every artifact `stage` reads, a `kind/*` one's index
-        included, each the one its maker recorded, and each maker current: its
-        entry records the artifacts it read, each still with the digest it read.
-        Otherwise DataError names a file and the stage to rerun, changed first."""
-        files: dict[str, str] = {}
-        first_of: dict[str, Path] = {}  # the file named when its maker is stale
-        for artifact in stage.reads:
-            maker = _maker(artifact).name
-            recorded = self.manifest["stages"].get(maker, {}).get("outputs", {})
-            paths = self._paths(stage.name, artifact)
-            if artifact.endswith("/*"):
-                paths.insert(0, self.out / artifact[:-2] / "index.json")
-            first_of.setdefault(maker, paths[0])
-            for path in paths:
-                rel = self._rel(path)
-                files[rel] = digests[rel]
-                if files[rel] is None or recorded.get(rel) != files[rel]:
-                    raise DataError(
-                        f"{path} changed since stage {maker} wrote it; rerun stage {maker}"
-                    )
-        for maker, path in first_of.items():
-            reads = self.manifest["stages"][maker].get("reads")
-            if not isinstance(reads, dict) or not digests.match(reads):
-                raise DataError(
-                    f"{path}: stage {maker} wrote it from artifacts that changed "
-                    f"since; rerun stage {maker}"
-                )
-        return files
+    def _stage_reads(self, stage: Stage, digests: _Digests) -> dict[str, str | None]:
+        """The digest of every file `stage` reads, a `kind/*` one's index included."""
+        return {rel: digests[rel] for artifact in stage.reads for rel in self._files(artifact)}
 
-    def _stage_inputs(self, stage: Stage, reads: dict[str, str]) -> dict:
+    def _stage_inputs(self, stage: Stage, reads: dict[str, str | None]) -> dict:
         """The document whose digest decides whether `stage` reruns: its config
         fields and the digests of the artifacts it `reads` and its outside files."""
         files = dict(reads)
@@ -361,8 +316,8 @@ class Pipeline:
 
     def _load_store(self) -> CorpusStore:
         """The normalized corpus, parsed at most once per run: every stage that
-        loads it has vouched for corpus.norm.jsonl, which only ingest writes,
-        and ingest hands over the store it wrote."""
+        loads it runs after ingest made corpus.norm.jsonl current, and ingest
+        hands over the store it wrote."""
         if self._store is None:
             path, cfg = self.out / "corpus.norm.jsonl", self.config
             self._store = load_corpus(path, year_min=cfg.year_min, year_max=cfg.year_max)
@@ -565,18 +520,19 @@ class Pipeline:
 
     # ---- driver ---------------------------------------------------------------
 
-    def execute(self) -> PipelineResult:
+    def execute(self, through: str = STAGES[-1]) -> PipelineResult:
+        """Run the stages in order up to and including `through`, skipping
+        each one that is current."""
+        if through not in STAGES:
+            raise ConfigError(f"unknown stage {through!r}; valid: {', '.join(STAGES)}")
         statuses: dict[str, str] = {}
         digests = _Digests(self.out)
-        for stage in _TABLE:
-            if stage.name not in self.config.stages:
-                continue
+        for stage in _TABLE[: STAGES.index(through) + 1]:
             reads = self._stage_reads(stage, digests)
             inputs_digest = json_digest(self._stage_inputs(stage, reads))
             entry = self.manifest["stages"].get(stage.name)
             if (
                 entry
-                and entry.get("reads") == reads
                 and entry.get("inputs") == inputs_digest
                 and entry.get("outputs")
                 and digests.match(entry["outputs"])
@@ -596,12 +552,11 @@ class Pipeline:
                         f"stage {stage.name}: a worker process died ({exc})"
                     ) from exc
                 raise
-            outputs = [self._rel(p) for a in stage.makes for p in self._paths(stage.name, a)]
+            outputs = [rel for artifact in stage.makes for rel in self._files(artifact)]
             for rel in outputs:  # written since the table may have hashed it
                 digests.pop(rel, None)
             self.manifest["stages"][stage.name] = {
                 "inputs": inputs_digest,
-                "reads": reads,
                 "outputs": {rel: digests[rel] for rel in outputs},
             }
             write_json(self.manifest_path, self.manifest)
@@ -613,30 +568,30 @@ class Pipeline:
 # directory, and `kind/*` is every file that `kind/index.json` lists.
 _TABLE = (
     Stage(
-        "ingest", "corpus normalization", Pipeline._run_ingest,
+        "ingest", Pipeline._run_ingest,
         makes=("corpus.norm.jsonl", "rejections.csv", "ingest.json"),
         config=("year_min", "year_max"),
         sources=("corpus_path",),
     ),
     Stage(
-        "network", "concept networks and seed-free paper metrics", Pipeline._run_network,
+        "network", Pipeline._run_network,
         makes=("networks/*", "networks/index.json", "paper_stats.csv"),
         config=("cd_window", "sb_horizon"),
         reads=("corpus.norm.jsonl",),
     ),
     Stage(
-        "persist", "topology: persistence diagrams", Pipeline._run_persist,
+        "persist", Pipeline._run_persist,
         makes=("diagrams/*", "diagrams/index.json"),
         reads=("corpus.norm.jsonl",),
     ),
     Stage(
-        "classify", "paper categories", Pipeline._run_classify,
+        "classify", Pipeline._run_classify,
         makes=("classification.csv", "shares.csv"),
         config=("min_persistence", "null_replicates", "seed"),
         reads=("corpus.norm.jsonl", "diagrams/*"),
     ),
     Stage(
-        "metrics", "per-paper table", Pipeline._run_metrics,
+        "metrics", Pipeline._run_metrics,
         makes=("metrics.csv",),
         config=("seed", "n_rand"),
         reads=("corpus.norm.jsonl", "classification.csv", "paper_stats.csv"),
@@ -645,7 +600,7 @@ _TABLE = (
 # The report echoes every earlier stage's config fields in report.json.
 _TABLE += (
     Stage(
-        "report", "run summary", Pipeline._run_report,
+        "report", Pipeline._run_report,
         makes=("report.json",),
         config=tuple(dict.fromkeys(field for stage in _TABLE for field in stage.config)),
         reads=(
@@ -661,9 +616,9 @@ def _maker(artifact: str) -> Stage:
     return next(stage for stage in _TABLE if artifact in stage.makes)
 
 
-def run(config: PipelineConfig) -> PipelineResult:
-    """Execute the configured stages; see PipelineConfig for knobs."""
-    return Pipeline(config).execute()
+def run(config: PipelineConfig, through: str = STAGES[-1]) -> PipelineResult:
+    """Execute the stages through `through`; see PipelineConfig for knobs."""
+    return Pipeline(config).execute(through)
 
 
 def verify_manifest(output_dir: Path) -> bool:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import concurrent.futures
 import csv
 import errno
@@ -29,7 +30,7 @@ from gapminer import metrics as metrics_mod
 from gapminer.classify import classify_all
 from gapminer.cli import main
 from gapminer.corpus import load_corpus, save_corpus
-from gapminer.errors import ConfigError, MissingDependencyError
+from gapminer.errors import ConfigError
 from gapminer.pipeline import STAGES, PipelineConfig, run, verify_manifest
 from gapminer.synth import make_synthetic
 from gapminer.topology import DIAGRAM_HEADER
@@ -72,17 +73,20 @@ def files_under(directory: Path) -> dict[str, bytes]:
 
 
 def vouch_for(out: Path, rel: str) -> None:
-    """Record the current digest of `rel` in its maker's manifest entry, and
-    in that of every stage that read it, so a reading stage takes the edited
-    file for its maker's output and reaches its own row checks."""
+    """Record the current digest of `rel` in its maker's manifest entry, so
+    that the maker is skipped as current and a stage that reads the edited
+    file reruns and reaches its own row checks."""
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
-    digest = sha256_file(out / rel)
     entry = next(e for e in manifest["stages"].values() if rel in e.get("outputs", {}))
-    entry["outputs"][rel] = digest
-    for entry in manifest["stages"].values():
-        if rel in entry.get("reads", {}):
-            entry["reads"][rel] = digest
+    entry["outputs"][rel] = sha256_file(out / rel)
     (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+
+
+def run_flags(config: PipelineConfig) -> list[str]:
+    """The CLI flags that repeat a `small_config` run."""
+    return ["--corpus", str(config.corpus_path), "--out", str(config.output_dir),
+            "--seed", str(config.seed), "--null-replicates", str(config.null_replicates),
+            "--n-rand", str(config.n_rand)]
 
 
 @pytest.fixture(scope="module")
@@ -285,22 +289,25 @@ def test_changed_config_reruns_downstream(tmp_path):
     assert result.statuses["classify"] == "ok"
 
 
-def test_stage_with_missing_dependency_names_producer(tmp_path):
-    config = small_config(tmp_path, stages=("classify",))
-    with pytest.raises(MissingDependencyError) as err:
-        run(config)
-    message = str(err.value)
-    assert "classify" in message
-    assert "ingest" in message or "persist" in message or "network" in message
+def test_a_stage_on_a_fresh_directory_runs_its_makers_first(tmp_path):
+    config = small_config(tmp_path)
+    assert run(config, through="classify").statuses == dict.fromkeys(STAGES[:4], "ok")
+    assert (config.output_dir / "classification.csv").exists()
+    assert not (config.output_dir / "metrics.csv").exists()
 
 
-def test_stage_missing_diagrams_names_topology_stage(tmp_path):
-    config = small_config(tmp_path, stages=("ingest", "network"))
+def test_a_stage_runs_its_missing_maker_and_skips_the_current_ones(tmp_path, finished_run):
+    config = small_config(tmp_path)
+    run(config, through="network")
+    statuses = run(config, through="classify").statuses
+    assert statuses == dict(zip(STAGES, ["skipped", "skipped", "ok", "ok"]))
     run(config)
-    with pytest.raises(MissingDependencyError) as err:
-        run(small_config(tmp_path, stages=("classify",)))
-    assert "persist" in str(err.value)
-    assert "topology" in str(err.value)
+    assert files_under(config.output_dir) == files_under(finished_run.output_dir)
+
+
+def test_an_unknown_stage_to_run_through_is_config_error(tmp_path):
+    with pytest.raises(ConfigError, match="unknown stage 'topology'"):
+        run(small_config(tmp_path), through="topology")
 
 
 def test_determinism_byte_identical_outputs(tmp_path):
@@ -328,19 +335,29 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "stage report: ok" in out
-    # a single-stage subcommand runs that stage alone
+    # a stage subcommand runs the stages through that stage
     assert main(["report", *flags]) == 0
     assert [line for line in capsys.readouterr().out.splitlines() if line.startswith("stage ")] == [
-        "stage report: skipped"
+        f"stage {stage}: skipped" for stage in STAGES
     ]
+    fresh = tmp_path / "o3"
+    assert main(["classify", *flags[:2], "--out", str(fresh), *flags[4:]]) == 0
+    assert [line for line in capsys.readouterr().out.splitlines() if line.startswith("stage ")] == [
+        f"stage {stage}: ok" for stage in STAGES[:4]
+    ]
+    assert (fresh / "classification.csv").read_bytes() == (
+        tmp_path / "out" / "classification.csv"
+    ).read_bytes()
+    assert not (fresh / "metrics.csv").exists()
     # config error: unknown key in config file
     bad = tmp_path / "bad.json"
     bad.write_text('{"no_such_option": 1}')
     assert main(["run", "--config", str(bad)]) == 2
     # data error: missing corpus file
     assert main(["run", "--corpus", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "o2")]) == 3
-    # data error: single stage without upstream artifacts
-    assert main(["classify", "--corpus", str(corpus), "--out", str(tmp_path / "o3")]) == 3
+    # config error: every stage subcommand runs ingest, so it needs a corpus
+    assert main(["report", "--out", str(tmp_path / "o4")]) == 2
+    assert "no corpus path configured" in capsys.readouterr().err
 
 
 def test_cli_synth_unknown_generator_is_config_error(tmp_path):
@@ -474,26 +491,26 @@ def test_corrupted_artifact_triggers_rerun(tmp_path):
 
 def test_failed_stage_marked_invalid_in_manifest(tmp_path, monkeypatch):
     config = small_config(tmp_path)
-    run(small_config(tmp_path, stages=("ingest",)))
+    run(config, through="ingest")
 
     def boom(discipline, rows):
         raise RuntimeError("synthetic stage failure")
 
     monkeypatch.setattr(pipeline_mod, "build_network", boom)
     with pytest.raises(RuntimeError):
-        run(small_config(tmp_path, stages=("network",)))
+        run(config, through="network")
     manifest = json.loads((config.output_dir / "manifest.json").read_text())
     assert manifest["stages"]["network"]["invalid"] is True
     assert not verify_manifest(config.output_dir)
     monkeypatch.undo()
-    result = run(small_config(tmp_path, stages=("network",)))
-    assert result.statuses["network"] == "ok"
+    result = run(config, through="network")
+    assert result.statuses == {"ingest": "skipped", "network": "ok"}
     assert verify_manifest(config.output_dir)
 
 
 def test_dead_worker_is_internal_error(tmp_path, capsys, monkeypatch):
     config = small_config(tmp_path)
-    run(small_config(tmp_path, stages=("ingest", "network")))
+    run(config, through="network")
     args = ["run", "--corpus", str(config.corpus_path), "--out", str(config.output_dir),
             "--threads", "2", "--null-replicates", "2", "--n-rand", "2"]
     monkeypatch.setattr(pipeline_mod, "_persist_discipline", exit_in_worker)
@@ -537,18 +554,21 @@ def test_corrupt_manifest_is_treated_as_absent(tmp_path, caplog, damage):
 
 @pytest.mark.parametrize("entry", [1, {"inputs": "x", "outputs": ["corpus.norm.jsonl"]}])
 def test_manifest_entry_that_is_not_an_object_is_treated_as_absent(tmp_path, capsys, entry):
+    """The whole manifest is then unreadable: a stage subcommand reruns the
+    stages through it, and a run reruns the rest and ends where it began."""
     config = small_config(tmp_path)
     run(config)
+    before = files_under(config.output_dir)
     manifest = json.loads((config.output_dir / "manifest.json").read_text(encoding="utf-8"))
     manifest["stages"]["ingest"] = entry
     (config.output_dir / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
     assert not verify_manifest(config.output_dir)
     capsys.readouterr()
-    code = main(["network", "--corpus", str(config.corpus_path), "--out", str(config.output_dir)])
-    assert code == 3
-    assert "rerun stage ingest" in capsys.readouterr().err
-    assert all(status == "ok" for status in run(config).statuses.values())
-    assert verify_manifest(config.output_dir)
+    assert main(["network", *run_flags(config)]) == 0
+    assert capsys.readouterr().out.startswith("stage ingest: ok\nstage network: ok\nmanifest: ")
+    statuses = run(config).statuses
+    assert {s for s in STAGES if statuses[s] == "ok"} == set(STAGES[2:])
+    assert files_under(config.output_dir) == before
 
 
 @pytest.mark.parametrize("kind, stage", [("diagrams", "persist")])
@@ -560,7 +580,7 @@ def test_malformed_artifact_row_is_data_error(tmp_path, capsys, kind, stage):
         fh.write("x,y\n")
     vouch_for(config.output_dir, f"{kind}/{artifact.name}")
     capsys.readouterr()
-    code = main(["classify", "--corpus", str(config.corpus_path), "--out", str(config.output_dir)])
+    code = main(["classify", *run_flags(config)])
     assert code == 3
     err = capsys.readouterr().err
     assert artifact.name in err
@@ -575,6 +595,16 @@ def test_config_file_that_is_not_utf8_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_stages_is_an_unknown_config_key(tmp_path, capsys):
+    """A stage subcommand, not a config field, says which stages run."""
+    config = small_config(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"corpus_path": str(config.corpus_path), "stages": ["ingest"]}))
+    assert main(["run", "--config", str(cfg), "--out", str(config.output_dir)]) == 2
+    assert "unknown config keys: stages" in capsys.readouterr().err
+    assert not config.output_dir.exists()
+
+
 def test_max_dim_is_an_unknown_config_key(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"max_dim": 2}')
@@ -587,6 +617,8 @@ def test_max_dim_is_an_unknown_config_key(tmp_path, capsys):
 @pytest.mark.parametrize("stage", ["metrics", "report"])
 @pytest.mark.parametrize("row", ["P1,GapOpener", "P1,Bogus,0,0"])
 def test_malformed_classification_row_is_data_error(tmp_path, capsys, stage, row):
+    # The report command stops in the metrics stage, which reruns because
+    # classification.csv changed and reads the row before the report can.
     config = small_config(tmp_path)
     run(config)
     with open(config.output_dir / "classification.csv", "a", encoding="utf-8") as fh:
@@ -594,7 +626,7 @@ def test_malformed_classification_row_is_data_error(tmp_path, capsys, stage, row
     vouch_for(config.output_dir, "classification.csv")
     lines = (config.output_dir / "classification.csv").read_text().count("\n")
     capsys.readouterr()
-    code = main([stage, "--corpus", str(config.corpus_path), "--out", str(config.output_dir)])
+    code = main([stage, *run_flags(config)])
     assert code == 3
     err = capsys.readouterr().err
     assert f"classification.csv, line {lines}" in err
@@ -617,7 +649,7 @@ def test_malformed_paper_stats_is_data_error(tmp_path, capsys, damage):
     vouch_for(config.output_dir, "paper_stats.csv")
     before = files_under(config.output_dir)
     capsys.readouterr()
-    code = main(["metrics", "--corpus", str(config.corpus_path), "--out", str(config.output_dir)])
+    code = main(["metrics", *run_flags(config)])
     assert code == 3
     err = capsys.readouterr().err
     assert f"paper_stats.csv, line {line}" in err
@@ -641,7 +673,7 @@ def test_paper_stats_out_of_step_with_classification_is_data_error(tmp_path, cap
     vouch_for(config.output_dir, "paper_stats.csv")
     before = files_under(config.output_dir)
     capsys.readouterr()
-    code = main(["metrics", "--corpus", str(config.corpus_path), "--out", str(config.output_dir)])
+    code = main(["metrics", *run_flags(config)])
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("data error: ")
@@ -676,7 +708,7 @@ def test_classify_releases_the_real_run_before_the_null_model(tmp_path, monkeypa
     model starts: the real run's topologies, classifications and categories
     are gone by then."""
     config = small_config(tmp_path)
-    run(replace(config, stages=STAGES[:3]))
+    run(config, through="persist")
     built = []
     alive_at_null_start = []
     real_build = pipeline_mod.build_network
@@ -730,17 +762,31 @@ def test_output_without_paper_stats_is_upgraded_in_place(tmp_path, finished_run)
     ("networks", "network", "report"),
     ("diagrams", "persist", "classify"),
 ])
-def test_truncated_index_is_data_error(tmp_path, capsys, kind, producer, consumer):
+@pytest.mark.parametrize("vouched", [False, True], ids=["mended", "vouched"])
+def test_truncated_index_reruns_its_maker_unless_vouched_for(
+    tmp_path, capsys, kind, producer, consumer, vouched
+):
+    """A stage subcommand reruns the index's maker and ends where the run
+    ended; an index that the manifest is made to vouch for is a data error
+    naming it and its maker."""
     config = small_config(tmp_path)
     run(config)
+    before = files_under(config.output_dir)
     index = config.output_dir / kind / "index.json"
     text = index.read_text()
     index.write_text(text[: len(text) // 2])
+    if vouched:
+        vouch_for(config.output_dir, f"{kind}/index.json")
     capsys.readouterr()
-    code = main([consumer, "--corpus", str(config.corpus_path), "--out", str(config.output_dir)])
+    code = main([consumer, *run_flags(config)])
+    if not vouched:
+        assert code == 0
+        assert f"stage {producer}: ok" in capsys.readouterr().out
+        assert files_under(config.output_dir) == before
+        return
     assert code == 3
     err = capsys.readouterr().err
-    assert f"{kind}/index.json" in err
+    assert f"{kind}/index.json: unreadable" in err
     assert f"rerun stage {producer}" in err
 
 
@@ -752,7 +798,7 @@ def test_truncated_ingest_meta_is_data_error(tmp_path, capsys):
     meta.write_text(text[: len(text) // 2])
     vouch_for(config.output_dir, "ingest.json")
     capsys.readouterr()
-    code = main(["report", "--corpus", str(config.corpus_path), "--out", str(config.output_dir)])
+    code = main(["report", *run_flags(config)])
     assert code == 3
     err = capsys.readouterr().err
     assert "ingest.json" in err
@@ -805,11 +851,10 @@ def clean_run(tmp_path_factory):
 def test_a_damaged_artifact_is_never_read_as_its_makers_output(
     tmp_path, capsys, clean_run, artifact, damage
 ):
-    """After the damage, each stage that reads the artifact, and separately a
-    whole run, either ends where the clean run ended or exits 3 naming the
-    file and the stage to rerun; it never exits 0 with other bytes."""
+    """After the damage, each stage subcommand that reads the artifact, and
+    separately a whole run, reruns its maker and ends where the clean run
+    ended."""
     clean, flags = clean_run
-    maker = pipeline_mod._maker(artifact).name
     readers = [stage.name for stage in pipeline_mod._TABLE if artifact in stage.reads]
     for command in [*readers, "run"]:
         out = tmp_path / command
@@ -823,21 +868,14 @@ def test_a_damaged_artifact_is_never_read_as_its_makers_output(
         else:
             target.write_bytes(DAMAGES[damage](target.read_bytes()))
         capsys.readouterr()
-        code = main([command, *flags, "--out", str(out)])
-        err = capsys.readouterr().err
-        if code == 0:
-            assert files_under(out) == files_under(clean), command
-        else:
-            assert code == 3, (command, err)
-            assert target.name in err, (command, err)
-            assert f"rerun stage {maker}" in err or f"produced by stage '{maker}'" in err, err
+        assert main([command, *flags, "--out", str(out)]) == 0, capsys.readouterr().err
+        assert files_under(out) == files_under(clean), command
 
 
-def test_a_stale_maker_does_not_vouch_for_its_outputs(tmp_path, capsys):
-    """`ingest` of a second corpus leaves the diagrams of the first, whose
-    maker read a corpus that has changed since: classify must not read them
-    with the second corpus, and a run must end where a clean run on the
-    second corpus ends."""
+def test_ingest_of_another_corpus_reruns_every_later_stage_it_feeds(tmp_path, capsys):
+    """`ingest` of a second corpus leaves the diagrams of the first: classify
+    reruns network and persist on the second corpus before it reads them,
+    and the directory ends where a clean run on the second corpus ends."""
     corpora = []
     for seed in (1, 2):
         path = tmp_path / f"corpus{seed}.jsonl"
@@ -847,17 +885,44 @@ def test_a_stale_maker_does_not_vouch_for_its_outputs(tmp_path, capsys):
     flags = ["--null-replicates", "1", "--n-rand", "1"]
     assert main(["run", "--corpus", corpora[0], "--out", out, *flags]) == 0
     assert main(["ingest", "--corpus", corpora[1], "--out", out, *flags]) == 0
-    before = files_under(tmp_path / "out")
-    for command, maker in (("classify", "persist"), ("metrics", "classify")):
+    expected = {
+        "classify": ["skipped", "ok", "ok", "ok"],
+        "metrics": ["skipped"] * 4 + ["ok"],
+        "report": ["skipped"] * 5 + ["ok"],
+    }
+    for command, statuses in expected.items():
         capsys.readouterr()
-        assert main([command, "--corpus", corpora[1], "--out", out, *flags]) == 3
-        err = capsys.readouterr().err
-        assert re.search(r"/(diagrams/index\.json|classification\.csv): stage " + maker, err), err
-        assert f"rerun stage {maker}" in err
-    assert files_under(tmp_path / "out") == before
-    assert main(["run", "--corpus", corpora[1], "--out", out, *flags]) == 0
+        assert main([command, "--corpus", corpora[1], "--out", out, *flags]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("stage ")]
+        assert lines == [f"stage {s}: {status}" for s, status in zip(STAGES, statuses)]
     assert main(["run", "--corpus", corpora[1], "--out", clean, *flags]) == 0
     assert files_under(tmp_path / "out") == files_under(tmp_path / "clean")
+
+
+@pytest.mark.parametrize("corpus", ["planted-cycle", "random-pairs"])
+def test_a_stage_never_pairs_its_config_with_another_runs_artifacts(tmp_path, corpus):
+    """classify with another min_persistence, then metrics and report with
+    the run's own flags: metrics reruns classify with the run's value first,
+    so the directory ends where a clean run ends and the report counts the
+    categories of the min_persistence it echoes. Planted cycles never die,
+    so there only the null model's shares depend on min_persistence."""
+    config = small_config(tmp_path)
+    if corpus == "random-pairs":
+        path = make_synthetic("random-pairs", tmp_path / "pairs.jsonl", 3, papers=300, concepts=60)
+        config = replace(config, corpus_path=path, seed=7, null_replicates=1, n_rand=1)
+    clean = replace(config, output_dir=tmp_path / "clean")
+    run(clean)
+    shutil.copytree(clean.output_dir, config.output_dir)
+    assert main(["classify", *run_flags(config), "--min-persistence", "0"]) == 0
+    assert files_under(config.output_dir) != files_under(clean.output_dir)
+    assert main(["metrics", *run_flags(config)]) == 0
+    assert main(["report", *run_flags(config)]) == 0
+    assert files_under(config.output_dir) == files_under(clean.output_dir)
+    report = json.loads((config.output_dir / "report.json").read_text(encoding="utf-8"))
+    assert report["config"]["min_persistence"] == config.min_persistence
+    categories = classify_mod.load_classification_csv(config.output_dir / "classification.csv")
+    counts = collections.Counter(category.value for category in categories.values())
+    assert {c: n for c, n in report["category_counts"].items() if n} == counts
 
 
 def test_persist_writes_dimension_1_rows_only(finished_run):
@@ -903,47 +968,43 @@ def test_a_schema_1_directory_reruns_every_stage_once(tmp_path, finished_run):
     assert set(run(config).statuses.values()) == {"skipped"}
 
 
-def test_an_entry_without_its_reads_is_not_current(tmp_path, finished_run, capsys):
-    """A manifest written before stages recorded what they read: a single
-    stage stops at its first maker, and a run reruns every stage once and
-    ends where a fresh run ends."""
+def test_a_manifest_with_read_records_is_skipped_in_full(tmp_path, finished_run, capsys):
+    """A manifest whose entries also record the digest of each artifact their
+    stage read, as earlier versions wrote it: the records are ignored, so a
+    stage subcommand and a run skip every stage and change no file."""
     out = tmp_path / "out"
     shutil.copytree(finished_run.output_dir, out)
-    before = files_under(out)
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
-    for entry in manifest["stages"].values():
-        del entry["reads"]
+    pipeline = pipeline_mod.Pipeline(replace(finished_run, output_dir=out))
+    digests = pipeline_mod._Digests(out)
+    for stage in pipeline_mod._TABLE:
+        manifest["stages"][stage.name]["reads"] = pipeline._stage_reads(stage, digests)
+    assert manifest["stages"]["classify"]["reads"]["diagrams/index.json"]
     (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    before = files_under(out)
     capsys.readouterr()
-    code = main(["network", "--corpus", str(finished_run.corpus_path), "--out", str(out),
-                 "--seed", str(finished_run.seed)])
-    assert code == 3
-    assert "rerun stage ingest" in capsys.readouterr().err
     config = replace(finished_run, output_dir=out)
-    assert set(run(config).statuses.values()) == {"ok"}
-    assert files_under(out) == before
+    assert main(["network", *run_flags(config)]) == 0
+    assert capsys.readouterr().out.startswith("stage ingest: skipped\nstage network: skipped\n")
     assert set(run(config).statuses.values()) == {"skipped"}
+    assert files_under(out) == before
 
 
-_CHANGED = "classification.csv changed since stage classify wrote it; rerun stage classify"
-
-
-@pytest.mark.parametrize("rel, command, message, record", [
-    ("classification.csv", "metrics", _CHANGED, "kept"),
-    ("classification.csv", "metrics", _CHANGED, "null"),
-    ("classification.csv", "metrics", _CHANGED, "no entry"),
-    ("classification.csv", "run", "cannot write {out}/classification.csv", "kept"),
-    ("diagrams/index.json", "classify", "diagrams/index.json: unreadable", "kept"),
-    ("manifest.json", "run", "cannot write {out}/manifest.json", "kept"),
+@pytest.mark.parametrize("rel, command, record", [
+    ("classification.csv", "metrics", "kept"),
+    ("classification.csv", "metrics", "null"),
+    ("classification.csv", "metrics", "no entry"),
+    ("classification.csv", "run", "kept"),
+    ("diagrams/index.json", "classify", "kept"),
+    ("manifest.json", "run", "kept"),
 ], ids=["classification-metrics", "classification-null-digest-metrics",
         "classification-no-entry-metrics", "classification-run", "diagram-index-classify",
         "manifest-run"])
 def test_a_directory_where_a_file_belongs_is_data_error(
-    tmp_path, finished_run, capsys, rel, command, message, record
+    tmp_path, finished_run, capsys, rel, command, record
 ):
-    """A single stage stops at the directory as at a changed file, also when
-    the manifest records no digest for it; a run reruns its maker, whose
-    write then fails."""
+    """Every command reruns the maker of the path, also when the manifest
+    records no digest for it, and the maker's write then fails."""
     out = tmp_path / "out"
     shutil.copytree(finished_run.output_dir, out)
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
@@ -955,12 +1016,9 @@ def test_a_directory_where_a_file_belongs_is_data_error(
     (out / rel).unlink()
     (out / rel).mkdir()
     capsys.readouterr()
-    code = main([command, "--corpus", str(finished_run.corpus_path), "--out", str(out),
-                 "--seed", "13", "--null-replicates", "2", "--n-rand", "2"])
-    assert code == 3
-    assert message.format(out=out) in capsys.readouterr().err
-    # verify_manifest checks only the files the manifest records.
-    assert verify_manifest(out) is (record == "no entry")
+    assert main([command, *run_flags(replace(finished_run, output_dir=out))]) == 3
+    assert f"cannot write {out / rel}" in capsys.readouterr().err
+    assert not verify_manifest(out)
 
 
 def test_runtime_needs_standard_library_only(tmp_path):
@@ -1079,11 +1137,11 @@ def shuffled_corpus_with_rejects(path: Path) -> Path:
 def test_ingest_store_is_the_reloaded_store(tmp_path, corpus):
     """Ingest hands later stages the store it validated, which must equal
     load_corpus of the corpus.norm.jsonl it wrote, in dict order too."""
-    config = small_config(tmp_path, stages=("ingest",))
+    config = small_config(tmp_path)
     if corpus == "shuffled":
         config = replace(config, corpus_path=shuffled_corpus_with_rejects(tmp_path / "raw.jsonl"))
     pipeline = pipeline_mod.Pipeline(config)
-    pipeline.execute()
+    pipeline.execute("ingest")
     store = pipeline._store
     normalized = config.output_dir / "corpus.norm.jsonl"
     reloaded = load_corpus(normalized)
@@ -1156,8 +1214,8 @@ def test_each_file_is_hashed_once_per_write(tmp_path, monkeypatch):
 
 
 def test_network_stage_drops_the_citation_index(tmp_path):
-    pipeline = pipeline_mod.Pipeline(small_config(tmp_path, stages=("ingest", "network")))
-    pipeline.execute()
+    pipeline = pipeline_mod.Pipeline(small_config(tmp_path))
+    pipeline.execute("network")
     assert pipeline._index is None  # classify, metrics and report never read it
     assert pipeline._store is not None
     assert (tmp_path / "out" / "paper_stats.csv").exists()
@@ -1176,14 +1234,11 @@ def test_network_stage_drops_the_citation_index(tmp_path):
         ([], {"output_dir": 5}, "output_dir"),
         ([], {"corpus_path": ["corpus.jsonl"]}, "corpus_path"),
         ([], {"verb_lexicon_path": 1}, "verb_lexicon_path"),
-        ([], {"stages": "ingest"}, "stages"),
-        ([], {"stages": ["ingest", 3]}, "stages"),
     ],
     ids=[
         "negative-sb-horizon-flag", "negative-cd-window-flag",
         "string-threads", "string-cd-window", "float-null-replicates", "null-year-min",
         "bool-seed", "int-output-dir", "list-corpus-path", "int-verb-lexicon-path",
-        "string-stages", "int-stage-name",
     ],
 )
 def test_bad_config_value_is_config_error_before_any_stage(tmp_path, capsys, flags, values, field):
