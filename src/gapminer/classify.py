@@ -25,7 +25,7 @@ from .concept_net import (
     randomize_labels,
 )
 from .corpus import CorpusStore
-from .errors import MissingDependencyError
+from .errors import DataError
 from .topology import network_gaps
 from .util import derive_seed, parallel_map, read_csv, write_csv
 
@@ -96,9 +96,7 @@ def classify_all(
     needed = {d for rec in store.papers.values() for d in rec.level0_ids}
     missing = sorted(needed - set(topologies))
     if missing:
-        raise MissingDependencyError(
-            f"no diagram available for disciplines containing papers: {missing}"
-        )
+        raise DataError(f"no diagram available for disciplines containing papers: {missing}")
     n_gap: Counter[str] = Counter()
     pairs: defaultdict[str, set[Pair]] = defaultdict(set)
     for topo in topologies.values():
@@ -261,7 +259,7 @@ def _category_row(row: list[str]) -> tuple[str, Category]:
 
 def load_classification_csv(path: Path) -> dict[str, Category]:
     """Read the per-paper categories; a malformed row raises DataError."""
-    return dict(read_csv(path, CLASSIFICATION_HEADER, _category_row, "classify"))
+    return dict(read_csv(path, CLASSIFICATION_HEADER, _category_row))
 
 
 def write_shares_csv(rows: Iterable[ShareRow], path: Path) -> None:

@@ -15,7 +15,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .errors import ConfigError, DataError, GapminerError, InternalError
+from .errors import ConfigError, DataError, InternalError
 from .pipeline import STAGES, PipelineConfig, run
 from .synth import GENERATORS, generator_params, make_synthetic
 
@@ -103,9 +103,6 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
-        return 4
-    except GapminerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 4
 
 

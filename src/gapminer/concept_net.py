@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
 from .corpus import CorpusStore, PaperRecord
-from .errors import InfeasibleResamplingError, UnknownDisciplineError
+from .errors import DataError
 from .util import derive_seed, read_csv, write_csv
 
 logger = logging.getLogger(__name__)
@@ -96,7 +96,7 @@ def build_network(discipline: str, rows: Sequence[PaperRow]) -> TemporalConceptN
     sort. A discipline with no paper is unknown.
     """
     if not rows:
-        raise UnknownDisciplineError(f"unknown discipline id {discipline!r}")
+        raise DataError(f"unknown discipline id {discipline!r}")
     edges: dict[Pair, EdgeBirth] = {}
     for year, papers in groupby(rows, key=itemgetter(0)):
         batch: dict[Pair, list[str]] = {}
@@ -143,7 +143,7 @@ def save_network(network: TemporalConceptNetwork, path: str | Path) -> None:
 
 def load_network(path: str | Path, discipline: str) -> TemporalConceptNetwork:
     """Read an edge dump; a malformed row raises DataError (see read_csv)."""
-    return _finish_network(discipline, dict(read_csv(path, NETWORK_HEADER, _edge_row, "network")))
+    return _finish_network(discipline, dict(read_csv(path, NETWORK_HEADER, _edge_row)))
 
 
 class LabelPool(NamedTuple):
@@ -172,7 +172,7 @@ def label_pools(store: CorpusStore) -> list[LabelPool]:
         sizes = tuple(map(len, hands))
         distinct = len(set(labels))
         if max(sizes) > distinct:
-            raise InfeasibleResamplingError(
+            raise DataError(
                 f"a paper needs {max(sizes)} distinct labels but the group has {distinct}"
             )
         pools.append(LabelPool(key, tuple(rec.paper_id for rec in members), labels, sizes))
@@ -204,7 +204,7 @@ def _deal_hands(pool: list[str], sizes: Sequence[int], rng: random.Random) -> li
             pos += size
         if _repair_collisions(hands, rng):
             return hands
-    raise InfeasibleResamplingError("could not resolve duplicate labels after resampling")
+    raise DataError("could not resolve duplicate labels after resampling")
 
 
 def _repair_collisions(hands: list[list[str]], rng: random.Random) -> bool:

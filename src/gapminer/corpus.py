@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Union
 
-from .errors import CorpusQualityError, DataError
+from .errors import DataError
 from .util import output_file, write_csv
 
 logger = logging.getLogger(__name__)
@@ -330,9 +330,7 @@ def load_corpus(
             records.append(result)
             report.accepted += 1
     if report.lines and report.malformed * 2 > report.lines:
-        raise CorpusQualityError(
-            f"{path}: {report.malformed} of {report.lines} lines malformed (>50%)"
-        )
+        raise DataError(f"{path}: {report.malformed} of {report.lines} lines malformed (>50%)")
     logger.info(
         "loaded %d papers from %s (%d rejected, %d malformed)",
         report.accepted,

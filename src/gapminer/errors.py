@@ -1,7 +1,9 @@
-"""Exception hierarchy shared across the pipeline.
+"""Exception hierarchy shared across the pipeline: one class per exit code.
 
 The CLI maps these onto exit codes: ConfigError -> 2, DataError -> 3,
-InternalError -> 4.
+InternalError -> 4, and prints each as one line. An error raised while a
+stage hashes its inputs or runs reaches it with `stage <name>: ` in front of
+its message, and keeps its class.
 """
 
 
@@ -14,23 +16,8 @@ class ConfigError(GapminerError):
 
 
 class DataError(GapminerError):
-    """Unusable input data or missing upstream artifacts."""
-
-
-class CorpusQualityError(DataError):
-    """More than half of the corpus lines were malformed."""
-
-
-class InfeasibleResamplingError(DataError):
-    """Label randomization cannot satisfy the distinctness constraint."""
-
-
-class UnknownDisciplineError(DataError):
-    """A requested discipline does not occur in the corpus."""
-
-
-class MissingDependencyError(DataError):
-    """A discipline that papers belong to has no diagram to classify them by."""
+    """Unusable input data or artifacts: a malformed corpus, a damaged
+    artifact, an infeasible resampling, a failed write."""
 
 
 class InternalError(GapminerError):

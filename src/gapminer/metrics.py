@@ -662,7 +662,7 @@ def _paper_stats_row(row: list[str]) -> list[str]:
 def load_paper_stats(path: str | Path) -> Iterator[list[str]]:
     """The rows of paper_stats.csv as the text fields they hold, read as they
     are asked for; a malformed row or header raises DataError."""
-    return read_csv(path, PAPER_STATS_HEADER, _paper_stats_row, "network")
+    return read_csv(path, PAPER_STATS_HEADER, _paper_stats_row)
 
 
 def compute_metrics_rows(

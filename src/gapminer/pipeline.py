@@ -40,7 +40,7 @@ from .corpus import (
     save_corpus,
     write_rejection_report,
 )
-from .errors import ConfigError, DataError, InternalError
+from .errors import ConfigError, DataError, GapminerError, InternalError
 from .topology import (
     DiagramRecord,
     gap_edges,
@@ -48,7 +48,7 @@ from .topology import (
     network_diagram,
     save_diagram_records,
 )
-from .util import json_digest, parallel_map, sha256_file, sha256_text, write_csv, write_json
+from .util import REMEDY, json_digest, parallel_map, sha256_file, sha256_text, write_csv, write_json
 
 logger = logging.getLogger(__name__)
 
@@ -275,14 +275,13 @@ class Pipeline:
     def _read_json(self, rel: str, extract: Callable[[object], dict]) -> dict:
         """`extract` applied to the JSON artifact `rel`; a document that cannot
         be opened, is truncated or garbled, or that `extract` cannot read,
-        raises DataError naming the file and the stage to rerun."""
+        raises DataError naming the file and the fault."""
         path = self.out / rel
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 return extract(json.load(fh))
         except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
-            maker = _maker(rel).name
-            raise DataError(f"{path}: unreadable ({exc!r}); rerun stage {maker}") from exc
+            raise DataError(f"{path}: unreadable ({exc!r}); {REMEDY}") from exc
 
     def _listed(self, kind: str) -> dict[str, Path]:
         """The per-discipline files that `kind/index.json` lists."""
@@ -447,7 +446,7 @@ class Pipeline:
         }
         mismatch = (
             f"{stats_path} and {classification} do not list the same papers in "
-            "the same order; rerun stages network and classify"
+            "the same order; delete both and run again, and their makers rewrite them"
         )
         rows = metrics_mod.compute_metrics_rows(
             self._load_store(),
@@ -522,46 +521,55 @@ class Pipeline:
 
     def execute(self, through: str = STAGES[-1]) -> PipelineResult:
         """Run the stages in order up to and including `through`, skipping
-        each one that is current."""
+        each one that is current. A GapminerError raised in a stage gets the
+        prefix `stage <name>: ` and keeps its class."""
         if through not in STAGES:
             raise ConfigError(f"unknown stage {through!r}; valid: {', '.join(STAGES)}")
         statuses: dict[str, str] = {}
         digests = _Digests(self.out)
         for stage in _TABLE[: STAGES.index(through) + 1]:
-            reads = self._stage_reads(stage, digests)
-            inputs_digest = json_digest(self._stage_inputs(stage, reads))
-            entry = self.manifest["stages"].get(stage.name)
-            if (
-                entry
-                and entry.get("inputs") == inputs_digest
-                and entry.get("outputs")
-                and digests.match(entry["outputs"])
-            ):
-                statuses[stage.name] = "skipped"
-                logger.info("stage %s: inputs unchanged, skipped", stage.name)
-                continue
-            logger.info("stage %s: running", stage.name)
             try:
-                stage.run(self)
-            except Exception as exc:
-                self.manifest["stages"][stage.name] = {"inputs": inputs_digest, "invalid": True}
-                write_json(self.manifest_path, self.manifest)
-                logger.exception("stage %s failed", stage.name)
-                if isinstance(exc, BrokenExecutor):
-                    raise InternalError(
-                        f"stage {stage.name}: a worker process died ({exc})"
-                    ) from exc
-                raise
-            outputs = [rel for artifact in stage.makes for rel in self._files(artifact)]
-            for rel in outputs:  # written since the table may have hashed it
-                digests.pop(rel, None)
-            self.manifest["stages"][stage.name] = {
-                "inputs": inputs_digest,
-                "outputs": {rel: digests[rel] for rel in outputs},
-            }
-            write_json(self.manifest_path, self.manifest)
-            statuses[stage.name] = "ok"
+                statuses[stage.name] = self._execute_stage(stage, digests)
+            except GapminerError as exc:
+                raise type(exc)(f"stage {stage.name}: {exc}") from exc
         return PipelineResult(self.out, statuses)
+
+    def _execute_stage(self, stage: Stage, digests: _Digests) -> str:
+        """Skip `stage` if it is current, else run it and record it in the
+        manifest; return its status. A failed stage is recorded invalid, and
+        only a failure that is no GapminerError is logged, with its traceback."""
+        reads = self._stage_reads(stage, digests)
+        inputs_digest = json_digest(self._stage_inputs(stage, reads))
+        entry = self.manifest["stages"].get(stage.name)
+        if (
+            entry
+            and entry.get("inputs") == inputs_digest
+            and entry.get("outputs")
+            and digests.match(entry["outputs"])
+        ):
+            logger.info("stage %s: inputs unchanged, skipped", stage.name)
+            return "skipped"
+        logger.info("stage %s: running", stage.name)
+        try:
+            stage.run(self)
+        except Exception as exc:
+            self.manifest["stages"][stage.name] = {"inputs": inputs_digest, "invalid": True}
+            write_json(self.manifest_path, self.manifest)
+            if isinstance(exc, GapminerError):
+                raise
+            logger.exception("stage %s failed", stage.name)
+            if isinstance(exc, BrokenExecutor):
+                raise InternalError(f"a worker process died ({exc})") from exc
+            raise
+        outputs = [rel for artifact in stage.makes for rel in self._files(artifact)]
+        for rel in outputs:  # written since the table may have hashed it
+            digests.pop(rel, None)
+        self.manifest["stages"][stage.name] = {
+            "inputs": inputs_digest,
+            "outputs": {rel: digests[rel] for rel in outputs},
+        }
+        write_json(self.manifest_path, self.manifest)
+        return "ok"
 
 
 # The stages in run order. Artifact names are relative to the output

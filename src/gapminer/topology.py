@@ -247,14 +247,12 @@ def network_diagram(network: TemporalConceptNetwork) -> tuple[list[DiagramRecord
 
 
 def gap_edges(records: Iterable[DiagramRecord], min_persistence: int = 1) -> set[Pair]:
-    """Dimension-1 birth edges: essential, or persisting at least the given
-    number of years. These concept pairs are the detected gaps."""
+    """The birth edges of dimension-1 `records`: essential, or persisting at
+    least the given number of years. These concept pairs are the detected gaps."""
     if min_persistence < 0:
         raise ValueError("min_persistence must be non-negative")
     result: set[Pair] = set()
     for rec in records:
-        if rec.dim != 1:
-            continue
         if rec.death_year is None or rec.death_year - rec.birth_year >= min_persistence:
             u, v = rec.birth_vertices
             result.add((u, v))
@@ -300,4 +298,4 @@ def _diagram_row(row: list[str]) -> DiagramRecord:
 
 def load_diagram_records(path: str | Path) -> list[DiagramRecord]:
     """Read a diagram dump; a malformed row raises DataError (see read_csv)."""
-    return list(read_csv(path, DIAGRAM_HEADER, _diagram_row, "persist"))
+    return list(read_csv(path, DIAGRAM_HEADER, _diagram_row))

@@ -82,13 +82,17 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[o
         writer.writerows(rows)
 
 
+# How every damaged-artifact error ends: a missing artifact's maker reruns.
+REMEDY = "delete it and run again, and its maker rewrites it"
+
+
 def read_csv(
-    path: str | Path, header: Sequence[str], parse: Callable[[list[str]], T], stage: str
+    path: str | Path, header: Sequence[str], parse: Callable[[list[str]], T]
 ) -> Iterator[T]:
-    """`parse` of each row of a CSV artifact that `stage` wrote under `header`,
-    yielded as the file is read, so a caller holds only the rows it keeps.
-    A wrong header, or a row that `parse` rejects with ValueError, raises
-    DataError naming the file, the line, the row and the stage to rerun."""
+    """`parse` of each row of a CSV artifact written under `header`, yielded
+    as the file is read, so a caller holds only the rows it keeps. A wrong
+    header, or a row that `parse` rejects with ValueError, raises DataError
+    naming the file, the line, the row and the fault, then REMEDY."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         row = None
@@ -100,8 +104,7 @@ def read_csv(
                 yield parse(row)
         except (ValueError, csv.Error) as exc:  # UnicodeDecodeError is a ValueError
             raise DataError(
-                f"{path}, line {reader.line_num}: malformed row {row!r} ({exc}); "
-                f"rerun stage {stage}"
+                f"{path}, line {reader.line_num}: malformed row {row!r} ({exc}); {REMEDY}"
             ) from exc
 
 

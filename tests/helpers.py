@@ -50,7 +50,7 @@ from gapminer.corpus import (
     PaperRecord,
     validate_record,
 )
-from gapminer.errors import InfeasibleResamplingError, InternalError, UnknownDisciplineError
+from gapminer.errors import DataError, InternalError
 from gapminer.metrics import (
     CITATION_WINDOWS,
     REWIRE_FACTOR,
@@ -127,7 +127,7 @@ def network_from_edge_times(
 def novel_pairs(paper: PaperRecord, network: TemporalConceptNetwork) -> set[Pair]:
     """Concept pairs this paper introduced into the discipline's network."""
     if network.discipline not in paper.level0_ids:
-        raise UnknownDisciplineError(
+        raise DataError(
             f"paper {paper.paper_id} is not assigned to discipline {network.discipline!r}"
         )
     result: set[Pair] = set()
@@ -227,7 +227,7 @@ def reference_build_network(discipline: str, rows: Sequence[PaperRow]) -> Tempor
     """The sort-ranked construction that build_network must equal, tie
     ranks and dict order included."""
     if not rows:
-        raise UnknownDisciplineError(f"unknown discipline id {discipline!r}")
+        raise DataError(f"unknown discipline id {discipline!r}")
     raw: dict[Pair, tuple[int, tuple[str, ...]]] = {}
     for year, papers in groupby(rows, key=itemgetter(0)):
         batch: dict[Pair, set[str]] = {}
@@ -247,7 +247,7 @@ def _reference_deal_hands(
 ) -> list[list[str]]:
     distinct = len(set(pool))
     if max(sizes) > distinct:
-        raise InfeasibleResamplingError(
+        raise DataError(
             f"a paper needs {max(sizes)} distinct labels but the group has {distinct}"
         )
     for _ in range(max_attempts):
@@ -259,7 +259,7 @@ def _reference_deal_hands(
             pos += size
         if _reference_repair_collisions(hands, rng):
             return hands
-    raise InfeasibleResamplingError("could not resolve duplicate labels after resampling")
+    raise DataError("could not resolve duplicate labels after resampling")
 
 
 def _reference_repair_collisions(hands: list[list[str]], rng: random.Random) -> bool:

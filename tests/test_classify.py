@@ -18,7 +18,7 @@ from gapminer.classify import (
     null_comparison,
     share_table,
 )
-from gapminer.errors import InfeasibleResamplingError, MissingDependencyError
+from gapminer.errors import DataError
 from gapminer.topology import build_flag_filtration
 
 from helpers import (
@@ -102,7 +102,7 @@ def test_gap_anywhere_wins_across_disciplines():
 
 def test_missing_discipline_raises():
     store = build_store(cycle_corpus(4))
-    with pytest.raises(MissingDependencyError):
+    with pytest.raises(DataError, match="no diagram available for disciplines containing papers"):
         classify_all(store, {})
 
 
@@ -285,7 +285,7 @@ def null_rows(compare, *args, **kwargs):
     """The rows of a null comparison, or the message it gives up with."""
     try:
         return compare(*args, **kwargs)
-    except InfeasibleResamplingError as exc:
+    except DataError as exc:
         return str(exc)
 
 

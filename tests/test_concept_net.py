@@ -19,8 +19,9 @@ from gapminer.concept_net import (
     randomize_labels,
     save_network,
 )
-from gapminer.errors import DataError, InfeasibleResamplingError, UnknownDisciplineError
+from gapminer.errors import DataError
 from gapminer.topology import network_diagram
+from gapminer.util import REMEDY
 
 from helpers import (
     build_store,
@@ -69,7 +70,7 @@ def test_pairwise_expansion():
 
 def test_unknown_discipline_raises():
     store = build_store([raw_record("P1", 2000, ("a", "b"))])
-    with pytest.raises(UnknownDisciplineError):
+    with pytest.raises(DataError, match="unknown discipline id 'NOPE'"):
         network_of(store, "NOPE")
 
 
@@ -92,7 +93,7 @@ def test_novel_pairs_rejects_foreign_paper():
     store = build_store([raw_record("P1", 2000, ("a", "b"))])
     other = build_store([raw_record("Q1", 2000, ("a", "b"), l0=("E",))])
     net = network_of(store, "D")
-    with pytest.raises(UnknownDisciplineError):
+    with pytest.raises(DataError, match="paper Q1 is not assigned to discipline 'D'"):
         novel_pairs(other.papers["Q1"], net)
 
 
@@ -179,7 +180,7 @@ def test_introducers_holding_separators_round_trip(tmp_path, ids):
 def test_introducers_not_as_written_are_data_error(tmp_path, field):
     path = tmp_path / "net.csv"
     path.write_text(f"u,v,time,introducers\na,b,2000,{field}\n", encoding="utf-8")
-    with pytest.raises(DataError, match=r"net\.csv, line 2: .*rerun stage network"):
+    with pytest.raises(DataError, match=rf"net\.csv, line 2: .*; {REMEDY}$"):
         load_network(path, "D")
 
 
@@ -258,7 +259,7 @@ def test_randomize_infeasible_raises():
     degenerate = CorpusStore.from_records(
         [PaperRecord("P1", 2000, ("D",), (1.0,), ("a", "a"), (1.0, 0.5), ())]
     )
-    with pytest.raises(InfeasibleResamplingError):
+    with pytest.raises(DataError, match="a paper needs 2 distinct labels but the group has 1"):
         randomize_labels(label_pools(degenerate), 3)
 
 
@@ -266,7 +267,7 @@ def dealt(deal, *args):
     """The labels a dealing returns, or the message it gives up with."""
     try:
         return deal(*args)
-    except InfeasibleResamplingError as exc:
+    except DataError as exc:
         return str(exc)
 
 

@@ -18,7 +18,7 @@ from gapminer.corpus import (
     save_corpus,
     validate_record,
 )
-from gapminer.errors import CorpusQualityError, DataError
+from gapminer.errors import DataError
 
 from helpers import build_store, raw_record, write_corpus
 
@@ -123,7 +123,7 @@ def test_malformed_lines_counted_and_skipped(tmp_path):
 
 def test_majority_malformed_aborts(tmp_path):
     raws = [raw_record("p1", 2000, ("a", "b")), "oops", "also bad", "bad too"]
-    with pytest.raises(CorpusQualityError):
+    with pytest.raises(DataError, match=r"3 of 4 lines malformed \(>50%\)"):
         load_corpus(write_corpus(tmp_path / "c.jsonl", raws))
 
 

@@ -30,11 +30,11 @@ from gapminer import metrics as metrics_mod
 from gapminer.classify import classify_all
 from gapminer.cli import main
 from gapminer.corpus import load_corpus, save_corpus
-from gapminer.errors import ConfigError
+from gapminer.errors import ConfigError, DataError
 from gapminer.pipeline import STAGES, PipelineConfig, run, verify_manifest
 from gapminer.synth import make_synthetic
 from gapminer.topology import DIAGRAM_HEADER
-from gapminer.util import parallel_map, read_csv, sha256_file, write_csv
+from gapminer.util import REMEDY, parallel_map, read_csv, sha256_file, write_csv
 
 from helpers import analyze_store, exit_in_worker
 
@@ -489,19 +489,33 @@ def test_corrupted_artifact_triggers_rerun(tmp_path):
     assert verify_manifest(config.output_dir)
 
 
-def test_failed_stage_marked_invalid_in_manifest(tmp_path, monkeypatch):
+def test_failed_stage_marked_invalid_in_manifest(tmp_path, monkeypatch, caplog):
+    """Whatever a stage raises marks it invalid. Only an error that is no
+    GapminerError is logged, with its traceback; a GapminerError keeps its
+    class, gains the stage's name and chains the original."""
     config = small_config(tmp_path)
     run(config, through="ingest")
+    for error in (RuntimeError("synthetic stage failure"), DataError("synthetic data fault")):
 
-    def boom(discipline, rows):
-        raise RuntimeError("synthetic stage failure")
+        def boom(discipline, rows, error=error):
+            raise error
 
-    monkeypatch.setattr(pipeline_mod, "build_network", boom)
-    with pytest.raises(RuntimeError):
-        run(config, through="network")
-    manifest = json.loads((config.output_dir / "manifest.json").read_text())
-    assert manifest["stages"]["network"]["invalid"] is True
-    assert not verify_manifest(config.output_dir)
+        monkeypatch.setattr(pipeline_mod, "build_network", boom)
+        caplog.clear()
+        with caplog.at_level("ERROR", logger="gapminer.pipeline"):
+            with pytest.raises(type(error)) as raised:
+                run(config, through="network")
+        tracebacks = [r for r in caplog.records if r.exc_info]
+        if isinstance(error, DataError):
+            assert str(raised.value) == "stage network: synthetic data fault"
+            assert raised.value.__cause__ is error
+            assert not tracebacks
+        else:
+            assert raised.value is error
+            assert [r.exc_info[1] for r in tracebacks] == [error]
+        manifest = json.loads((config.output_dir / "manifest.json").read_text())
+        assert manifest["stages"]["network"]["invalid"] is True
+        assert not verify_manifest(config.output_dir)
     monkeypatch.undo()
     result = run(config, through="network")
     assert result.statuses == {"ingest": "skipped", "network": "ok"}
@@ -571,8 +585,8 @@ def test_manifest_entry_that_is_not_an_object_is_treated_as_absent(tmp_path, cap
     assert files_under(config.output_dir) == before
 
 
-@pytest.mark.parametrize("kind, stage", [("diagrams", "persist")])
-def test_malformed_artifact_row_is_data_error(tmp_path, capsys, kind, stage):
+@pytest.mark.parametrize("kind, reader", [("diagrams", "classify")])
+def test_malformed_artifact_row_is_data_error(tmp_path, capsys, kind, reader):
     config = small_config(tmp_path)
     run(config)
     artifact = sorted((config.output_dir / kind).glob("*.csv"))[0]
@@ -580,11 +594,11 @@ def test_malformed_artifact_row_is_data_error(tmp_path, capsys, kind, stage):
         fh.write("x,y\n")
     vouch_for(config.output_dir, f"{kind}/{artifact.name}")
     capsys.readouterr()
-    code = main(["classify", *run_flags(config)])
+    code = main([reader, *run_flags(config)])
     assert code == 3
     err = capsys.readouterr().err
-    assert artifact.name in err
-    assert f"rerun stage {stage}" in err
+    assert err.startswith(f"data error: stage {reader}: {artifact}, line ")
+    assert err.rstrip().endswith(REMEDY)
 
 
 def test_config_file_that_is_not_utf8_is_config_error(tmp_path, capsys):
@@ -629,8 +643,9 @@ def test_malformed_classification_row_is_data_error(tmp_path, capsys, stage, row
     code = main([stage, *run_flags(config)])
     assert code == 3
     err = capsys.readouterr().err
+    assert err.startswith("data error: stage metrics: ")
     assert f"classification.csv, line {lines}" in err
-    assert "rerun stage classify" in err
+    assert err.rstrip().endswith(REMEDY)
 
 
 @pytest.mark.parametrize("damage", ["row", "header"])
@@ -652,8 +667,9 @@ def test_malformed_paper_stats_is_data_error(tmp_path, capsys, damage):
     code = main(["metrics", *run_flags(config)])
     assert code == 3
     err = capsys.readouterr().err
+    assert err.startswith("data error: stage metrics: ")
     assert f"paper_stats.csv, line {line}" in err
-    assert "rerun stage network" in err
+    assert err.rstrip().endswith(REMEDY)
     assert_only_the_manifest_moved(before, files_under(config.output_dir))
 
 
@@ -768,7 +784,7 @@ def test_truncated_index_reruns_its_maker_unless_vouched_for(
 ):
     """A stage subcommand reruns the index's maker and ends where the run
     ended; an index that the manifest is made to vouch for is a data error
-    naming it and its maker."""
+    naming it and the stage that reads it."""
     config = small_config(tmp_path)
     run(config)
     before = files_under(config.output_dir)
@@ -786,8 +802,9 @@ def test_truncated_index_reruns_its_maker_unless_vouched_for(
         return
     assert code == 3
     err = capsys.readouterr().err
+    assert err.startswith(f"data error: stage {consumer}: ")
     assert f"{kind}/index.json: unreadable" in err
-    assert f"rerun stage {producer}" in err
+    assert err.rstrip().endswith(REMEDY)
 
 
 def test_truncated_ingest_meta_is_data_error(tmp_path, capsys):
@@ -801,8 +818,9 @@ def test_truncated_ingest_meta_is_data_error(tmp_path, capsys):
     code = main(["report", *run_flags(config)])
     assert code == 3
     err = capsys.readouterr().err
+    assert err.startswith("data error: stage report: ")
     assert "ingest.json" in err
-    assert "rerun stage ingest" in err
+    assert err.rstrip().endswith(REMEDY)
 
 
 def _swap_two_data_rows(data: bytes) -> bytes:
@@ -870,6 +888,57 @@ def test_a_damaged_artifact_is_never_read_as_its_makers_output(
         capsys.readouterr()
         assert main([command, *flags, "--out", str(out)]) == 0, capsys.readouterr().err
         assert files_under(out) == files_under(clean), command
+
+
+def _cut_in_half(text: str) -> str:
+    return text[: len(text) // 2]
+
+
+# Each artifact that a stage reads through read_csv or _read_json, the first
+# stage that reads it, and a damage that makes the reader reject it.
+REJECTED = {
+    "diagrams/*": ("classify", lambda text: text + "x,y\n"),
+    "diagrams/index.json": ("classify", _cut_in_half),
+    "networks/index.json": ("report", _cut_in_half),
+    "classification.csv": ("metrics", lambda text: text + "P1,Bogus,0,0\n"),
+    "paper_stats.csv": ("metrics", lambda text: text.replace("\n", "\nP1,0.5\n", 1)),
+    "ingest.json": ("report", _cut_in_half),
+}
+
+
+@pytest.mark.parametrize("artifact", REJECTED)
+def test_a_rejected_artifact_fails_in_one_line_whose_remedy_works(tmp_path, clean_run, artifact):
+    """A damaged artifact that the manifest is made to vouch for stops the
+    stage that reads it with exit 3 and one line, with no traceback, naming
+    the stage and the file. Deleting the file, as that line says, and
+    running again ends where the clean run ended. A child process, so that
+    stderr is what a shell would see."""
+    clean, flags = clean_run
+    reader, damage = REJECTED[artifact]
+    out = tmp_path / "out"
+    shutil.copytree(clean, out)
+    if artifact.endswith("/*"):
+        target = sorted((out / artifact[:-2]).glob("*.csv"))[0]
+    else:
+        target = out / artifact
+    target.write_text(damage(target.read_text(encoding="utf-8")), encoding="utf-8")
+    vouch_for(out, target.relative_to(out).as_posix())
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-m", "gapminer.cli", reader, *flags, "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 3, result.stderr
+    assert "Traceback" not in result.stderr
+    [line] = result.stderr.splitlines()
+    assert line.startswith(f"data error: stage {reader}: {target}")
+    assert line.endswith(REMEDY)
+    target.unlink()
+    assert main([reader, *flags, "--out", str(out)]) == 0
+    assert files_under(out) == files_under(clean)
 
 
 def test_ingest_of_another_corpus_reruns_every_later_stage_it_feeds(tmp_path, capsys):
@@ -1289,7 +1358,7 @@ def test_write_csv_quotes_a_lone_carriage_return(tmp_path):
     rows = [("B\rC", "1"), ("x\r", "\ry"), ("\r\n", "\n")]
     write_csv(path, ("a", "b"), rows)
     assert path.read_bytes() == b'a,b\n"B\rC",1\n"x\r","\ry"\n"\r\n","\n"\n'
-    assert list(read_csv(path, ("a", "b"), tuple, "network")) == rows
+    assert list(read_csv(path, ("a", "b"), tuple)) == rows
 
 
 def suffixed_ids(path: Path, suffix: str) -> Path:

@@ -24,6 +24,7 @@ from gapminer.topology import (
     network_gaps,
     save_diagram_records,
 )
+from gapminer.util import REMEDY
 
 from helpers import (
     apply_boundary,
@@ -429,7 +430,7 @@ def test_diagram_row_whose_vertices_do_not_fit_its_dimension_is_data_error(tmp_p
     # Diagrams hold dimension-1 rows only, so a dimension-0 row is malformed.
     path = tmp_path / "diag.csv"
     path.write_text(",".join(DIAGRAM_HEADER) + "\n1,a,b,2000,inf\n" + row + "\n", encoding="utf-8")
-    with pytest.raises(DataError, match=rf"diag\.csv, line 3: malformed row .*rerun stage persist"):
+    with pytest.raises(DataError, match=rf"diag\.csv, line 3: malformed row .*; {REMEDY}$"):
         load_diagram_records(path)
 
 
