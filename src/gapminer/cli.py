@@ -4,7 +4,7 @@ Subcommands run the whole pipeline (`run`), the stages through one stage
 (`ingest`, `network`, `persist`, `classify`, `metrics`, `report`), or the
 synthetic corpus generators (`synth`). Configuration comes from an optional
 JSON file plus flags; flags win. Exit codes: 0 success, 2 configuration
-error, 3 data error, 4 internal invariant violation.
+error, 3 data error, 4 internal error (a bug).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .errors import ConfigError, DataError, InternalError
+from .errors import ConfigError, DataError, GapminerError
 from .pipeline import STAGES, PipelineConfig, run
 from .synth import GENERATORS, generator_params, make_synthetic
 
@@ -64,17 +64,15 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gapminer",
         description="Detect gap-opening papers in concept co-occurrence networks.",
     )
-    parser.add_argument("--log-level", default="WARNING", help="logging level name")
+    levels = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
+    parser.add_argument("--log-level", default="WARNING", type=str.upper, choices=levels)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_parser = sub.add_parser("run", help="run all pipeline stages")
-    _add_pipeline_flags(run_parser)
-    run_parser.set_defaults(func=_cmd_pipeline, through=STAGES[-1])
-
-    for stage in STAGES:
-        stage_parser = sub.add_parser(stage, help=f"run the stages through {stage}")
+    helps = {"run": "run all pipeline stages", **{s: f"run the stages through {s}" for s in STAGES}}
+    for name, help_text in helps.items():
+        stage_parser = sub.add_parser(name, help=help_text)
         _add_pipeline_flags(stage_parser)
-        stage_parser.set_defaults(func=_cmd_pipeline, through=stage)
+        stage_parser.set_defaults(func=_cmd_pipeline, through=STAGES[-1] if name == "run" else name)
 
     synth = sub.add_parser("synth", help="generate a synthetic corpus")
     synth.add_argument("--generator", required=True, choices=GENERATORS)
@@ -90,20 +88,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command. Every exception ends here as one stderr line and exit
+    2, 3 or 4; its traceback is logged at --log-level DEBUG only."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(level=getattr(logging, str(args.log_level).upper(), logging.WARNING))
+    logging.basicConfig(level=args.log_level)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except InternalError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 4
+    except Exception as exc:
+        # The exception it wraps, such as what a stage raised, else itself.
+        logger.debug("the fault behind the error below", exc_info=exc.__cause__ or exc)
+        if isinstance(exc, ConfigError):
+            label, code = "config error", 2
+        elif isinstance(exc, DataError):
+            label, code = "data error", 3
+        else:
+            label, code = "internal error", 4
+        message = exc if isinstance(exc, GapminerError) else f"{type(exc).__name__}: {exc}"
+        print(f"{label}: {message}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@ escaped by a '\\'.
 
 from __future__ import annotations
 
-import logging
 import random
 import re
 from collections import Counter, defaultdict
@@ -23,8 +22,6 @@ from typing import Mapping, NamedTuple, Sequence
 from .corpus import CorpusStore, PaperRecord
 from .errors import DataError
 from .util import derive_seed, read_csv, write_csv
-
-logger = logging.getLogger(__name__)
 
 Pair = tuple[str, str]
 PaperRow = tuple[int, str, tuple[str, ...]]  # (year, paper_id, level-3 ids)

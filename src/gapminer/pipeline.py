@@ -16,7 +16,6 @@ import json
 import logging
 import os
 import re
-from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, fields
 from itertools import zip_longest
 from pathlib import Path
@@ -115,12 +114,10 @@ class PipelineConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
         config = cls(**values)
-        config.validate()
-        if config.corpus_path is not None:
-            config.corpus_path = Path(config.corpus_path)
+        config.validate()  # so corpus_path is set
+        config.corpus_path, config.output_dir = Path(config.corpus_path), Path(config.output_dir)
         if config.verb_lexicon_path is not None:
             config.verb_lexicon_path = Path(config.verb_lexicon_path)
-        config.output_dir = Path(config.output_dir)
         return config
 
     def validate(self) -> None:
@@ -161,9 +158,10 @@ class PipelineResult:
     statuses: dict[str, str]
 
 
-def _slug(name: str) -> str:
-    safe = re.sub(r"[^A-Za-z0-9_.-]", "_", name)
-    return f"{safe}-{sha256_text(name)[:8]}"
+def _discipline_file(kind: str, discipline: str) -> str:
+    """`discipline`'s file under `kind/`, relative to the output directory."""
+    safe = re.sub(r"[^A-Za-z0-9_.-]", "_", discipline)
+    return f"{kind}/{safe}-{sha256_text(discipline)[:8]}.csv"
 
 
 def _store_rows(store: CorpusStore) -> dict[str, list[PaperRow]]:
@@ -233,8 +231,8 @@ def _in_step(rows: Iterable[Sequence[str]], ids: Iterable[str], mismatch: str) -
 
 def _index_entries(document: object) -> dict[str, dict]:
     entries = document["disciplines"]
-    if not all(isinstance(meta["file"], str) for meta in entries.values()):
-        raise TypeError("an entry's file is not a string")
+    if not isinstance(entries, dict):  # a JSON object, so its keys are strings
+        raise TypeError("the disciplines are not an object")
     return entries
 
 
@@ -267,9 +265,6 @@ class Pipeline:
             else:
                 self.manifest = manifest
 
-    def _rel(self, path: Path) -> str:
-        return path.relative_to(self.out).as_posix()
-
     # ---- artifacts ------------------------------------------------------------
 
     def _read_json(self, rel: str, extract: Callable[[object], dict]) -> dict:
@@ -280,20 +275,21 @@ class Pipeline:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 return extract(json.load(fh))
-        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError) as exc:
             raise DataError(f"{path}: unreadable ({exc!r}); {REMEDY}") from exc
 
-    def _listed(self, kind: str) -> dict[str, Path]:
-        """The per-discipline files that `kind/index.json` lists."""
+    def _listed(self, kind: str) -> dict[str, str]:
+        """The file of each discipline that `kind/index.json` lists, named by
+        the discipline: an entry's `file` is for readers outside the pipeline."""
         entries = self._read_json(f"{kind}/index.json", _index_entries)
-        return {d: self.out / meta["file"] for d, meta in entries.items()}
+        return {d: _discipline_file(kind, d) for d in entries}
 
     def _files(self, artifact: str) -> list[str]:
         """The files `artifact` stands for, a `kind/*` one's index first."""
         if not artifact.endswith("/*"):
             return [artifact]
         kind = artifact[:-2]
-        return [f"{kind}/index.json", *map(self._rel, self._listed(kind).values())]
+        return [f"{kind}/index.json", *self._listed(kind).values()]
 
     def _stage_reads(self, stage: Stage, digests: _Digests) -> dict[str, str | None]:
         """The digest of every file `stage` reads, a `kind/*` one's index included."""
@@ -374,10 +370,10 @@ class Pipeline:
         novel_pairs: dict[str, set[Pair]] = {}
         for discipline, rows in _store_rows(store).items():
             network = build_network(discipline, rows)
-            path = self.out / "networks" / f"{_slug(discipline)}.csv"
-            save_network(network, path)
+            rel = _discipline_file("networks", discipline)
+            save_network(network, self.out / rel)
             entries[discipline] = {
-                "file": self._rel(path),
+                "file": rel,
                 "nodes": len({concept for pair in network.edges for concept in pair}),
                 "edges": len(network.edges),
             }
@@ -393,11 +389,11 @@ class Pipeline:
         for discipline, records, n_simplices in parallel_map(
             _persist_discipline, tasks, self.config.threads
         ):
-            path = self.out / "diagrams" / f"{_slug(discipline)}.csv"
-            save_diagram_records(records, path)
+            rel = _discipline_file("diagrams", discipline)
+            save_diagram_records(records, self.out / rel)
             n_pairs = sum(1 for r in records if r.death_year is not None)
             index[discipline] = {
-                "file": self._rel(path),
+                "file": rel,
                 "simplices": n_simplices,
                 "pairs": n_pairs,
                 "essentials": len(records) - n_pairs,
@@ -411,7 +407,7 @@ class Pipeline:
         topologies = {
             d: classify_mod.DisciplineTopology(
                 build_network(d, rows),
-                gap_edges(load_diagram_records(diagrams[d]), cfg.min_persistence),
+                gap_edges(load_diagram_records(self.out / diagrams[d]), cfg.min_persistence),
             )
             for d, rows in _store_rows(store).items()
             if d in diagrams  # classify_all names the disciplines left out
@@ -521,8 +517,10 @@ class Pipeline:
 
     def execute(self, through: str = STAGES[-1]) -> PipelineResult:
         """Run the stages in order up to and including `through`, skipping
-        each one that is current. A GapminerError raised in a stage gets the
-        prefix `stage <name>: ` and keeps its class."""
+        each one that is current. Whatever a stage raises while it hashes its
+        inputs or runs leaves chained, with the prefix `stage <name>: `: a
+        GapminerError keeps its class, any other exception (a bug) becomes
+        an InternalError that names its type."""
         if through not in STAGES:
             raise ConfigError(f"unknown stage {through!r}; valid: {', '.join(STAGES)}")
         statuses: dict[str, str] = {}
@@ -532,12 +530,13 @@ class Pipeline:
                 statuses[stage.name] = self._execute_stage(stage, digests)
             except GapminerError as exc:
                 raise type(exc)(f"stage {stage.name}: {exc}") from exc
+            except Exception as exc:
+                raise InternalError(f"stage {stage.name}: {type(exc).__name__}: {exc}") from exc
         return PipelineResult(self.out, statuses)
 
     def _execute_stage(self, stage: Stage, digests: _Digests) -> str:
         """Skip `stage` if it is current, else run it and record it in the
-        manifest; return its status. A failed stage is recorded invalid, and
-        only a failure that is no GapminerError is logged, with its traceback."""
+        manifest; return its status. A stage that fails is recorded invalid."""
         reads = self._stage_reads(stage, digests)
         inputs_digest = json_digest(self._stage_inputs(stage, reads))
         entry = self.manifest["stages"].get(stage.name)
@@ -552,14 +551,9 @@ class Pipeline:
         logger.info("stage %s: running", stage.name)
         try:
             stage.run(self)
-        except Exception as exc:
+        except Exception:
             self.manifest["stages"][stage.name] = {"inputs": inputs_digest, "invalid": True}
             write_json(self.manifest_path, self.manifest)
-            if isinstance(exc, GapminerError):
-                raise
-            logger.exception("stage %s failed", stage.name)
-            if isinstance(exc, BrokenExecutor):
-                raise InternalError(f"a worker process died ({exc})") from exc
             raise
         outputs = [rel for artifact in stage.makes for rel in self._files(artifact)]
         for rel in outputs:  # written since the table may have hashed it

@@ -90,22 +90,25 @@ def read_csv(
     path: str | Path, header: Sequence[str], parse: Callable[[list[str]], T]
 ) -> Iterator[T]:
     """`parse` of each row of a CSV artifact written under `header`, yielded
-    as the file is read, so a caller holds only the rows it keeps. A wrong
-    header, or a row that `parse` rejects with ValueError, raises DataError
-    naming the file, the line, the row and the fault, then REMEDY."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        row = None
-        try:
+    as the file is read, so a caller holds only the rows it keeps. A file
+    that cannot be opened or read, a wrong header, or a row that `parse`
+    rejects with ValueError raises DataError naming the file (and the line,
+    the row) and the fault, then REMEDY."""
+    reader = row = None
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
             row = next(reader, None)
             if row != list(header):
                 raise ValueError(f"expected the header {','.join(header)}")
             for row in reader:
                 yield parse(row)
-        except (ValueError, csv.Error) as exc:  # UnicodeDecodeError is a ValueError
-            raise DataError(
-                f"{path}, line {reader.line_num}: malformed row {row!r} ({exc}); {REMEDY}"
-            ) from exc
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read ({exc}); {REMEDY}") from exc
+    except (ValueError, csv.Error) as exc:  # UnicodeDecodeError is a ValueError
+        raise DataError(
+            f"{path}, line {reader.line_num}: malformed row {row!r} ({exc}); {REMEDY}"
+        ) from exc
 
 
 def write_json(path: Path, payload: Any) -> None:

@@ -30,7 +30,7 @@ from gapminer import metrics as metrics_mod
 from gapminer.classify import classify_all
 from gapminer.cli import main
 from gapminer.corpus import load_corpus, save_corpus
-from gapminer.errors import ConfigError, DataError
+from gapminer.errors import ConfigError, DataError, InternalError
 from gapminer.pipeline import STAGES, PipelineConfig, run, verify_manifest
 from gapminer.synth import make_synthetic
 from gapminer.topology import DIAGRAM_HEADER
@@ -87,6 +87,20 @@ def run_flags(config: PipelineConfig) -> list[str]:
     return ["--corpus", str(config.corpus_path), "--out", str(config.output_dir),
             "--seed", str(config.seed), "--null-replicates", str(config.null_replicates),
             "--n-rand", str(config.n_rand)]
+
+
+def gapminer_child(*args: str, setup: str = "") -> subprocess.CompletedProcess:
+    """`gapminer <args>` in a child process, after the statements in `setup`,
+    so that its stderr is what a shell would see."""
+    script = f"import sys\n{setup}\nfrom gapminer.cli import main\nsys.exit(main(sys.argv[1:]))"
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -178,7 +192,7 @@ def test_interrupted_manifest_write_reruns_the_stage(tmp_path, finished_run, mon
 
     config = replace(finished_run, output_dir=tmp_path / "out")
     monkeypatch.setattr(pipeline_mod, "write_json", interrupting_write_json)
-    with pytest.raises(RuntimeError, match="interrupted"):
+    with pytest.raises(InternalError, match=f"^stage {stage}: RuntimeError: interrupted$"):
         run(config)
     monkeypatch.undo()
     statuses = run(config).statuses
@@ -490,29 +504,29 @@ def test_corrupted_artifact_triggers_rerun(tmp_path):
 
 
 def test_failed_stage_marked_invalid_in_manifest(tmp_path, monkeypatch, caplog):
-    """Whatever a stage raises marks it invalid. Only an error that is no
-    GapminerError is logged, with its traceback; a GapminerError keeps its
-    class, gains the stage's name and chains the original."""
+    """Whatever a stage raises marks it invalid, and nothing logs it at ERROR.
+    The error gains the stage's name and chains the original: a
+    GapminerError keeps its class, any other exception becomes an
+    InternalError that names its type."""
     config = small_config(tmp_path)
     run(config, through="ingest")
-    for error in (RuntimeError("synthetic stage failure"), DataError("synthetic data fault")):
+    cases = [
+        (RuntimeError("synthetic stage failure"), InternalError, "RuntimeError: synthetic stage failure"),
+        (DataError("synthetic data fault"), DataError, "synthetic data fault"),
+    ]
+    for error, kind, message in cases:
 
         def boom(discipline, rows, error=error):
             raise error
 
         monkeypatch.setattr(pipeline_mod, "build_network", boom)
         caplog.clear()
-        with caplog.at_level("ERROR", logger="gapminer.pipeline"):
-            with pytest.raises(type(error)) as raised:
+        with caplog.at_level("ERROR"):
+            with pytest.raises(kind) as raised:
                 run(config, through="network")
-        tracebacks = [r for r in caplog.records if r.exc_info]
-        if isinstance(error, DataError):
-            assert str(raised.value) == "stage network: synthetic data fault"
-            assert raised.value.__cause__ is error
-            assert not tracebacks
-        else:
-            assert raised.value is error
-            assert [r.exc_info[1] for r in tracebacks] == [error]
+        assert not caplog.records
+        assert str(raised.value) == f"stage network: {message}"
+        assert raised.value.__cause__ is error
         manifest = json.loads((config.output_dir / "manifest.json").read_text())
         assert manifest["stages"]["network"]["invalid"] is True
         assert not verify_manifest(config.output_dir)
@@ -530,7 +544,8 @@ def test_dead_worker_is_internal_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(pipeline_mod, "_persist_discipline", exit_in_worker)
     capsys.readouterr()
     assert main(args) == 4
-    assert "stage persist: a worker process died" in capsys.readouterr().err
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("internal error: stage persist: BrokenProcessPool: ")
     manifest = json.loads((config.output_dir / "manifest.json").read_text())
     assert "outputs" not in manifest["stages"]["persist"]
     assert "classify" not in manifest["stages"]
@@ -607,6 +622,16 @@ def test_config_file_that_is_not_utf8_is_config_error(tmp_path, capsys):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert f"config file {cfg} is not UTF-8 JSON" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("level", ["bogus", "basic_format"])
+def test_an_unknown_log_level_exits_2_before_any_command_runs(tmp_path, level):
+    """`basic_format` names a logging constant that is no level."""
+    corpus = tmp_path / "corpus.jsonl"
+    with pytest.raises(SystemExit) as raised:
+        main(["--log-level", level, "synth", "--generator", "planted-cycle", "--out", str(corpus)])
+    assert raised.value.code == 2
+    assert not corpus.exists()
 
 
 def test_stages_is_an_unknown_config_key(tmp_path, capsys):
@@ -923,14 +948,7 @@ def test_a_rejected_artifact_fails_in_one_line_whose_remedy_works(tmp_path, clea
         target = out / artifact
     target.write_text(damage(target.read_text(encoding="utf-8")), encoding="utf-8")
     vouch_for(out, target.relative_to(out).as_posix())
-    src = Path(__file__).resolve().parents[1] / "src"
-    result = subprocess.run(
-        [sys.executable, "-m", "gapminer.cli", reader, *flags, "--out", str(out)],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
+    result = gapminer_child(reader, *flags, "--out", str(out))
     assert result.returncode == 3, result.stderr
     assert "Traceback" not in result.stderr
     [line] = result.stderr.splitlines()
@@ -939,6 +957,63 @@ def test_a_rejected_artifact_fails_in_one_line_whose_remedy_works(tmp_path, clea
     target.unlink()
     assert main([reader, *flags, "--out", str(out)]) == 0
     assert files_under(out) == files_under(clean)
+
+
+@pytest.mark.parametrize("where", ["missing", "absolute"])
+def test_an_index_entry_naming_another_file_changes_nothing_classify_reads(
+    tmp_path, clean_run, where
+):
+    """The pipeline finds each diagram file by its discipline. An index
+    entry whose `file` names a missing file, or another discipline's diagram
+    copied outside the output directory, with the manifest made to vouch for
+    the index: classify reruns on its own and writes what the clean run
+    wrote."""
+    clean, flags = clean_run
+    out = tmp_path / "out"
+    shutil.copytree(clean, out)
+    index = json.loads((out / "diagrams" / "index.json").read_text(encoding="utf-8"))
+    first, second = sorted(index["disciplines"])[:2]
+    if where == "missing":
+        index["disciplines"][first]["file"] = "diagrams/nonexistent.csv"
+    else:
+        elsewhere = tmp_path / "elsewhere.csv"
+        shutil.copyfile(out / index["disciplines"][second]["file"], elsewhere)
+        index["disciplines"][first]["file"] = str(elsewhere)
+    (out / "diagrams" / "index.json").write_text(json.dumps(index), encoding="utf-8")
+    vouch_for(out, "diagrams/index.json")
+    result = gapminer_child("classify", *flags, "--out", str(out))
+    assert result.returncode == 0, result.stderr
+    assert "stage persist: skipped\nstage classify: ok\n" in result.stdout
+    for name in ("classification.csv", "shares.csv"):
+        assert (out / name).read_bytes() == (clean / name).read_bytes(), name
+
+
+def test_a_bug_inside_a_stage_exits_4_in_one_line(tmp_path, clean_run):
+    """A KeyError inside the persist stage exits 4 with one stderr line that
+    names the stage and the exception type, and no traceback; at
+    --log-level DEBUG one traceback is logged. The persist entry is left
+    marked invalid."""
+    _, flags = clean_run
+    setup = textwrap.dedent(
+        """
+        import gapminer.pipeline
+        def boom(task):
+            raise KeyError(task[0])
+        gapminer.pipeline._persist_discipline = boom
+        """
+    )
+    for level in ("WARNING", "DEBUG"):
+        out = tmp_path / level
+        result = gapminer_child("--log-level", level, "run", *flags, "--out", str(out), setup=setup)
+        assert result.returncode == 4, result.stderr
+        lines = result.stderr.splitlines()
+        assert lines[-1].startswith("internal error: stage persist: KeyError: ")
+        if level == "WARNING":
+            assert len(lines) == 1 and "Traceback" not in result.stderr
+        else:
+            assert result.stderr.count("Traceback (most recent call last)") == 1
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["stages"]["persist"]["invalid"] is True
 
 
 def test_ingest_of_another_corpus_reruns_every_later_stage_it_feeds(tmp_path, capsys):
@@ -1351,6 +1426,14 @@ def test_write_csv_bytes(tmp_path):
         b'""\n'
         b"0.1,3,plain\n"
     )
+
+
+def test_read_csv_of_a_missing_file_is_data_error(tmp_path):
+    path = tmp_path / "missing.csv"
+    with pytest.raises(DataError) as raised:
+        list(read_csv(path, ("a",), tuple))
+    assert str(raised.value).startswith(f"{path}: cannot read (")
+    assert str(raised.value).endswith(REMEDY)
 
 
 def test_write_csv_quotes_a_lone_carriage_return(tmp_path):
