@@ -556,6 +556,10 @@ class Pipeline:
             write_json(self.manifest_path, self.manifest)
             raise
         outputs = [rel for artifact in stage.makes for rel in self._files(artifact)]
+        for kind in (artifact[:-2] for artifact in stage.makes if artifact.endswith("/*")):
+            for path in (self.out / kind).glob("*.csv"):  # left by a discipline no longer listed
+                if path.relative_to(self.out).as_posix() not in outputs and path.is_file():
+                    path.unlink()
         for rel in outputs:  # written since the table may have hashed it
             digests.pop(rel, None)
         self.manifest["stages"][stage.name] = {
@@ -607,7 +611,7 @@ _TABLE += (
         config=tuple(dict.fromkeys(field for stage in _TABLE for field in stage.config)),
         reads=(
             "ingest.json", "corpus.norm.jsonl", "networks/index.json", "diagrams/index.json",
-            "classification.csv", "shares.csv", "metrics.csv",
+            "classification.csv",
         ),
         sources=("verb_lexicon_path",),
     ),

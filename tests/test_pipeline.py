@@ -146,6 +146,9 @@ def test_config_edit_reruns_from_its_first_reader(tmp_path, finished_run, field,
     if first:
         assert statuses[first] == "ok"
     assert set(run(config).statuses.values()) == {"skipped"}
+    cold = replace(config, output_dir=tmp_path / "cold")
+    run(cold)
+    assert files_under(config.output_dir) == files_under(cold.output_dir)
 
 
 def test_report_echoes_every_stage_config_field(finished_run):
@@ -286,10 +289,10 @@ def test_full_run_produces_artifacts(tmp_path):
 def test_second_run_skips_everything(tmp_path):
     config = small_config(tmp_path)
     run(config)
-    manifest_before = (config.output_dir / "manifest.json").read_bytes()
+    before = files_under(config.output_dir)
     result = run(config)
     assert all(status == "skipped" for status in result.statuses.values())
-    assert (config.output_dir / "manifest.json").read_bytes() == manifest_before
+    assert files_under(config.output_dir) == before
 
 
 def test_changed_config_reruns_downstream(tmp_path):
@@ -375,9 +378,12 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
 
 
 def test_cli_synth_unknown_generator_is_config_error(tmp_path):
-    with pytest.raises(SystemExit) as err:
-        main(["synth", "--generator", "bogus", "--out", str(tmp_path / "x.jsonl")])
-    assert err.value.code == 2  # argparse rejects the choice
+    """argparse rejects a generator, or a generator setting, that is gone."""
+    for args in (["--generator", "bogus"], ["--generator", "random-pairs", "--year-min", "1990"]):
+        with pytest.raises(SystemExit) as err:
+            main(["synth", *args, "--out", str(tmp_path / "x.jsonl")])
+        assert err.value.code == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("generator, flag", [
@@ -700,8 +706,10 @@ def test_malformed_paper_stats_is_data_error(tmp_path, capsys, damage):
 
 @pytest.mark.parametrize("damage", ["missing", "extra", "order"])
 def test_paper_stats_out_of_step_with_classification_is_data_error(tmp_path, capsys, damage):
+    """Deleting both files, as the error says, and running again mends the run."""
     config = small_config(tmp_path)
     run(config)
+    clean = files_under(config.output_dir)
     stats = config.output_dir / "paper_stats.csv"
     header, *rows = stats.read_text(encoding="utf-8").splitlines(keepends=True)
     if damage == "missing":
@@ -717,9 +725,13 @@ def test_paper_stats_out_of_step_with_classification_is_data_error(tmp_path, cap
     code = main(["metrics", *run_flags(config)])
     assert code == 3
     err = capsys.readouterr().err
-    assert err.startswith("data error: ")
+    assert err.startswith("data error: stage metrics: ")
     assert "paper_stats.csv" in err and "classification.csv" in err
     assert_only_the_manifest_moved(before, files_under(config.output_dir))
+    stats.unlink()
+    (config.output_dir / "classification.csv").unlink()
+    assert main(["metrics", *run_flags(config)]) == 0
+    assert files_under(config.output_dir) == clean
 
 
 def assert_only_the_manifest_moved(before: dict[str, bytes], after: dict[str, bytes]) -> None:
@@ -868,10 +880,11 @@ DAMAGES = {
     "delete": None,
     "swap-two-data-rows": _swap_two_data_rows,
 }
-# Every artifact a stage reads, and the network files, which none reads but
-# which a run must still mend.
+# Every artifact a stage reads, and the network files, shares and metrics,
+# which none reads but which a run must still mend.
 DAMAGED_ARTIFACTS = sorted(
-    {artifact for stage in pipeline_mod._TABLE for artifact in stage.reads} | {"networks/*"}
+    {artifact for stage in pipeline_mod._TABLE for artifact in stage.reads}
+    | {"networks/*", "shares.csv", "metrics.csv"}
 )
 
 
@@ -896,7 +909,7 @@ def test_a_damaged_artifact_is_never_read_as_its_makers_output(
 ):
     """After the damage, each stage subcommand that reads the artifact, and
     separately a whole run, reruns its maker and ends where the clean run
-    ended."""
+    ended. An artifact that no stage reads makes a run rerun its maker alone."""
     clean, flags = clean_run
     readers = [stage.name for stage in pipeline_mod._TABLE if artifact in stage.reads]
     for command in [*readers, "run"]:
@@ -911,8 +924,13 @@ def test_a_damaged_artifact_is_never_read_as_its_makers_output(
         else:
             target.write_bytes(DAMAGES[damage](target.read_bytes()))
         capsys.readouterr()
-        assert main([command, *flags, "--out", str(out)]) == 0, capsys.readouterr().err
+        code = main([command, *flags, "--out", str(out)])
+        printed = capsys.readouterr()
+        assert code == 0, printed.err
         assert files_under(out) == files_under(clean), command
+        if not readers:
+            rerun = re.findall(r"^stage (\w+): ok$", printed.out, re.M)
+            assert rerun == [pipeline_mod._maker(artifact).name]
 
 
 def _cut_in_half(text: str) -> str:
@@ -1067,6 +1085,18 @@ def test_a_stage_never_pairs_its_config_with_another_runs_artifacts(tmp_path, co
     categories = classify_mod.load_classification_csv(config.output_dir / "classification.csv")
     counts = collections.Counter(category.value for category in categories.values())
     assert {c: n for c, n in report["category_counts"].items() if n} == counts
+
+
+def test_a_run_keeps_no_file_of_a_discipline_the_corpus_lost(tmp_path):
+    """A run on a three-discipline corpus, then one on a two-discipline
+    corpus in the same directory: the third discipline's network and diagram
+    files go, and the directory ends where a clean run ends."""
+    for disciplines in (3, 2):
+        make_synthetic("planted-cycle", tmp_path / "corpus.jsonl", 5, cycle_len=5,
+                       disciplines=disciplines, filler_fresh=10, filler_dup=4)
+        run(small_config(tmp_path))
+    run(small_config(tmp_path, output_dir=tmp_path / "clean"))
+    assert files_under(tmp_path / "out") == files_under(tmp_path / "clean")
 
 
 def test_persist_writes_dimension_1_rows_only(finished_run):
@@ -1536,9 +1566,19 @@ def _wordless_cycle():
     return records, dict(records[0], id="lone", title="\ud800")
 
 
+def _lone_carriage_return():
+    """An id holding a lone carriage return, whose row read_csv once split."""
+    rows = [("A", 2000, "ab", []), ("B\rC", 2000, "bc", []), ("D", 2001, "ac", ["A"]),
+            ("E", 2001, "cd", ["B\rC"])]
+    records = [{"id": pid, "year": year, "l0": [["X", 1.0]], "l3": [[c, 1.0] for c in l3],
+                "refs": refs} for pid, year, l3, refs in rows]
+    return records, dict(records[0], id="\ud800")
+
+
 @settings(max_examples=60, deadline=None)
 @given(corpus=odd_corpora())
 @example(corpus=_wordless_cycle())
+@example(corpus=_lone_carriage_return())
 def test_every_id_survives_every_artifact(corpus):
     """A run over ids holding any character classifies every paper as the
     in-memory networks do, and a lone surrogate only makes its line malformed."""
