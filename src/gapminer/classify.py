@@ -23,9 +23,9 @@ from .concept_net import (
     label_pools,
     memberships,
     randomize_labels,
+    store_rows,
 )
 from .corpus import CorpusStore
-from .errors import DataError
 from .topology import network_gaps
 from .util import derive_seed, parallel_map, read_csv, write_csv
 
@@ -48,14 +48,6 @@ class PaperClassification(NamedTuple):
     category: Category
     n_gap_edges: int
     n_novel_pairs: int
-
-
-@dataclass
-class DisciplineTopology:
-    """One discipline's network together with its extracted gap pairs."""
-
-    network: TemporalConceptNetwork
-    gap_pairs: AbstractSet[Pair]
 
 
 def _introducers(
@@ -88,22 +80,21 @@ def _categorize(
     }
 
 
-def classify_all(
-    store: CorpusStore, topologies: Mapping[str, DisciplineTopology]
-) -> dict[str, PaperClassification]:
+def classify_all(store: CorpusStore, min_persistence: int) -> dict[str, PaperClassification]:
     """Classify every paper in the store exactly once, in the store's paper
-    order, counting the gap edges and concept pairs it introduced."""
-    needed = {d for rec in store.papers.values() for d in rec.level0_ids}
-    missing = sorted(needed - set(topologies))
-    if missing:
-        raise DataError(f"no diagram available for disciplines containing papers: {missing}")
+    order, counting the gap edges and concept pairs it introduced. Each
+    discipline's network is built from the store's own rows and its gap
+    edges taken from `network_gaps`, as a null replicate takes them from
+    dealt labels."""
     n_gap: Counter[str] = Counter()
     pairs: defaultdict[str, set[Pair]] = defaultdict(set)
-    for topo in topologies.values():
-        for pair, birth in topo.network.edges.items():
+    for discipline, rows in store_rows(store).items():
+        network = build_network(discipline, rows)
+        gap_pairs = network_gaps(network, min_persistence)
+        for pair, birth in network.edges.items():
             for pid in birth.introducers:
                 pairs[pid].add(pair)
-            if pair in topo.gap_pairs:
+            if pair in gap_pairs:
                 n_gap.update(birth.introducers)
     categories = _categorize((rec.paper_id for rec in store.iter_papers()), n_gap, pairs)
     return {

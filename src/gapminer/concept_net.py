@@ -81,6 +81,13 @@ def discipline_rows(
     return {d: rows[d] for d in sorted(rows)}
 
 
+def store_rows(store: CorpusStore) -> dict[str, list[PaperRow]]:
+    """discipline_rows with the store's own labels: the rows every real
+    network is built from."""
+    labels = {pid: rec.level3_ids for pid, rec in store.papers.items()}
+    return discipline_rows(memberships(store), labels)
+
+
 def build_network(discipline: str, rows: Sequence[PaperRow]) -> TemporalConceptNetwork:
     """Build the discipline's cumulative co-occurrence network from its rows.
 

@@ -23,14 +23,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from . import classify as classify_mod
 from . import metrics as metrics_mod
-from .concept_net import (
-    Pair,
-    PaperRow,
-    build_network,
-    discipline_rows,
-    memberships,
-    save_network,
-)
+from .concept_net import Pair, PaperRow, build_network, save_network, store_rows
 from .corpus import (
     CitationIndex,
     CorpusStore,
@@ -40,13 +33,7 @@ from .corpus import (
     write_rejection_report,
 )
 from .errors import ConfigError, DataError, GapminerError, InternalError
-from .topology import (
-    DiagramRecord,
-    gap_edges,
-    load_diagram_records,
-    network_diagram,
-    save_diagram_records,
-)
+from .topology import DiagramRecord, network_diagram, save_diagram_records
 from .util import REMEDY, json_digest, parallel_map, sha256_file, sha256_text, write_csv, write_json
 
 logger = logging.getLogger(__name__)
@@ -164,13 +151,6 @@ def _discipline_file(kind: str, discipline: str) -> str:
     return f"{kind}/{safe}-{sha256_text(discipline)[:8]}.csv"
 
 
-def _store_rows(store: CorpusStore) -> dict[str, list[PaperRow]]:
-    """discipline_rows with the store's own labels: the rows every real
-    network is built from."""
-    labels = {pid: rec.level3_ids for pid, rec in store.papers.items()}
-    return discipline_rows(memberships(store), labels)
-
-
 def _persist_discipline(
     task: tuple[str, Sequence[PaperRow]]
 ) -> tuple[str, list[DiagramRecord], int]:
@@ -278,18 +258,15 @@ class Pipeline:
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise DataError(f"{path}: unreadable ({exc!r}); {REMEDY}") from exc
 
-    def _listed(self, kind: str) -> dict[str, str]:
-        """The file of each discipline that `kind/index.json` lists, named by
-        the discipline: an entry's `file` is for readers outside the pipeline."""
-        entries = self._read_json(f"{kind}/index.json", _index_entries)
-        return {d: _discipline_file(kind, d) for d in entries}
-
     def _files(self, artifact: str) -> list[str]:
-        """The files `artifact` stands for, a `kind/*` one's index first."""
+        """The files `artifact` stands for, a `kind/*` one's index first, then
+        the file of each discipline the index lists, named by the discipline:
+        an entry's `file` is for readers outside the pipeline."""
         if not artifact.endswith("/*"):
             return [artifact]
         kind = artifact[:-2]
-        return [f"{kind}/index.json", *self._listed(kind).values()]
+        entries = self._read_json(f"{kind}/index.json", _index_entries)
+        return [f"{kind}/index.json", *(_discipline_file(kind, d) for d in entries)]
 
     def _stage_reads(self, stage: Stage, digests: _Digests) -> dict[str, str | None]:
         """The digest of every file `stage` reads, a `kind/*` one's index included."""
@@ -368,7 +345,7 @@ class Pipeline:
         pairs each paper introduced. The networks go with the call."""
         entries: dict[str, dict] = {}
         novel_pairs: dict[str, set[Pair]] = {}
-        for discipline, rows in _store_rows(store).items():
+        for discipline, rows in store_rows(store).items():
             network = build_network(discipline, rows)
             rel = _discipline_file("networks", discipline)
             save_network(network, self.out / rel)
@@ -384,7 +361,7 @@ class Pipeline:
         return novel_pairs
 
     def _run_persist(self) -> None:
-        tasks = _store_rows(self._load_store()).items()
+        tasks = store_rows(self._load_store()).items()
         index: dict[str, dict] = {}
         for discipline, records, n_simplices in parallel_map(
             _persist_discipline, tasks, self.config.threads
@@ -403,23 +380,14 @@ class Pipeline:
     def _run_classify(self) -> None:
         cfg = self.config
         store = self._load_store()
-        diagrams = self._listed("diagrams")
-        topologies = {
-            d: classify_mod.DisciplineTopology(
-                build_network(d, rows),
-                gap_edges(load_diagram_records(self.out / diagrams[d]), cfg.min_persistence),
-            )
-            for d, rows in _store_rows(store).items()
-            if d in diagrams  # classify_all names the disciplines left out
-        }
-        classifications = classify_mod.classify_all(store, topologies)
+        classifications = classify_mod.classify_all(store, cfg.min_persistence)
         classify_mod.write_classification_csv(classifications, self.out / "classification.csv")
         categories = {pid: cls.category for pid, cls in classifications.items()}
         rows = []
         for grouping in classify_mod.GROUPINGS:
             keys = classify_mod.group_keys(store, grouping)
             rows.extend(classify_mod.share_table(categories, keys, grouping))
-        del topologies, classifications, categories, keys  # the null model needs none of them
+        del classifications, categories, keys  # the null model needs none of them
         if cfg.null_replicates > 0:
             rows.extend(
                 classify_mod.null_comparison(
@@ -594,7 +562,7 @@ _TABLE = (
         "classify", Pipeline._run_classify,
         makes=("classification.csv", "shares.csv"),
         config=("min_persistence", "null_replicates", "seed"),
-        reads=("corpus.norm.jsonl", "diagrams/*"),
+        reads=("corpus.norm.jsonl",),
     ),
     Stage(
         "metrics", Pipeline._run_metrics,

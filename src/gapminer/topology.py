@@ -7,12 +7,15 @@ rank order meets them in filtration order. On the way, union-find marks the
 edges that close cycles, and every triangle is listed at its youngest edge,
 which always closes a cycle. The first triangle listed at an edge kills that
 edge's cycle with no column work (an apparent pair); one pass over the other
-triangle columns finds the remaining cycle deaths. Components are never
+triangle columns finds the remaining cycle deaths. Windowed at p years,
+that pass finds only the deaths of cycles that persist less than p years,
+and the cycle edges it leaves unpaired are the gaps. Components are never
 paired: nothing reads dimension 0.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
@@ -152,14 +155,25 @@ def build_flag_filtration(network: TemporalConceptNetwork) -> FlagFiltration:
     return FlagFiltration(len(neighbours), edges, cofaces, n_triangles, cycle_edges)
 
 
-def _cycle_deaths(filtration: FlagFiltration) -> dict[int, int]:
+def _cycle_deaths(filtration: FlagFiltration, window: int | None = None) -> dict[int, int]:
     """Each dimension-1 pair of the filtration as birth edge rank -> rank of
-    the youngest edge of the triangle that kills it, in death order.
+    the youngest edge of the triangle that kills it, in death order; with a
+    window of p years, only the pairs that persist less than p years.
 
     The triangle columns are reduced in filtration order; each edge's first
     triangle has that edge as its pivot and no older column can share it,
     so it is stored as the pivot column as it stands (an apparent pair).
+    A window of p years reduces each column of year t modulo the edge rows
+    born before year t - p + 1, its floor: the column is done once its low
+    is below the floor, and the rows below the floor that older pivot
+    columns bring in are never read. By the pairing lemma, the pairs whose
+    birth row is at least s come from the rows >= s alone, and floors only
+    rise along the pass; so the pivots found are exactly the pairs that
+    persist less than p years.
     """
+    if window == 0:
+        return {}  # no pair persists less than 0 years
+    years = [t for _, _, t in filtration.edges]
     n_cycles = len(filtration.cycle_edges)
     # Columns are bitmask integers over edge ranks; XOR and bit_length run at
     # word speed, which is what makes 10^5-triangle disciplines tractable.
@@ -170,9 +184,12 @@ def _cycle_deaths(filtration: FlagFiltration) -> dict[int, int]:
     # reduces to zero, so the pass stops.
     pivot_col: dict[int, int] = {}
     deaths: dict[int, int] = {}
+    floor = 0
     for r, group in filtration.cofaces:
         if len(pivot_col) == n_cycles:
             break
+        if window is not None:
+            floor = bisect_left(years, years[r] - window + 1)
         hi, lo = group[0]
         pivot_col[r] = (1 << r) | (1 << hi) | (1 << lo)
         deaths[r] = r
@@ -180,18 +197,20 @@ def _cycle_deaths(filtration: FlagFiltration) -> dict[int, int]:
             if len(pivot_col) == n_cycles:
                 break
             column = (1 << r) | (1 << hi) | (1 << lo)
-            while column:
-                low = column.bit_length() - 1
+            low = r
+            while low >= floor:
                 other = pivot_col.get(low)
                 if other is None:
                     break
                 column ^= other
-            if not column:
-                continue
-            low = column.bit_length() - 1
+                low = column.bit_length() - 1
+            if low < floor:
+                continue  # zero modulo the rows below the floor
             remainder = column ^ (1 << low)
             while remainder:
                 row = remainder.bit_length() - 1
+                if row < floor:
+                    break
                 other = pivot_col.get(row)
                 if other is None:
                     remainder ^= 1 << row
@@ -260,21 +279,16 @@ def gap_edges(records: Iterable[DiagramRecord], min_persistence: int = 1) -> set
 
 
 def network_gaps(network: TemporalConceptNetwork, min_persistence: int = 1) -> set[Pair]:
-    """The gap edges of a network, as `gap_edges` finds them in its diagram,
-    straight from the reduction: no diagram record is built and none sorted.
-    The null model's topology path."""
+    """The gap edges of a network: its cycle edges that the reduction windowed
+    at `min_persistence` years leaves unpaired, which are those `gap_edges`
+    finds in its diagram. No diagram record is built. The topology path of
+    classification, real and null."""
     if min_persistence < 0:
         raise ValueError("min_persistence must be non-negative")
     filtration = build_flag_filtration(network)
+    deaths = _cycle_deaths(filtration, min_persistence)
     edges = filtration.edges
-    deaths = _cycle_deaths(filtration)
-    result: set[Pair] = set()
-    for b in filtration.cycle_edges:
-        u, v, year = edges[b]
-        d = deaths.get(b)
-        if d is None or edges[d][2] - year >= min_persistence:
-            result.add((u, v))
-    return result
+    return {edges[b][:2] for b in filtration.cycle_edges if b not in deaths}
 
 
 def save_diagram_records(records: Iterable[DiagramRecord], path: str | Path) -> None:

@@ -27,13 +27,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from gapminer.classify import (
-    CATEGORIES,
-    Category,
-    DisciplineTopology,
-    PaperClassification,
-    ShareRow,
-)
+from gapminer.classify import CATEGORIES, Category, PaperClassification, ShareRow
 from gapminer.concept_net import (
     Pair,
     PaperRow,
@@ -163,10 +157,20 @@ def network_of(store: CorpusStore, discipline: str) -> TemporalConceptNetwork:
     return build_network(discipline, store_rows(store).get(discipline, []))
 
 
+@dataclass
+class DisciplineTopology:
+    """One discipline's network together with its gap pairs, as the
+    reference path finds them."""
+
+    network: TemporalConceptNetwork
+    gap_pairs: frozenset[Pair]
+
+
 def discipline_topology(task: tuple[str, Sequence[PaperRow], int]) -> DisciplineTopology:
     """Network and gap pairs of one discipline from its labelled rows
-    (discipline, rows, min_persistence), through the diagram records as the
-    classify stage reads them: the pre-change null model's pool task."""
+    (discipline, rows, min_persistence), with the gap pairs filtered from
+    the full diagram's records by `gap_edges`: the reference that the
+    windowed `network_gaps` of real and null runs is checked against."""
     discipline, rows, min_persistence = task
     network = build_network(discipline, rows)
     records, _ = network_diagram(network)

@@ -51,7 +51,6 @@ def main() -> int:
     # when its closing edge arrives, so every discipline carries exactly
     # CYCLES essential one-dimensional classes and each closing paper is a
     # gap opener.
-    topologies = {}
     for d in sorted(store.disciplines()):
         topo = analyze_discipline(store, d)
         filtration = build_flag_filtration(topo.network)
@@ -59,8 +58,7 @@ def main() -> int:
         assert betti_oracle(filtration, close_year - 1)[1] == 0
         assert betti_oracle(filtration, close_year)[1] == CYCLES
         assert len(topo.gap_pairs) == CYCLES
-        topologies[d] = topo
-    classifications = classify_all(store, topologies)
+    classifications = classify_all(store, 1)
     openers = sorted(
         pid for pid, c in classifications.items() if c.category is Category.GAP_OPENER
     )

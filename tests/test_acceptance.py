@@ -23,7 +23,6 @@ from gapminer.topology import build_flag_filtration, compute_persistence
 
 from helpers import (
     C1_INSTANCES,
-    analyze_store,
     apply_boundary,
     betti_oracle,
     boundary_chain,
@@ -65,14 +64,14 @@ def test_c2_planted_cycle_detection(tmp_path):
     for n in (4, 5, 8, 20):
         path = make_synthetic("planted-cycle", tmp_path / f"cycle{n}.jsonl", 1, cycle_len=n)
         store = load_corpus(path)
-        classifications = classify_all(store, analyze_store(store))
+        classifications = classify_all(store, 1)
         openers = sorted(
             pid for pid, c in classifications.items() if c.category is Category.GAP_OPENER
         )
         assert openers == [f"D0K0P{n - 1:03d}"], f"n={n}: {openers}"
     triangle = make_synthetic("planted-cycle", tmp_path / "triangle.jsonl", 1, cycle_len=3)
     store = load_corpus(triangle)
-    classifications = classify_all(store, analyze_store(store))
+    classifications = classify_all(store, 1)
     assert not [c for c in classifications.values() if c.category is Category.GAP_OPENER]
     elapsed = time.monotonic() - started
     assert elapsed < 1.0, f"planted-cycle detection took {elapsed:.2f}s"

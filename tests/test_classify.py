@@ -60,7 +60,7 @@ def test_cycle_closer_is_gap_opener():
     filt = build_flag_filtration(topo["D"].network)
     assert betti_oracle(filt, 2002)[1] == 0
     assert betti_oracle(filt, 2003)[1] == 1
-    classifications = classify_all(store, topo)
+    classifications = classify_all(store, 1)
     assert classifications["P03"].category is Category.GAP_OPENER
     for pid in ("P00", "P01", "P02"):
         assert classifications[pid].category is Category.NOVEL_PAIR_NON_GAP
@@ -72,7 +72,7 @@ def test_tree_edge_and_duplicate_categories():
         raw_record("copy", 2010, ("Dc0", "Dc1")),          # pre-existing pair
     ]
     store = build_store(raws)
-    classifications = classify_all(store, analyze_store(store))
+    classifications = classify_all(store, 1)
     assert classifications["leaf"].category is Category.NOVEL_PAIR_NON_GAP
     assert classifications["copy"] == (Category.NO_NOVEL_PAIR, 0, 0)
 
@@ -81,7 +81,7 @@ def test_same_year_co_introducers_all_open_the_gap():
     raws = cycle_corpus(4)
     raws.append(raw_record("twin", 2003, ("Dc0", "Dc3")))  # same year as the closer
     store = build_store(raws)
-    classifications = classify_all(store, analyze_store(store))
+    classifications = classify_all(store, 1)
     assert classifications["P03"].category is Category.GAP_OPENER
     assert classifications["twin"].category is Category.GAP_OPENER
 
@@ -97,13 +97,7 @@ def test_gap_anywhere_wins_across_disciplines():
     assert closing in topologies["D"].gap_pairs
     assert closing in topologies["E"].network.edges and not topologies["E"].gap_pairs
     # One gap edge, in D; the same pair in E is a tree edge and no second novel pair.
-    assert classify_all(store, topologies)["P03"] == (Category.GAP_OPENER, 1, 1)
-
-
-def test_missing_discipline_raises():
-    store = build_store(cycle_corpus(4))
-    with pytest.raises(DataError, match="no diagram available for disciplines containing papers"):
-        classify_all(store, {})
+    assert classify_all(store, 1)["P03"] == (Category.GAP_OPENER, 1, 1)
 
 
 def test_partition_property():
@@ -114,7 +108,7 @@ def test_partition_property():
         concepts = rng.sample([f"{d}x{j}" for j in range(10)], rng.randrange(2, 5))
         raws.append(raw_record(f"P{i:03d}", 2000 + rng.randrange(6), concepts, l0=(d,)))
     store = build_store(raws)
-    classifications = classify_all(store, analyze_store(store))
+    classifications = classify_all(store, 1)
     assert len(classifications) == len(store)
     by_category = {c: 0 for c in CATEGORIES}
     for cls in classifications.values():
@@ -127,7 +121,7 @@ def test_share_table_overall():
         raw_record(f"dup{i}", 2010, ("Dc0", "Dc1")) for i in range(6)
     ]
     store = build_store(raws)
-    rows = real_shares(classify_all(store, analyze_store(store)), store, "overall")
+    rows = real_shares(classify_all(store, 1), store, "overall")
     shares = {r.category: r for r in rows}
     assert shares[Category.GAP_OPENER].count == 1
     assert shares[Category.GAP_OPENER].fraction == pytest.approx(0.10)
@@ -139,7 +133,7 @@ def test_share_table_all_no_novel():
         raw_record(f"q{i}", 2001, ("a", "b")) for i in range(4)
     ]
     store = build_store(raws)
-    classifications = classify_all(store, analyze_store(store))
+    classifications = classify_all(store, 1)
     rows = real_shares(
         {pid: c for pid, c in classifications.items() if pid != "p1"}, store, "overall"
     )
@@ -157,7 +151,7 @@ def test_share_table_groupings_sum_to_one():
         l0 = (d,) if i % 5 else ("D0", "D1")
         raws.append(raw_record(f"P{i:03d}", 2000 + i % 4, concepts, l0=l0))
     store = build_store(raws)
-    classifications = classify_all(store, analyze_store(store))
+    classifications = classify_all(store, 1)
     for grouping in ("overall", "discipline", "year"):
         rows = real_shares(classifications, store, grouping)
         groups = {r.group for r in rows}
@@ -182,7 +176,7 @@ def test_planted_cycles_three_disciplines_with_fillers():
                 raw_record(f"F{j:03d}", 2006, (f"D{d}c0", f"D{d}c1"), l0=(f"D{d}",))
             )
     store = build_store(raws)
-    classifications = classify_all(store, analyze_store(store))
+    classifications = classify_all(store, 1)
     openers = [pid for pid, c in classifications.items() if c.category is Category.GAP_OPENER]
     assert sorted(openers) == ["D0P04", "D1P04", "D2P04"]
 
@@ -191,8 +185,8 @@ def test_classification_invariant_under_within_year_order():
     raws = cycle_corpus(5)
     store_fwd = build_store(raws)
     store_rev = build_store(list(reversed(raws)))
-    a = classify_all(store_fwd, analyze_store(store_fwd))
-    b = classify_all(store_rev, analyze_store(store_rev))
+    a = classify_all(store_fwd, 1)
+    b = classify_all(store_rev, 1)
     assert {p: c.category for p, c in a.items()} == {p: c.category for p, c in b.items()}
 
 
@@ -209,7 +203,7 @@ def test_null_comparison_deterministic():
 
 def test_null_comparison_singleton_corpus_equals_real():
     store = build_store([raw_record("only", 2000, ("a", "b", "c"))])
-    real = real_shares(classify_all(store, analyze_store(store)), store, "overall")
+    real = real_shares(classify_all(store, 1), store, "overall")
     rand = [r for r in null_comparison(store, seed=1, replicates=3) if r.grouping == "overall"]
     real_fracs = {r.category: r.fraction for r in real}
     rand_fracs = {r.category: r.fraction for r in rand}
@@ -238,7 +232,7 @@ def test_null_comparison_directional_on_planted_structure():
                 raw_record(f"D{d}F{j:02d}", 2000 + j % 5, (f"D{d}f{j}a", f"D{d}f{j}b"), l0=(f"D{d}",))
             )
     store = build_store(raws)
-    classifications = classify_all(store, analyze_store(store))
+    classifications = classify_all(store, 1)
     real = {
         r.category: r.fraction
         for r in real_shares(classifications, store, "overall")
@@ -318,16 +312,18 @@ def test_null_comparison_equals_reference(
     store_seed=st.integers(0, 2**32),
     papers=st.integers(1, 40),
     vocabulary=st.integers(2, 12),
-    years=st.integers(1, 5),
-    min_persistence=st.integers(0, 2),
+    years=st.integers(1, 8),
+    min_persistence=st.integers(0, 5),
 )
 def test_real_classification_and_shares_equal_reference(
     store_seed, papers, vocabulary, years, min_persistence
 ):
+    # The windowed reduction against gap edges filtered from full diagrams.
     store = random_store(random.Random(store_seed), papers, vocabulary, 3, years)
-    topologies = analyze_store(store, min_persistence=min_persistence)
-    classifications = classify_all(store, topologies)
-    assert classifications == reference_classify_all(store, topologies)
+    classifications = classify_all(store, min_persistence)
+    assert classifications == reference_classify_all(
+        store, analyze_store(store, min_persistence=min_persistence)
+    )
     for grouping in ("overall", "discipline", "year"):
         assert real_shares(classifications, store, grouping) == reference_share_table(
             classifications, store, grouping

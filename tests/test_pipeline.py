@@ -27,16 +27,15 @@ from hypothesis import strategies as st
 import gapminer.pipeline as pipeline_mod
 from gapminer import classify as classify_mod
 from gapminer import metrics as metrics_mod
-from gapminer.classify import classify_all
 from gapminer.cli import main
 from gapminer.corpus import load_corpus, save_corpus
 from gapminer.errors import ConfigError, DataError, InternalError
 from gapminer.pipeline import STAGES, PipelineConfig, run, verify_manifest
 from gapminer.synth import make_synthetic
-from gapminer.topology import DIAGRAM_HEADER
+from gapminer.topology import DIAGRAM_HEADER, load_diagram_records, network_diagram
 from gapminer.util import REMEDY, parallel_map, read_csv, sha256_file, write_csv
 
-from helpers import analyze_store, exit_in_worker
+from helpers import analyze_store, exit_in_worker, network_of, reference_classify_all
 
 OUTPUTS = ("classification.csv", "shares.csv", "metrics.csv")
 
@@ -118,6 +117,16 @@ def test_stages_are_the_table_in_order():
     for stage in pipeline_mod._TABLE:
         assert set(stage.reads) <= made, stage.name  # every input has an earlier maker
         made |= set(stage.makes)
+
+
+def test_classify_reads_only_the_normalised_corpus():
+    """Classify builds each network from the corpus and takes its gaps from
+    the windowed reduction; diagrams/ is written for outside readers only."""
+    classify = next(stage for stage in pipeline_mod._TABLE if stage.name == "classify")
+    assert classify.reads == ("corpus.norm.jsonl",)
+    for name in ("gap_edges", "load_diagram_records"):
+        assert not hasattr(pipeline_mod, name), name
+        assert not hasattr(classify_mod, name), name
 
 
 # Each result-affecting config field, an edited value, and the first stage
@@ -608,6 +617,9 @@ def test_manifest_entry_that_is_not_an_object_is_treated_as_absent(tmp_path, cap
 
 @pytest.mark.parametrize("kind, reader", [("diagrams", "classify")])
 def test_malformed_artifact_row_is_data_error(tmp_path, capsys, kind, reader):
+    """No stage reads a diagram's rows: with the manifest made to vouch for
+    a malformed one, classify is current, and the diagram reader that
+    programs outside the pipeline call is the one to raise the data error."""
     config = small_config(tmp_path)
     run(config)
     artifact = sorted((config.output_dir / kind).glob("*.csv"))[0]
@@ -615,11 +627,10 @@ def test_malformed_artifact_row_is_data_error(tmp_path, capsys, kind, reader):
         fh.write("x,y\n")
     vouch_for(config.output_dir, f"{kind}/{artifact.name}")
     capsys.readouterr()
-    code = main([reader, *run_flags(config)])
-    assert code == 3
-    err = capsys.readouterr().err
-    assert err.startswith(f"data error: stage {reader}: {artifact}, line ")
-    assert err.rstrip().endswith(REMEDY)
+    assert main([reader, *run_flags(config)]) == 0
+    assert f"stage {reader}: skipped" in capsys.readouterr().out
+    with pytest.raises(DataError, match=rf"^{re.escape(str(artifact))}, line \d+: .*{REMEDY}$"):
+        load_diagram_records(artifact)
 
 
 def test_config_file_that_is_not_utf8_is_config_error(tmp_path, capsys):
@@ -764,7 +775,7 @@ def test_classify_releases_the_real_run_before_the_null_model(tmp_path, monkeypa
     run(config, through="persist")
     built = []
     alive_at_null_start = []
-    real_build = pipeline_mod.build_network
+    real_build = classify_mod.build_network
     real_null = classify_mod.null_comparison
 
     def tracked_build(discipline, rows):
@@ -776,7 +787,7 @@ def test_classify_releases_the_real_run_before_the_null_model(tmp_path, monkeypa
         alive_at_null_start.extend(ref for ref in built if ref() is not None)
         return real_null(*args, **kwargs)
 
-    monkeypatch.setattr(pipeline_mod, "build_network", tracked_build)
+    monkeypatch.setattr(classify_mod, "build_network", tracked_build)
     monkeypatch.setattr(classify_mod, "null_comparison", checked_null)
     assert run(config).statuses["classify"] == "ok"
     assert built and not alive_at_null_start
@@ -813,7 +824,7 @@ def test_output_without_paper_stats_is_upgraded_in_place(tmp_path, finished_run)
 
 @pytest.mark.parametrize("kind, producer, consumer", [
     ("networks", "network", "report"),
-    ("diagrams", "persist", "classify"),
+    ("diagrams", "persist", "report"),
 ])
 @pytest.mark.parametrize("vouched", [False, True], ids=["mended", "vouched"])
 def test_truncated_index_reruns_its_maker_unless_vouched_for(
@@ -880,11 +891,11 @@ DAMAGES = {
     "delete": None,
     "swap-two-data-rows": _swap_two_data_rows,
 }
-# Every artifact a stage reads, and the network files, shares and metrics,
-# which none reads but which a run must still mend.
+# Every artifact a stage reads, and the network and diagram files, shares and
+# metrics, which none reads but which a run must still mend.
 DAMAGED_ARTIFACTS = sorted(
     {artifact for stage in pipeline_mod._TABLE for artifact in stage.reads}
-    | {"networks/*", "shares.csv", "metrics.csv"}
+    | {"networks/*", "diagrams/*", "shares.csv", "metrics.csv"}
 )
 
 
@@ -940,8 +951,7 @@ def _cut_in_half(text: str) -> str:
 # Each artifact that a stage reads through read_csv or _read_json, the first
 # stage that reads it, and a damage that makes the reader reject it.
 REJECTED = {
-    "diagrams/*": ("classify", lambda text: text + "x,y\n"),
-    "diagrams/index.json": ("classify", _cut_in_half),
+    "diagrams/index.json": ("report", _cut_in_half),
     "networks/index.json": ("report", _cut_in_half),
     "classification.csv": ("metrics", lambda text: text + "P1,Bogus,0,0\n"),
     "paper_stats.csv": ("metrics", lambda text: text.replace("\n", "\nP1,0.5\n", 1)),
@@ -981,11 +991,11 @@ def test_a_rejected_artifact_fails_in_one_line_whose_remedy_works(tmp_path, clea
 def test_an_index_entry_naming_another_file_changes_nothing_classify_reads(
     tmp_path, clean_run, where
 ):
-    """The pipeline finds each diagram file by its discipline. An index
-    entry whose `file` names a missing file, or another discipline's diagram
-    copied outside the output directory, with the manifest made to vouch for
-    the index: classify reruns on its own and writes what the clean run
-    wrote."""
+    """The pipeline finds each diagram file by its discipline, and classify
+    reads none. An index entry whose `file` names a missing file, or another
+    discipline's diagram copied outside the output directory, with the
+    manifest made to vouch for the index: classify is skipped and its
+    outputs are what the clean run wrote."""
     clean, flags = clean_run
     out = tmp_path / "out"
     shutil.copytree(clean, out)
@@ -1001,7 +1011,7 @@ def test_an_index_entry_naming_another_file_changes_nothing_classify_reads(
     vouch_for(out, "diagrams/index.json")
     result = gapminer_child("classify", *flags, "--out", str(out))
     assert result.returncode == 0, result.stderr
-    assert "stage persist: skipped\nstage classify: ok\n" in result.stdout
+    assert "stage persist: skipped\nstage classify: skipped\n" in result.stdout
     for name in ("classification.csv", "shares.csv"):
         assert (out / name).read_bytes() == (clean / name).read_bytes(), name
 
@@ -1153,7 +1163,7 @@ def test_a_manifest_with_read_records_is_skipped_in_full(tmp_path, finished_run,
     digests = pipeline_mod._Digests(out)
     for stage in pipeline_mod._TABLE:
         manifest["stages"][stage.name]["reads"] = pipeline._stage_reads(stage, digests)
-    assert manifest["stages"]["classify"]["reads"]["diagrams/index.json"]
+    assert manifest["stages"]["report"]["reads"]["diagrams/index.json"]
     (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
     before = files_under(out)
     capsys.readouterr()
@@ -1581,7 +1591,9 @@ def _lone_carriage_return():
 @example(corpus=_lone_carriage_return())
 def test_every_id_survives_every_artifact(corpus):
     """A run over ids holding any character classifies every paper as the
-    in-memory networks do, and a lone surrogate only makes its line malformed."""
+    reference path over in-memory diagrams does, each diagram file reads back
+    as its network's diagram, and a lone surrogate only makes its line
+    malformed."""
     records, lone = corpus
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "corpus.jsonl"
@@ -1593,10 +1605,15 @@ def test_every_id_survives_every_artifact(corpus):
         assert json.loads((out / "ingest.json").read_text(encoding="utf-8"))["malformed"] == 1
         store = load_corpus(path)
         assert set(store.papers) == {r["id"] for r in records}
-        expected = classify_all(store, analyze_store(store))
+        expected = reference_classify_all(store, analyze_store(store))
         with open(out / "classification.csv", encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[1:] == [
             [pid, cls.category.value, str(cls.n_gap_edges), str(cls.n_novel_pairs)]
             for pid, cls in zip(store.papers, map(expected.get, store.papers))
         ]
+        index = json.loads((out / "diagrams" / "index.json").read_text(encoding="utf-8"))
+        assert sorted(index["disciplines"]) == store.disciplines()
+        for discipline, entry in index["disciplines"].items():
+            records = load_diagram_records(out / entry["file"])
+            assert records == network_diagram(network_of(store, discipline))[0]

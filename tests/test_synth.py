@@ -9,8 +9,6 @@ from gapminer.corpus import load_corpus
 from gapminer.errors import ConfigError
 from gapminer.synth import make_synthetic
 
-from helpers import analyze_store
-
 
 def test_same_seed_byte_identical(tmp_path):
     a = make_synthetic("planted-cycle", tmp_path / "a.jsonl", 7, cycle_len=6, filler_fresh=5)
@@ -37,7 +35,7 @@ def test_planted_cycle_structure(tmp_path):
     store = load_corpus(path)
     assert len(store) == 5
     assert store.years() == [2000, 2001, 2002, 2003, 2004]
-    classifications = classify_all(store, analyze_store(store))
+    classifications = classify_all(store, 1)
     openers = [p for p, c in classifications.items() if c.category is Category.GAP_OPENER]
     assert openers == ["D0K0P004"]
 
@@ -54,7 +52,7 @@ def test_planted_cycle_fillers_do_not_open_gaps(tmp_path):
     )
     store = load_corpus(path)
     assert len(store) == 5 * 3 + 50
-    classifications = classify_all(store, analyze_store(store))
+    classifications = classify_all(store, 1)
     openers = sorted(
         p for p, c in classifications.items() if c.category is Category.GAP_OPENER
     )

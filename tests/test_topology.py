@@ -16,6 +16,7 @@ from gapminer.errors import DataError, InternalError
 from gapminer.topology import (
     DIAGRAM_HEADER,
     DiagramRecord,
+    _cycle_deaths,
     build_flag_filtration,
     compute_persistence,
     gap_edges,
@@ -187,6 +188,27 @@ def test_gap_edges_persistence_threshold():
     assert gap_edges(diagram.records(), 3) == set()
 
 
+def test_windowed_reduction_pairs_a_cycle_only_once_the_window_exceeds_it():
+    # The network above: the square (rank 3, a-d) persists 2 years, the
+    # chord cycle (rank 4, a-c) 0 years. A window of p years pairs exactly
+    # those that persist less than p, so the square is a gap up to p = 2.
+    net = network_from_edge_times(
+        "T",
+        [("a", "b", 1), ("b", "c", 2), ("c", "d", 3), ("a", "d", 4), ("a", "c", 6)],
+    )
+    filt = build_flag_filtration(net)
+    assert _cycle_deaths(filt) == {4: 4, 3: 4}
+    expected = {
+        0: ({}, {("a", "d"), ("a", "c")}),
+        1: ({4: 4}, {("a", "d")}),
+        2: ({4: 4}, {("a", "d")}),
+        3: ({4: 4, 3: 4}, set()),
+    }
+    for window, (deaths, gaps) in expected.items():
+        assert _cycle_deaths(filt, window) == deaths, window
+        assert network_gaps(net, window) == gaps, window
+
+
 # -- dense oracle -------------------------------------------------------------
 
 def test_oracle_single_vertex():
@@ -263,8 +285,17 @@ def check_against_references(net):
 
 
 def assert_gaps_match(net, records):
+    """network_gaps against gap_edges of the diagram, and the windowed
+    reduction's pairs against the full one's that persist less than the
+    window."""
+    filt = build_flag_filtration(net)
+    years = [t for _, _, t in filt.edges]
+    deaths = _cycle_deaths(filt)
     for min_persistence in range(6):
         assert network_gaps(net, min_persistence) == gap_edges(records, min_persistence)
+        assert _cycle_deaths(filt, min_persistence) == {
+            b: d for b, d in deaths.items() if years[d] - years[b] < min_persistence
+        }
 
 
 def test_engine_matches_naive_full_reduction():
@@ -284,7 +315,7 @@ def test_engine_matches_references_on_dense_years(data):
     chosen = data.draw(
         st.lists(st.sampled_from(pairs), min_size=1, max_size=60, unique=True), label="edges"
     )
-    n_years = data.draw(st.integers(1, 3), label="years")
+    n_years = data.draw(st.integers(1, 9), label="years")
     years = data.draw(
         st.lists(st.integers(2000, 2000 + n_years - 1), min_size=len(chosen), max_size=len(chosen)),
         label="edge years",
