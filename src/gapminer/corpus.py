@@ -14,7 +14,7 @@ import logging
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Union
+from typing import Callable, Iterable, Iterator, Union
 
 from .errors import DataError
 from .util import output_file, write_csv
@@ -30,7 +30,7 @@ REASON_YEAR = "out-of-range-year"
 REASON_LEVEL0 = "no-positive-level0"
 REASON_LEVEL3 = "insufficient-level3"
 
-_SURROGATE = re.compile("[\ud800-\udfff]")
+_UNWRITABLE = re.compile("[\x00\ud800-\udfff]")
 
 
 class _MalformedRecord(ValueError):
@@ -82,14 +82,10 @@ class IngestReport:
         return counts
 
 
-class ConceptInfo(NamedTuple):
-    level: int
-    first_year_seen: int
-
-
 @dataclass
 class CorpusStore:
-    """Immutable-by-convention container for validated records plus indices.
+    """Immutable-by-convention container for validated records, their ids
+    by year, and the ingest report; nothing else is derived from them.
 
     papers and by_year are in the deterministic ascending (year, paper_id)
     order, with ids compared as strings (equivalent to UTF-8 byte order), so
@@ -99,33 +95,22 @@ class CorpusStore:
 
     papers: dict[str, PaperRecord]
     by_year: dict[int, list[str]]
-    concept_registry: dict[str, ConceptInfo]
     ingest_report: IngestReport = field(default_factory=IngestReport, compare=False)
 
     @classmethod
     def from_records(
         cls, records: Iterable[PaperRecord], report: IngestReport | None = None
     ) -> "CorpusStore":
-        papers: dict[str, PaperRecord] = {}
-        for rec in records:
-            papers[rec.paper_id] = rec
+        """The store of `records`; of two records with one id, the later is kept."""
+        ordered = sorted(
+            {rec.paper_id: rec for rec in records}.values(),
+            key=lambda rec: (rec.year, rec.paper_id),
+        )
+        papers = {rec.paper_id: rec for rec in ordered}
         by_year: dict[int, list[str]] = {}
-        for pid in sorted(papers):
-            by_year.setdefault(papers[pid].year, []).append(pid)
-        by_year = {year: by_year[year] for year in sorted(by_year)}
-        papers = {pid: papers[pid] for pids in by_year.values() for pid in pids}
-        # Papers come in ascending years: a concept's first has its earliest year.
-        registry: dict[str, ConceptInfo] = {}
-        for rec in papers.values():
-            for level, concepts in ((0, rec.level0_ids), (3, rec.level3_ids)):
-                for concept in concepts:
-                    info = registry.get(concept)
-                    if info is None:
-                        registry[concept] = ConceptInfo(level, rec.year)
-                    elif level < info.level:
-                        registry[concept] = ConceptInfo(level, info.first_year_seen)
-        registry = {c: registry[c] for c in sorted(registry)}
-        return cls(papers, by_year, registry, report or IngestReport())
+        for rec in ordered:
+            by_year.setdefault(rec.year, []).append(rec.paper_id)
+        return cls(papers, by_year, report or IngestReport())
 
     def __len__(self) -> int:
         return len(self.papers)
@@ -142,7 +127,7 @@ class CorpusStore:
 
     def disciplines(self) -> list[str]:
         """Sorted ids of all level-0 concepts assigned to any paper."""
-        return sorted(c for c, info in self.concept_registry.items() if info.level == 0)
+        return sorted({c for rec in self.papers.values() for c in rec.level0_ids})
 
 
 def _coerce_concepts(
@@ -173,9 +158,11 @@ def _coerce_concepts(
 
 
 def _is_text(raw: object) -> bool:
-    """A non-empty string that UTF-8 can encode: one without a lone surrogate,
-    which JSON can spell but no artifact could hold."""
-    return isinstance(raw, str) and raw != "" and not _SURROGATE.search(raw)
+    """A non-empty string that every artifact can hold on every supported
+    Python: one without a lone surrogate, which JSON can spell but UTF-8
+    cannot encode, and without a NUL, which the csv reader refuses before
+    Python 3.11."""
+    return isinstance(raw, str) and raw != "" and not _UNWRITABLE.search(raw)
 
 
 def _coerce_str(raw: object, key: str) -> str:
@@ -281,8 +268,7 @@ def load_corpus(
     """
     path = Path(path)
     report = IngestReport()
-    records: list[PaperRecord] = []
-    seen: set[str] = set()
+    records: dict[str, PaperRecord] = {}  # the accepted ones, by paper id
     shared: dict = {}  # one object per distinct id or confidence, for this load
     try:
         # A byte that is not UTF-8 decodes to a lone surrogate: its line is malformed.
@@ -321,13 +307,12 @@ def load_corpus(
             if isinstance(result, Rejection):
                 report.rejections.append(result)
                 continue
-            if result.paper_id in seen:
+            if result.paper_id in records:
                 report.duplicate_ids += 1
                 report.malformed += 1
                 logger.debug("%s:%d duplicate paper id %s", path, lineno, result.paper_id)
                 continue
-            seen.add(result.paper_id)
-            records.append(result)
+            records[result.paper_id] = result
             report.accepted += 1
     if report.lines and report.malformed * 2 > report.lines:
         raise DataError(f"{path}: {report.malformed} of {report.lines} lines malformed (>50%)")
@@ -338,7 +323,7 @@ def load_corpus(
         len(report.rejections),
         report.malformed,
     )
-    return CorpusStore.from_records(records, report)
+    return CorpusStore.from_records(records.values(), report)
 
 
 def record_to_json(rec: PaperRecord) -> dict:

@@ -381,6 +381,10 @@ class ConceptOccurrences:
     def count_before(self, concept: str, year: int) -> int:
         return bisect_left(self._years.get(concept, ()), year)
 
+    def first_year(self, concept: str) -> int:
+        """The year of the concept's first level-3 assignment."""
+        return self._years[concept][0]
+
 
 @dataclass(frozen=True)
 class ConceptPairStats:
@@ -391,33 +395,19 @@ class ConceptPairStats:
 def concept_pair_stats(
     paper: PaperRecord,
     pairs: Iterable[Pair],
-    store: CorpusStore,
     occurrences: ConceptOccurrences,
 ) -> ConceptPairStats | None:
-    """Average endpoint age and prior-occurrence count over the paper's novel
-    pairs."""
+    """Averages over the paper's novel pairs of its endpoints' age, the years
+    since a concept's first level-3 use, and of their prior level-3 uses."""
     pairs = sorted(pairs)
     if not pairs:
         return None
-    registry = store.concept_registry
-    ages = []
-    prior = []
-    for u, v in pairs:
-        ages.append(
-            (
-                (paper.year - registry[u].first_year_seen)
-                + (paper.year - registry[v].first_year_seen)
-            )
-            / 2.0
-        )
-        prior.append(
-            (occurrences.count_before(u, paper.year) + occurrences.count_before(v, paper.year))
-            / 2.0
-        )
-    n = len(pairs)
+    first, before, year = occurrences.first_year, occurrences.count_before, paper.year
+    ages = [year - (first(u) + first(v)) / 2.0 for u, v in pairs]
+    prior = [(before(u, year) + before(v, year)) / 2.0 for u, v in pairs]
     return ConceptPairStats(
-        concept_age=sum(ages) / n,
-        concept_popularity=sum(prior) / n,
+        concept_age=sum(ages) / len(pairs),
+        concept_popularity=sum(prior) / len(pairs),
     )
 
 
@@ -633,9 +623,7 @@ def paper_stats_rows(
         pid = rec.paper_id
         ages = citation_ages(rec, index, horizon_year=horizon, max_age=max_age)
         observable = horizon - rec.year
-        pair_stats = concept_pair_stats(
-            rec, novel_pairs_by_paper.get(pid, ()), store, occurrences
-        )
+        pair_stats = concept_pair_stats(rec, novel_pairs_by_paper.get(pid, ()), occurrences)
         team = team_stats(rec, authors)
         yield (
             pid,

@@ -64,8 +64,8 @@ class Stage:
 
 @dataclass
 class PipelineConfig:
-    corpus_path: Path | None = None
-    output_dir: Path = Path("out")
+    corpus_path: Path | str | None = None
+    output_dir: Path | str = Path("out")
     year_min: int = 1900
     year_max: int = 2020
     min_persistence: int = 1
@@ -73,7 +73,7 @@ class PipelineConfig:
     n_rand: int = 10
     cd_window: int | None = None
     sb_horizon: int = 20
-    verb_lexicon_path: Path | None = None
+    verb_lexicon_path: Path | str | None = None
     seed: int = 0
     threads: int = 1
 
@@ -100,12 +100,7 @@ class PipelineConfig:
         unknown = sorted(set(values) - known)
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        config = cls(**values)
-        config.validate()  # so corpus_path is set
-        config.corpus_path, config.output_dir = Path(config.corpus_path), Path(config.output_dir)
-        if config.verb_lexicon_path is not None:
-            config.verb_lexicon_path = Path(config.verb_lexicon_path)
-        return config
+        return cls(**values)
 
     def validate(self) -> None:
         """Types first, so that no stage meets a value of the wrong kind: an
@@ -226,7 +221,7 @@ class Pipeline:
     def __init__(self, config: PipelineConfig):
         config.validate()
         self.config = config
-        self.out = config.output_dir
+        self.out = Path(config.output_dir)
         try:
             self.out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:  # a file where the directory or a parent belongs

@@ -1,15 +1,16 @@
-"""Shared test fixtures: record builders, random temporal graphs, store-level
-wrappers over the per-discipline topology and the labelled-row builder,
-label checks, the pre-change null model the lean one is checked against
-(the store-iterating row loop, random.shuffle dealing, the sort-ranked
-network, diagram records, evidence-based categories), the reference
-machinery the implicit dimension-1 engine is checked against (a flag
-complex of any dimension listed as Simplex objects, the explicit
+"""Shared test fixtures: record builders, the concept registry the store used
+to hold, the planted fixture behind the golden files, random temporal graphs,
+store-level wrappers over the per-discipline topology and the labelled-row
+builder, label checks, the pre-change null model the lean one is checked
+against (the store-iterating row loop, random.shuffle dealing, the
+sort-ranked network, diagram records, evidence-based categories), the
+reference machinery the implicit dimension-1 engine is checked against (a
+flag complex of any dimension listed as Simplex objects, the explicit
 triangle-column reduction that engine replaced, the naive full column
 reduction, and the dense Betti oracle), citation switching over named edges
 with the randrange loop it is checked against, and the pre-change metrics
-table (per-window citer scans, the windowed CD index, per-pair freshness,
-the name-keyed novelty baseline) with its store generator."""
+table (per-window citer scans, the windowed CD index, per-pair freshness, the
+name-keyed novelty baseline) with its store generator."""
 
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from itertools import combinations, groupby
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -59,6 +60,8 @@ from gapminer.metrics import (
     percentile_rank,
     sleeping_beauty,
 )
+from gapminer.pipeline import PipelineConfig
+from gapminer.synth import make_synthetic
 from gapminer.topology import DiagramRecord, Simplex, gap_edges, network_diagram
 from gapminer.util import derive_seed
 
@@ -91,6 +94,62 @@ def write_corpus(path: Path, raws, header=True) -> Path:
         for raw in raws:
             fh.write((raw if isinstance(raw, str) else json.dumps(raw)) + "\n")
     return path
+
+
+class ConceptInfo(NamedTuple):
+    level: int
+    first_year_seen: int
+
+
+def reference_concept_registry(store: CorpusStore) -> dict[str, ConceptInfo]:
+    """The registry the store used to hold, in concept id order: each
+    concept's lowest level (0 if any paper assigns it at level 0) and the
+    year of its first assignment at either level."""
+    registry: dict[str, ConceptInfo] = {}
+    for rec in store.iter_papers():  # ascending years
+        for level, concepts in ((0, rec.level0_ids), (3, rec.level3_ids)):
+            for concept in concepts:
+                info = registry.get(concept)
+                if info is None:
+                    registry[concept] = ConceptInfo(level, rec.year)
+                elif level < info.level:
+                    registry[concept] = ConceptInfo(level, info.first_year_seen)
+    return {c: registry[c] for c in sorted(registry)}
+
+
+# -- the planted fixture behind tests/golden/planted/ ---------------------------
+
+PLANTED_SEED = 20260810  # the corpus generator's seed and the pipeline's
+PLANTED_CYCLE_LEN = 5
+PLANTED_CYCLES = 10
+PLANTED_DISCIPLINES = 3
+PLANTED_FILLER_FRESH = 300
+PLANTED_N_RAND = 2
+PLANTED_REPLICATES = 10
+
+
+def planted_corpus(directory: Path) -> Path:
+    return make_synthetic(
+        "planted-cycle",
+        directory / "planted.jsonl",
+        PLANTED_SEED,
+        cycle_len=PLANTED_CYCLE_LEN,
+        cycles=PLANTED_CYCLES,
+        disciplines=PLANTED_DISCIPLINES,
+        filler_fresh=PLANTED_FILLER_FRESH,
+    )
+
+
+def planted_config(
+    corpus: Path, out: Path, null_replicates: int = PLANTED_REPLICATES
+) -> PipelineConfig:
+    return PipelineConfig(
+        corpus_path=corpus,
+        output_dir=out,
+        null_replicates=null_replicates,
+        n_rand=PLANTED_N_RAND,
+        seed=PLANTED_SEED,
+    )
 
 
 # -- networks -------------------------------------------------------------------
@@ -743,7 +802,7 @@ def reference_metrics_rows(
             rec, index, horizon_year=horizon, max_age=sb_horizon
         )
         windows = reference_citation_windows(rec, index, horizon_year=horizon)
-        pair_stats = concept_pair_stats(rec, novel_pairs_by_paper.get(pid, ()), store, occurrences)
+        pair_stats = concept_pair_stats(rec, novel_pairs_by_paper.get(pid, ()), occurrences)
         team = reference_team_stats(rec, authors)
         rows.append((
             pid,

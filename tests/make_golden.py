@@ -6,6 +6,8 @@ Run from the repository root after any intentional change to output formats:
 
 The script verifies the fixture's planted structure against the dense Betti
 oracle before freezing, so a regression cannot be baked into the goldens.
+Acceptance criterion 9 runs the same verification and run through
+`run_fixture` and compares its output with the frozen files.
 """
 
 from __future__ import annotations
@@ -18,84 +20,76 @@ from pathlib import Path
 
 from gapminer.classify import Category, classify_all
 from gapminer.corpus import load_corpus
-from gapminer.pipeline import PipelineConfig, run
-from gapminer.synth import make_synthetic
+from gapminer.pipeline import run
 from gapminer.topology import build_flag_filtration
 
-from helpers import analyze_discipline, betti_oracle
+from helpers import (
+    PLANTED_CYCLE_LEN,
+    PLANTED_CYCLES,
+    PLANTED_DISCIPLINES,
+    analyze_discipline,
+    betti_oracle,
+    planted_config,
+    planted_corpus,
+)
 
 GOLDEN_DIR = Path(__file__).parent / "golden" / "planted"
 GOLDEN_FILES = ("classification.csv", "shares.csv", "metrics.csv")
 
-FIXTURE_SEED = 20260810
-CYCLE_LEN = 5
-CYCLES = 10
-DISCIPLINES = 3
-FILLER_FRESH = 300
 
-
-def main() -> int:
-    tmp = Path(tempfile.mkdtemp(prefix="golden-"))
-    corpus = make_synthetic(
-        "planted-cycle",
-        tmp / "planted.jsonl",
-        FIXTURE_SEED,
-        cycle_len=CYCLE_LEN,
-        cycles=CYCLES,
-        disciplines=DISCIPLINES,
-        filler_fresh=FILLER_FRESH,
-    )
+def run_fixture(directory: Path) -> tuple[Path, float, float]:
+    """Write the planted corpus into `directory`, verify its structure, run
+    the pipeline on it into `directory / "out"`, and check that the real
+    gap-opener share exceeds the random mean. Returns the output directory,
+    the real share and the random mean."""
+    corpus = planted_corpus(directory)
     store = load_corpus(corpus)
 
     # Oracle verification of the planted structure: each cycle appears only
     # when its closing edge arrives, so every discipline carries exactly
-    # CYCLES essential one-dimensional classes and each closing paper is a
-    # gap opener.
+    # PLANTED_CYCLES essential one-dimensional classes and each closing
+    # paper is a gap opener.
     for d in sorted(store.disciplines()):
         topo = analyze_discipline(store, d)
         filtration = build_flag_filtration(topo.network)
-        close_year = 2000 + CYCLE_LEN - 1
+        close_year = 2000 + PLANTED_CYCLE_LEN - 1
         assert betti_oracle(filtration, close_year - 1)[1] == 0
-        assert betti_oracle(filtration, close_year)[1] == CYCLES
-        assert len(topo.gap_pairs) == CYCLES
+        assert betti_oracle(filtration, close_year)[1] == PLANTED_CYCLES
+        assert len(topo.gap_pairs) == PLANTED_CYCLES
     classifications = classify_all(store, 1)
     openers = sorted(
         pid for pid, c in classifications.items() if c.category is Category.GAP_OPENER
     )
     expected = sorted(
-        f"D{d}K{k}P{CYCLE_LEN - 1:03d}" for d in range(DISCIPLINES) for k in range(CYCLES)
+        f"D{d}K{k}P{PLANTED_CYCLE_LEN - 1:03d}"
+        for d in range(PLANTED_DISCIPLINES)
+        for k in range(PLANTED_CYCLES)
     )
     assert openers == expected, f"unexpected gap openers: {openers}"
     print(f"fixture verified: {len(expected)} planted gap openers confirmed by oracle")
 
-    config = PipelineConfig(
-        corpus_path=corpus,
-        output_dir=tmp / "out",
-        null_replicates=10,
-        n_rand=2,
-        seed=FIXTURE_SEED,
-    )
-    run(config)
+    out = directory / "out"
+    run(planted_config(corpus, out))
 
-    with open(config.output_dir / "shares.csv", newline="") as fh:
-        rows = [r for r in csv.DictReader(fh) if r["grouping"] == "overall"]
-    real = next(
-        float(r["fraction"])
-        for r in rows
-        if r["category"] == "GapOpener" and r["source"] == "real"
-    )
-    rand = next(
-        float(r["fraction"])
-        for r in rows
-        if r["category"] == "GapOpener" and r["source"] == "random"
-    )
+    with open(out / "shares.csv", newline="") as fh:
+        shares = {
+            r["source"]: float(r["fraction"])
+            for r in csv.DictReader(fh)
+            if r["grouping"] == "overall" and r["category"] == "GapOpener"
+        }
+    real, rand = shares["real"], shares["random"]
     assert real > rand, (real, rand)
     print(f"directional check: real share {real:.4f} > random mean {rand:.4f}")
+    return out, real, rand
 
-    GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
-    for name in GOLDEN_FILES:
-        shutil.copyfile(config.output_dir / name, GOLDEN_DIR / name)
-        print(f"froze {GOLDEN_DIR / name}")
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="golden-") as tmp:
+        out, _, _ = run_fixture(Path(tmp))
+        GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
+        for name in GOLDEN_FILES:
+            shutil.copyfile(out / name, GOLDEN_DIR / name)
+            print(f"froze {GOLDEN_DIR / name}")
     return 0
 
 

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gapminer.corpus import (
     REASON_LEVEL0,
@@ -19,8 +22,9 @@ from gapminer.corpus import (
     validate_record,
 )
 from gapminer.errors import DataError
+from gapminer.metrics import ConceptOccurrences
 
-from helpers import build_store, raw_record, write_corpus
+from helpers import build_store, random_store, raw_record, reference_concept_registry, write_corpus
 
 
 def test_load_three_valid_records(tmp_path):
@@ -267,25 +271,70 @@ def test_registry_levels_and_first_year():
             raw_record("p2", 1995, ("a", "c"), l0=("D",)),
         ]
     )
-    assert store.concept_registry["a"].first_year_seen == 1995
-    assert store.concept_registry["D"].level == 0
-    assert store.concept_registry["a"].level == 3
-    assert store.disciplines() == ["D"]
+    first_year = ConceptOccurrences(store).first_year
+    assert (first_year("a"), first_year("b"), first_year("c")) == (1995, 2000, 1995)
+    assert store.disciplines() == ["D"]  # "a" is a level-3 concept only
 
 
-@pytest.mark.parametrize("field", ["id", "l0", "l3", "refs", "title", "venue", "authors", "affil"])
-def test_lone_surrogate_makes_the_line_malformed(tmp_path, field):
+def test_first_year_counts_level3_uses_only():
+    """A concept's first year is that of its first level-3 use, even when a
+    paper assigned it at level 0 earlier; it is still a discipline."""
+    store = build_store(
+        [
+            raw_record("p1", 1990, ("a", "b"), l0=("X",)),
+            raw_record("p2", 1995, ("X", "c"), l0=("D",)),
+        ]
+    )
+    assert ConceptOccurrences(store).first_year("X") == 1995
+    assert store.disciplines() == ["D", "X"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    papers=st.integers(0, 40),
+    vocabulary=st.integers(2, 8),
+    disciplines=st.integers(1, 4),
+    years=st.integers(1, 6),
+)
+def test_store_order_disciplines_and_first_years_equal_the_references(
+    seed, papers, vocabulary, disciplines, years
+):
+    # random_store draws level-0 ids D* and level-3 ids c*, never one id at
+    # both levels, where the registry's first year is the level-3 one.
+    store = random_store(random.Random(seed), papers, vocabulary, disciplines, years)
+    order = sorted(store.papers, key=lambda pid: (store.papers[pid].year, pid))
+    assert list(store.papers) == order
+    assert [pid for pids in store.by_year.values() for pid in pids] == order
+    assert list(store.by_year) == sorted(store.by_year)
+    registry = reference_concept_registry(store)
+    assert store.disciplines() == [c for c, info in registry.items() if info.level == 0]
+    first_year = ConceptOccurrences(store).first_year
+    for concept, info in registry.items():
+        if info.level == 3:
+            assert first_year(concept) == info.first_year_seen
+
+
+_FIELDS = ["id", "l0", "l3", "refs", "title", "venue", "authors", "affil"]
+
+
+@pytest.mark.parametrize(
+    "field, bad_char",
+    [(field, "\ud800") for field in _FIELDS] + [(field, "\x00") for field in _FIELDS],
+    ids=_FIELDS + [f"{field}-nul" for field in _FIELDS],
+)
+def test_lone_surrogate_makes_the_line_malformed(tmp_path, field, bad_char):
+    """So does a NUL, which the csv reader refuses before Python 3.11."""
     bad = raw_record("p2", 2000, ("a", "b"), refs=("p1",), title="t", venue="v",
                      authors=["x"], affil=[["x", 1.0, 2.0]])
-    lone = "\ud800"
     if field in ("id", "title", "venue"):
-        bad[field] = lone
+        bad[field] = bad_char
     elif field in ("refs", "authors"):
-        bad[field].append(lone)
+        bad[field].append(bad_char)
     else:
-        bad[field][0][0] = lone
+        bad[field][0][0] = bad_char
     raws = [raw_record("p1", 2000, ("a", "b")), json.dumps(bad)]
-    assert "\\ud800" in raws[1]  # JSON spells it as an escape
+    assert json.dumps(bad_char)[1:-1] in raws[1]  # JSON spells it as an escape
     store = load_corpus(write_corpus(tmp_path / "c.jsonl", raws))
     assert list(store.papers) == ["p1"]
     assert store.ingest_report.malformed == 1

@@ -586,13 +586,13 @@ def test_concept_pair_stats_examples():
     store = build_store(raws)
     occurrences = ConceptOccurrences(store)
     # Endpoints first seen in the paper's own year: age 0.
-    stats = concept_pair_stats(store.papers["fresh"], [("p", "q")], store, occurrences)
+    stats = concept_pair_stats(store.papers["fresh"], [("p", "q")], occurrences)
     assert stats.concept_age == 0.0
     # Endpoints aged 4 and 2 years: mean 3.0.
-    stats = concept_pair_stats(store.papers["new"], [("u", "v")], store, occurrences)
+    stats = concept_pair_stats(store.papers["new"], [("u", "v")], occurrences)
     assert stats.concept_age == 3.0
     assert stats.concept_popularity == 1.0  # each endpoint occurred once before
-    assert concept_pair_stats(store.papers["new"], [], store, occurrences) is None
+    assert concept_pair_stats(store.papers["new"], [], occurrences) is None
 
 
 def test_concept_popularity_ten_priors():
@@ -600,7 +600,7 @@ def test_concept_popularity_ten_priors():
     raws += [raw_record(f"g{i}", 1990 + i, ("v", "w"), l0=("D",)) for i in range(10)]
     raws.append(raw_record("new", 2005, ("u", "v")))
     store = build_store(raws)
-    stats = concept_pair_stats(store.papers["new"], [("u", "v")], store, ConceptOccurrences(store))
+    stats = concept_pair_stats(store.papers["new"], [("u", "v")], ConceptOccurrences(store))
     assert stats.concept_popularity == 10.0
 
 
